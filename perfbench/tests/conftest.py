@@ -1,0 +1,14 @@
+"""Make ``repro`` (from ``src/``) and ``perfbench`` importable.
+
+Run the benchmark's own tests from the repository root::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
