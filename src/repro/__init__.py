@@ -19,8 +19,10 @@ Public API highlights
 
 #: Package version (kept in sync with pyproject.toml); participates in
 #: every engine cache key so persistent --cache-dir entries from older
-#: code versions are never served.
-__version__ = "0.2.0"
+#: code versions are never served.  It also salts the online cells' RNG
+#: seeds (``repro.engine.cells.cell_seed``), so changing it changes the
+#: values of every figure with online cells.
+__version__ = "1.0.0"
 
 from .core import (
     OnlineKnobs,
@@ -50,8 +52,6 @@ from .workloads import (
     register_workload,
     reported_benchmarks,
 )
-
-__version__ = "1.0.0"
 
 __all__ = [
     "Scheme",

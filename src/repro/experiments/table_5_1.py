@@ -7,16 +7,20 @@ and the measured periods are normalised to the 1.0 V corner.
 
 from __future__ import annotations
 
-from repro.circuit.ring_oscillator import sweep_ring_oscillator
+from repro.circuit.ring_oscillator import RingOscillatorSweep, sweep_ring_oscillator
 
 from .common import ExperimentResult, cached_experiment
 
-__all__ = ["run"]
+__all__ = ["run", "tabulate"]
 
 
 @cached_experiment("table_5_1")
 def run(n_stages: int = 5) -> ExperimentResult:
-    sweep = sweep_ring_oscillator(n_stages=n_stages)
+    return tabulate(sweep_ring_oscillator(n_stages=n_stages), n_stages)
+
+
+def tabulate(sweep: RingOscillatorSweep, n_stages: int = 5) -> ExperimentResult:
+    """Table 5.1 from an already simulated ``n_stages`` ring sweep."""
     rows = [
         (vdd, published, round(regen, 3))
         for vdd, published, regen in sweep.rows()

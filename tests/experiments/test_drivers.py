@@ -20,7 +20,6 @@ from repro.experiments import (
     headline,
     overhead_study,
     pareto_figs,
-    table_5_1,
 )
 
 
@@ -48,17 +47,15 @@ class TestRegistry:
 
 
 class TestTable51:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return table_5_1.run()
+    """Checks on the session-wide ``table_5_1_result``."""
 
-    def test_regenerates_published_multipliers(self, result):
-        assert len(result.rows) == 7
-        for vdd, paper, regen in result.rows:
+    def test_regenerates_published_multipliers(self, table_5_1_result):
+        assert len(table_5_1_result.rows) == 7
+        for vdd, paper, regen in table_5_1_result.rows:
             assert abs(regen - paper) / paper < 0.12
 
-    def test_renders(self, result):
-        text = result.render()
+    def test_renders(self, table_5_1_result):
+        text = table_5_1_result.render()
         assert "table_5_1" in text and "0.65" in text
 
 

@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Regenerate the golden outputs under ``tests/golden/``.
+
+Each ``tests/golden/<experiment>.json`` pins one experiment bit for
+bit, so a refactor or a performance change can show that it moved no
+value.  A file holds:
+
+* ``experiment_id``;
+* ``payload`` -- the experiment's ``ExperimentResult.to_payload()`` at
+  default arguments, regenerated in a fresh serial engine, as
+  canonical JSON (Python's float repr round-trips exactly);
+* ``extras`` -- named lists of ``[label, float.hex()]`` pairs for
+  exact values the payload rounds away.  Table 5.1 stores the
+  absolute ring-oscillator periods per voltage, because its table
+  shows only 3-decimal multipliers.
+
+``tests/experiments/test_golden.py`` regenerates every file's content
+and requires exact equality, naming the first difference.  A change
+that moves values on purpose reruns this tool and shows the diff.
+Pin another experiment by adding it to :data:`GOLDEN`.
+
+Usage::
+
+    PYTHONPATH=src python tools/update_golden.py [experiment ...] [--check]
+
+With no experiment ids, every entry of :data:`GOLDEN` is regenerated.
+``--check`` writes nothing: it prints the first difference per file
+and exits non-zero when any file is stale.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from itertools import zip_longest
+from pathlib import Path
+from typing import Callable, Dict, List, Optional
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
+
+
+def ring_periods(sweep) -> List[List[str]]:
+    """``[vdd, period.hex()]`` pairs of a ring-oscillator sweep, in
+    sweep order."""
+    return [[repr(vdd), float(period).hex()] for vdd, period in sweep.periods.items()]
+
+
+def _table_5_1_extras() -> Dict[str, List[List[str]]]:
+    from repro.circuit.ring_oscillator import sweep_ring_oscillator
+
+    return {"ring_periods": ring_periods(sweep_ring_oscillator())}
+
+
+#: experiment id -> producer of its ``extras`` (the pinned experiments)
+GOLDEN: Dict[str, Callable[[], Dict[str, List[List[str]]]]] = {
+    "table_5_1": _table_5_1_extras,
+}
+
+
+def golden_record(result, extras: Dict[str, List[List[str]]]) -> dict:
+    """The golden-file content of one regenerated experiment."""
+    from repro.serialization import canonical_json
+
+    return {
+        "experiment_id": result.experiment_id,
+        "payload": json.loads(canonical_json(result.to_payload())),
+        "extras": extras,
+    }
+
+
+def regenerate(experiment_id: str) -> dict:
+    """Regenerate one experiment's golden record in a fresh serial
+    engine."""
+    from repro.engine import engine_session
+    from repro.experiments import EXPERIMENTS
+
+    with engine_session(backend="serial"):
+        result = EXPERIMENTS[experiment_id]()
+    return golden_record(result, GOLDEN[experiment_id]())
+
+
+def path_of(experiment_id: str) -> Path:
+    return GOLDEN_DIR / f"{experiment_id}.json"
+
+
+def load(experiment_id: str) -> dict:
+    return json.loads(path_of(experiment_id).read_text())
+
+
+def dump(record: dict) -> str:
+    """Stable, diff-friendly text of a golden record."""
+    return json.dumps(record, indent=1, sort_keys=True) + "\n"
+
+
+def _first_path(expected, actual, path: str) -> Optional[str]:
+    """JSON path of the first place two JSON values differ."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for key in sorted(set(expected) | set(actual)):
+            if key not in expected or key not in actual:
+                return f"{path}.{key}"
+            found = _first_path(expected[key], actual[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(expected, list) and isinstance(actual, list):
+        for i, (a, b) in enumerate(zip(expected, actual)):
+            found = _first_path(a, b, f"{path}[{i}]")
+            if found:
+                return found
+        if len(expected) != len(actual):
+            return f"{path} (length {len(expected)} != {len(actual)})"
+        return None
+    # bool is an int subclass: compare types too, so true != 1
+    if type(expected) is not type(actual) or expected != actual:
+        return f"{path}: expected {expected!r}, got {actual!r}"
+    return None
+
+
+def first_difference(expected: dict, actual: dict) -> Optional[str]:
+    """Describe the first difference between two golden records, or
+    ``None`` when they are identical.
+
+    Extras are compared pair by pair, so a differing value is named by
+    its label (for Table 5.1, the voltage).
+    """
+    want_extras = expected.get("extras", {})
+    got_extras = actual.get("extras", {})
+    for name in sorted(set(want_extras) | set(got_extras)):
+        pairs = zip_longest(want_extras.get(name, []), got_extras.get(name, []))
+        for want, got in pairs:
+            if want != got:
+                label = (want or got)[0]
+                return f"extras.{name} at {label}: expected {want}, got {got}"
+    return _first_path(
+        {k: v for k, v in expected.items() if k != "extras"},
+        {k: v for k, v in actual.items() if k != "extras"},
+        "",
+    )
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("experiments", nargs="*", metavar="experiment")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with the committed files instead of writing them",
+    )
+    args = parser.parse_args(argv)
+    unknown = [e for e in args.experiments if e not in GOLDEN]
+    if unknown:
+        parser.error(f"no golden producer for {unknown}; known: {sorted(GOLDEN)}")
+
+    stale = 0
+    for experiment_id in args.experiments or sorted(GOLDEN):
+        record = regenerate(experiment_id)
+        path = path_of(experiment_id)
+        if args.check:
+            diff = (
+                first_difference(load(experiment_id), record)
+                if path.exists()
+                else "missing file"
+            )
+            stale += diff is not None
+            print(f"{experiment_id}: {diff or 'ok'}")
+            continue
+        old = path.read_text() if path.exists() else None
+        text = dump(record)
+        if old == text:
+            print(f"{experiment_id}: unchanged")
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        diff = first_difference(json.loads(old), record) if old else "new file"
+        print(f"{experiment_id}: wrote {path.name} ({diff})")
+    return 1 if stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
