@@ -32,18 +32,21 @@ mid-shard, is reported with a ``worker_lost`` event and its shards are
 re-dispatched to the surviving workers (results are unaffected --
 cells are pure).  Only when *no* worker remains does the backend raise
 ``RuntimeError``.  Registry visibility is validated up front: before
-any shard ships, every live worker is asked for its registered
-scheme/workload names, and a worker missing one that the pending cells
-need fails the run with an actionable error (pointing at
-``REPRO_BOOTSTRAP`` and the worker ``--bootstrap`` flag) *before* any
-compute is wasted.
+any shard ships, the pending cells' scheme/workload names are checked
+against the names each live worker listed in its hello reply (a
+worker registers only at start-up, and the hello is refreshed on every
+reconnect), and a worker missing one fails the run with an actionable
+error (pointing at ``REPRO_BOOTSTRAP`` and the worker ``--bootstrap``
+flag) *before* any compute is wasted.
 
 Wire protocol (version 2): each frame is a 4-byte big-endian length
 followed by that many bytes of UTF-8 canonical JSON
 (:func:`repro.serialization.canonical_json` -- sorted keys, numpy
-scalars coerced).  Requests are ``{"op": ...}`` objects; responses
-carry ``"ok"``; ``run_batches`` responses are preceded by zero or more
-``{"op": "event"}`` frames streamed during evaluation.  Batches travel
+scalars coerced), written with one ``sendall``; both ends set
+``TCP_NODELAY`` (see :func:`set_nodelay`).  Requests are ``{"op":
+...}`` objects; responses carry ``"ok"``; ``run_batches`` responses
+are preceded by zero or more ``{"op": "event"}`` frames streamed
+during evaluation.  Batches travel
 as ``{"keys": [...], "specs": [[index, payload], ...]}`` -- ``specs``
 is sparse, omitting cells the worker promised to serve from its store.
 Workers configured with a shared-secret token (``--token`` /
@@ -89,6 +92,7 @@ __all__ = [
     "parse_worker_addresses",
     "recv_frame",
     "send_frame",
+    "set_nodelay",
 ]
 
 #: Bump when the frame layout or message vocabulary changes
@@ -120,6 +124,19 @@ class FrameTooLargeError(RemoteProtocolError):
     Deterministic for a given payload, so *not* failover material: a
     shard too large for one worker is too large for every worker.
     """
+
+
+def set_nodelay(sock: socket.socket) -> None:
+    """Turn off Nagle's algorithm on a protocol socket (both ends).
+
+    A worker answers ``run_batches`` with several small frames (event
+    frames, then the result), each one ``sendall``.  With Nagle on,
+    every frame after the first waits for the ACK of the previous one,
+    and the reading side delays that ACK (~40 ms on Linux) -- a fixed
+    stall per shard whatever its size.  Frames are already written
+    whole, so sending segments immediately changes no framing.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
@@ -319,6 +336,7 @@ class _WorkerLink:
         sock = socket.create_connection(
             self.address, timeout=self.connect_timeout
         )
+        set_nodelay(sock)
         # computes can be long: no read timeout once connected
         sock.settimeout(None)
         try:
@@ -541,41 +559,28 @@ class RemoteBackend(ExecutorBackend):
         self,
         batches: Sequence[CellBatch],
         links: List[_WorkerLink],
-        emit: EmitFn,
-    ) -> List[_WorkerLink]:
+    ) -> None:
         """Fail before dispatch when a worker cannot resolve the cells.
 
-        Asks every live worker for its registered scheme/workload
-        names (which reflect its bootstrap hooks) and raises an
-        actionable ``RuntimeError`` when anything the pending cells
-        need is missing.  A worker that fails the round trip is
-        treated as lost, not as a validation failure.
+        Checks the scheme/workload names each live worker listed in
+        its hello reply and raises an actionable ``RuntimeError`` when
+        anything the pending cells need is missing.  A worker
+        registers only at start-up (its bootstrap hooks), and the
+        hello is refreshed on every (re)connect, so no round trip is
+        needed; a worker that died since is caught by shard failover.
         """
         needed_schemes, needed_benchmarks = needed_registry_names(batches)
-        survivors: List[_WorkerLink] = []
         problems: List[str] = []
         for link in links:
-            try:
-                reply, _ = link.request({"op": "registries"})
-            except (OSError, RemoteProtocolError) as exc:
-                self._mark_lost(link, exc, emit, phase="validate")
-                continue
-            if not reply.get("ok"):
-                self._mark_lost(
-                    link,
-                    RemoteProtocolError(str(reply.get("error"))),
-                    emit,
-                    phase="validate",
-                )
-                continue
-            missing_schemes = needed_schemes - set(reply.get("schemes", ()))
+            missing_schemes = needed_schemes - set(
+                link.hello.get("schemes", ())
+            )
             missing_benchmarks = needed_benchmarks - set(
-                reply.get("benchmarks", ())
+                link.hello.get("benchmarks", ())
             )
             if missing_schemes or missing_benchmarks:
                 missing = sorted(missing_schemes | missing_benchmarks)
                 problems.append(f"{link.label} is missing {missing}")
-            survivors.append(link)
         if problems:
             from repro.engine.bootstrap import BOOTSTRAP_REMEDY
 
@@ -586,13 +591,6 @@ class RemoteBackend(ExecutorBackend):
                 f"bootstrap hook -- {BOOTSTRAP_REMEDY} (workers also "
                 "accept --bootstrap module:function)."
             )
-        if not survivors:
-            raise RuntimeError(
-                "all remote workers were lost during registry validation; "
-                "restart them with 'python -m repro worker --serve "
-                "HOST:PORT' and retry."
-            )
-        return survivors
 
     # ------------------------------------------------------------------
     # dispatch
@@ -690,7 +688,7 @@ class RemoteBackend(ExecutorBackend):
                 emit(kind, **data)
 
         links = self._live_links(locked_emit)
-        links = self._validate_registries(batches, links, locked_emit)
+        self._validate_registries(batches, links)
 
         n_shards = len(self.addresses)
         shard_members: Dict[int, List[int]] = {}

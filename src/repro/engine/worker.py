@@ -31,7 +31,8 @@ shard are streamed back to the requesting client, not printed.
 Ops served (see :mod:`repro.engine.backends.remote` for framing):
 ``hello`` (version/schema handshake + registry snapshot + caching /
 auth advertisement), ``auth`` (HMAC proof), ``registries`` (live
-registry names, used for up-front validation), ``query_keys``
+registry names; diagnostic -- clients validate against the hello
+reply), ``query_keys``
 (worker-store hits for a key list), ``run_batches`` (evaluate a
 shard; streams ``event`` frames, then a ``result`` frame), ``ping``
 and ``shutdown``.
@@ -62,6 +63,7 @@ from .backends.remote import (
     auth_mac,
     recv_frame,
     send_frame,
+    set_nodelay,
 )
 from .bootstrap import run_bootstrap
 from .store import ResultStore, make_store
@@ -297,6 +299,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         peer = f"{self.client_address[0]}:{self.client_address[1]}"
         _log(f"client connected: {peer}")
         sock = self.request
+        set_nodelay(sock)
         store: Optional[ResultStore] = getattr(self.server, "store", None)
         token: Optional[str] = getattr(self.server, "token", None)
         # with a token configured, every connection must prove it

@@ -162,6 +162,72 @@ class TestLoopbackDispatch:
             eng.close()
             unregister_workload("synth_remote_late")
 
+    def test_dispatch_sends_no_registries_request(
+        self, loopback_workers, monkeypatch
+    ):
+        """Registries are validated from the hello reply: a dispatch
+        costs no extra ``registries`` round trip per worker."""
+        from repro.engine.backends.remote import _WorkerLink
+
+        ops = []
+        original = _WorkerLink.request
+
+        def recording_request(link, payload):
+            ops.append(payload.get("op"))
+            return original(link, payload)
+
+        monkeypatch.setattr(_WorkerLink, "request", recording_request)
+        with ExperimentEngine(
+            backend="remote", remote_workers=loopback_workers
+        ) as eng:
+            eng.run_cells(_two_group_specs())
+        assert "run_batches" in ops
+        assert "registries" not in ops
+
+
+class TestWireLatency:
+    """Small frames must not stall on Nagle + delayed ACK (~40 ms)."""
+
+    def test_client_link_sets_nodelay(self, loopback_workers):
+        import socket
+
+        from repro.engine.backends.remote import _WorkerLink
+
+        address = parse_worker_addresses(loopback_workers)[0]
+        link = _WorkerLink(address, connect_timeout=10)
+        link.connect()
+        try:
+            assert link._sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+        finally:
+            link.close()
+
+    def test_single_cell_round_trip_is_fast(self):
+        """A worker streams events then the result as separate frames;
+        with Nagle on at the worker each round trip waits ~40 ms on
+        the client's delayed ACK, with it off about a millisecond."""
+        import statistics
+        import time
+
+        from repro.engine.cells import CellBatch
+
+        spec = benchmark_specs("radix", "decode", "nominal")[0]
+        batch = CellBatch(specs=(spec,), keys=(spec.key(),))
+        processes, addresses = start_loopback_workers(1)
+        backend = RemoteBackend(addresses)
+        try:
+            backend.run_batches([batch])  # connect + warm the worker
+            times = []
+            for _ in range(10):
+                start = time.perf_counter()
+                backend.run_batches([batch])
+                times.append(time.perf_counter() - start)
+        finally:
+            backend.close()
+            stop_workers(processes)
+        assert statistics.median(times) < 0.010, times
+
 
 class TestFailover:
     def test_lost_worker_fails_over_to_survivor(self):
