@@ -24,33 +24,24 @@ Public API highlights
 #: values of every figure with online cells.
 __version__ = "1.0.0"
 
-from .core import (
-    OnlineKnobs,
-    PlatformConfig,
-    SynTSProblem,
-    SynTSSolution,
-    ThreadParams,
-    run_online_interval,
-    solve_no_ts,
-    solve_nominal,
-    solve_per_core_ts,
-    solve_synts_milp,
-    solve_synts_poly,
-)
-from .core import (
-    SCHEME_REGISTRY,
-    Scheme,
-    register_offline_scheme,
-    register_scheme,
-)
-from .workloads import (
-    HETEROGENEOUS_BENCHMARKS,
-    SPLASH2_PROFILES,
-    WORKLOAD_REGISTRY,
-    build_benchmark,
-    register_synthetic,
-    register_workload,
-    reported_benchmarks,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "OnlineKnobs", "PlatformConfig", "SCHEME_REGISTRY", "Scheme",
+            "SynTSProblem", "SynTSSolution", "ThreadParams",
+            "register_offline_scheme", "register_scheme",
+            "run_online_interval", "solve_no_ts", "solve_nominal",
+            "solve_per_core_ts", "solve_synts_milp", "solve_synts_poly",
+        ),
+        ".workloads": (
+            "HETEROGENEOUS_BENCHMARKS", "SPLASH2_PROFILES", "WORKLOAD_REGISTRY",
+            "build_benchmark", "register_synthetic", "register_workload",
+            "reported_benchmarks",
+        ),
+    },
 )
 
 __all__ = [

@@ -2,15 +2,20 @@
 barrier-synchronised multi-core simulator, and the instruction-level
 online controller (the repo's gem5 stand-in; see DESIGN.md Sec. 2)."""
 
-from .multicore import BarrierIntervalStats, MultiCoreSim
-from .online_sim import SimulatedOnlineOutcome, simulate_online_interval
-from .pipeline import CoreResult, SteppedPipeline, execute_trace
-from .razor import RazorStage, RazorStats
-from .trace import (
-    MEMORY_LATENCY,
-    InstructionTrace,
-    sample_delays_from_error_function,
-    trace_for_thread,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".multicore": ("BarrierIntervalStats", "MultiCoreSim"),
+        ".online_sim": ("SimulatedOnlineOutcome", "simulate_online_interval"),
+        ".pipeline": ("CoreResult", "SteppedPipeline", "execute_trace"),
+        ".razor": ("RazorStage", "RazorStats"),
+        ".trace": (
+            "MEMORY_LATENCY", "InstructionTrace",
+            "sample_delays_from_error_function", "trace_for_thread",
+        ),
+    },
 )
 
 __all__ = [

@@ -5,36 +5,35 @@ This package replaces the paper's Synopsys DC + HSPICE + PTM toolchain
 (see DESIGN.md, Section 2).
 """
 
-from .gates import GATE_LIBRARY, GateType, gate_type
-from .logicsim import TraceResult, evaluate, simulate_trace
-from .netlist import Gate, Netlist, NetlistError
-from .ring_oscillator import (
-    RING_CALIBRATION,
-    RingOscillatorSweep,
-    sweep_ring_oscillator,
-)
-from .sensitize import (
-    SensitizationProfile,
-    characterize_stage,
-    empirical_error_curve,
-)
-from .spice import InverterParams, TransientResult, simulate_inverter_ring
-from .sta import TimingReport, analyze, arrival_times, critical_path
-from .synth import (
-    STAGE_NAMES,
-    PipeStage,
-    build_complex_alu_stage,
-    build_decode_stage,
-    build_simple_alu_stage,
-    get_stage,
-    int_to_bits,
-)
-from .voltage import (
-    TABLE_5_1,
-    VOLTAGE_LEVELS,
-    AlphaPowerModel,
-    Table51Model,
-    fit_alpha_power_model,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".gates": ("GATE_LIBRARY", "GateType", "gate_type"),
+        ".logicsim": ("TraceResult", "evaluate", "simulate_trace"),
+        ".netlist": ("Gate", "Netlist", "NetlistError"),
+        ".ring_oscillator": (
+            "RING_CALIBRATION", "RingOscillatorSweep", "sweep_ring_oscillator",
+        ),
+        ".sensitize": (
+            "SensitizationProfile", "characterize_stage",
+            "empirical_error_curve",
+        ),
+        ".spice": (
+            "InverterParams", "TransientResult", "simulate_inverter_ring",
+        ),
+        ".sta": ("TimingReport", "analyze", "arrival_times", "critical_path"),
+        ".synth": (
+            "STAGE_NAMES", "PipeStage", "build_complex_alu_stage",
+            "build_decode_stage", "build_simple_alu_stage", "get_stage",
+            "int_to_bits",
+        ),
+        ".voltage": (
+            "TABLE_5_1", "VOLTAGE_LEVELS", "AlphaPowerModel", "Table51Model",
+            "fit_alpha_power_model",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,62 +6,46 @@ formulation (Eqs. 4.5-4.10), the comparison baselines, the online
 sampling controller (Section 4.3) and theta-sweep Pareto tooling.
 """
 
-from .baselines import SOLVERS, solve_no_ts, solve_nominal, solve_per_core_ts
-from .brute import solve_synts_brute
-from .metrics import NormalizedMetrics, edp, relative_change
-from .milp_formulation import build_synts_milp, solve_synts_milp
-from .model import (
-    DEFAULT_TSR_LEVELS,
-    Assignment,
-    Evaluation,
-    OperatingPoint,
-    PlatformConfig,
-    ThreadParams,
-    effective_cpi,
-    evaluate_assignment,
-    thread_energy,
-    thread_time,
-)
-from .online import IntervalOutcome, OnlineKnobs, run_online_interval
-from .pareto import (
-    TradeoffPoint,
-    best_energy_at_time,
-    pareto_front,
-    sweep_theta,
-    theta_grid,
-)
-from .poly import (
-    SynTSSolution,
-    solve_synts_poly,
-    solve_synts_poly_batch,
-    solve_synts_poly_reference,
-)
-from .problem import SynTSProblem, problem_from_interval
-from .runner import (
-    BenchmarkRun,
-    OnlineBenchmarkRun,
-    interval_problems,
-    run_benchmark_cells,
-    run_offline_benchmark,
-    run_offline_interval,
-    run_online_benchmark,
-)
-from .schemes import (
-    SCHEME_REGISTRY,
-    Scheme,
-    SchemeRegistry,
-    get_scheme,
-    register_offline_scheme,
-    register_scheme,
-    scheme_names,
-)
-from .sync_extensions import (
-    SyncSolution,
-    SyncTopology,
-    barrier_topology,
-    phased_topology,
-    serial_topology,
-    solve_synts_sync,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".baselines": (
+            "SOLVERS", "solve_no_ts", "solve_nominal", "solve_per_core_ts",
+        ),
+        ".brute": ("solve_synts_brute",),
+        ".metrics": ("NormalizedMetrics", "edp", "relative_change"),
+        ".milp_formulation": ("build_synts_milp", "solve_synts_milp"),
+        ".model": (
+            "DEFAULT_TSR_LEVELS", "Assignment", "Evaluation", "OperatingPoint",
+            "PlatformConfig", "ThreadParams", "effective_cpi",
+            "evaluate_assignment", "thread_energy", "thread_time",
+        ),
+        ".online": ("IntervalOutcome", "OnlineKnobs", "run_online_interval"),
+        ".pareto": (
+            "TradeoffPoint", "best_energy_at_time", "pareto_front",
+            "sweep_theta", "theta_grid",
+        ),
+        ".poly": (
+            "SynTSSolution", "solve_synts_poly", "solve_synts_poly_batch",
+            "solve_synts_poly_reference",
+        ),
+        ".problem": ("SynTSProblem", "problem_from_interval"),
+        ".runner": (
+            "BenchmarkRun", "OnlineBenchmarkRun", "interval_problems",
+            "run_benchmark_cells", "run_offline_benchmark",
+            "run_offline_interval", "run_online_benchmark",
+        ),
+        ".schemes": (
+            "SCHEME_REGISTRY", "Scheme", "SchemeRegistry", "get_scheme",
+            "register_offline_scheme", "register_scheme", "scheme_names",
+        ),
+        ".sync_extensions": (
+            "SyncSolution", "SyncTopology", "barrier_topology",
+            "phased_topology", "serial_topology", "solve_synts_sync",
+        ),
+    },
 )
 
 __all__ = [

@@ -8,7 +8,7 @@ backend -- serial, thread pool, process pool, content-keyed shards
 over any of them, or remote workers on other machines
 (:mod:`~repro.engine.backends`) -- and memoises every
 result under content-hash keys in a pluggable, tiered result store
-(:mod:`~repro.engine.store`, :mod:`~repro.engine.serialize`; the
+(:mod:`~repro.engine.store`, :mod:`~repro.serialization`; the
 :class:`~repro.engine.cache.ResultCache` facade) -- in memory within
 a session, on disk across sessions (``--cache-dir`` / ``--store``),
 and on cache-keeping remote workers across clients (the delta
@@ -30,45 +30,34 @@ Guarantees:
   not an engine change.
 """
 
-from .backends import (
-    ExecutorBackend,
-    ProcessBackend,
-    RemoteBackend,
-    SerialBackend,
-    ShardedBackend,
-    ThreadBackend,
-    backend_names,
-    make_backend,
-    register_backend,
-)
-from .bootstrap import run_bootstrap
-from .cache import CacheStats, ResultCache
-from .cells import (
-    BenchmarkTotals,
-    CellBatch,
-    CellResult,
-    CellSpec,
-    benchmark_specs,
-    cached_interval_problems,
-    cell_seed,
-    compute_batch,
-    compute_cell,
-    group_cells,
-    totalize,
-)
-from .events import EngineEvent, EventLog, JsonLinesPrinter, ProgressPrinter
-from .executor import ExperimentEngine
-from .serialize import canonical_json, content_key, sanitize
-from .session import engine_session, get_engine, set_engine
-from .store import (
-    JsonDirStore,
-    MemoryStore,
-    ResultStore,
-    StoreStats,
-    TieredStore,
-    make_store,
-    register_store,
-    store_names,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".backends": (
+            "ExecutorBackend", "ProcessBackend", "RemoteBackend",
+            "SerialBackend", "ShardedBackend", "ThreadBackend",
+            "backend_names", "make_backend", "register_backend",
+        ),
+        ".bootstrap": ("run_bootstrap",),
+        ".cache": ("CacheStats", "ResultCache"),
+        ".cells": (
+            "BenchmarkTotals", "CellBatch", "CellResult", "CellSpec",
+            "benchmark_specs", "cached_interval_problems", "cell_seed",
+            "compute_batch", "compute_cell", "group_cells", "totalize",
+        ),
+        ".events": (
+            "EngineEvent", "EventLog", "JsonLinesPrinter", "ProgressPrinter",
+        ),
+        ".executor": ("ExperimentEngine",),
+        "repro.serialization": ("canonical_json", "content_key", "sanitize"),
+        ".session": ("engine_session", "get_engine", "set_engine"),
+        ".store": (
+            "JsonDirStore", "MemoryStore", "ResultStore", "StoreStats",
+            "TieredStore", "make_store", "register_store", "store_names",
+        ),
+    },
 )
 
 __all__ = [

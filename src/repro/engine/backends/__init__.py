@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from repro._lazy import lazy_exports
 from repro.engine._registry import (
     register_factory,
     resolve_factory,
@@ -33,11 +34,19 @@ from repro.engine._registry import (
 )
 
 from .base import EmitFn, ExecutorBackend, null_emit
-from .process import ProcessBackend
-from .remote import RemoteBackend, parse_worker_addresses
 from .serial import SerialBackend
-from .sharded import ShardedBackend, shard_of
-from .thread import ThreadBackend
+
+# the pool and remote backends load only when a factory builds one
+# (they pull in concurrent.futures, multiprocessing, socket and hmac)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".process": ("ProcessBackend",),
+        ".remote": ("RemoteBackend", "parse_worker_addresses"),
+        ".sharded": ("ShardedBackend", "shard_of"),
+        ".thread": ("ThreadBackend",),
+    },
+)
 
 __all__ = [
     "EmitFn",
@@ -66,18 +75,24 @@ def _make_serial(workers: int, shards: Optional[int]) -> ExecutorBackend:
 
 
 def _make_thread(workers: int, shards: Optional[int]) -> ExecutorBackend:
+    from .thread import ThreadBackend
+
     # the worker count is honoured exactly: --jobs 1 --backend thread
     # really is a one-worker pool (constrained machines rely on it)
     return ThreadBackend(workers=workers)
 
 
 def _make_process(workers: int, shards: Optional[int]) -> ExecutorBackend:
+    from .process import ProcessBackend
+
     return ProcessBackend(workers=workers)
 
 
 def _make_sharded(workers: int, shards: Optional[int]) -> ExecutorBackend:
+    from .sharded import ShardedBackend
+
     inner: ExecutorBackend = (
-        ProcessBackend(workers=workers) if workers > 1 else SerialBackend()
+        _make_process(workers, None) if workers > 1 else SerialBackend()
     )
     return ShardedBackend(inner=inner, n_shards=shards or max(2, workers))
 
@@ -96,6 +111,8 @@ def _make_remote(
             "'python -m repro worker --serve HOST:PORT')"
         )
     import os
+
+    from .remote import RemoteBackend
 
     if worker_token is None:
         worker_token = os.environ.get("REPRO_WORKER_TOKEN") or None

@@ -27,9 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.problem import SynTSProblem
 from repro.core.schemes import SCHEME_REGISTRY
+from repro.serialization import content_key
 from repro.workloads.registry import WORKLOAD_REGISTRY
-
-from .serialize import content_key
 
 __all__ = [
     "CellSpec",

@@ -30,11 +30,12 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from repro.serialization import content_key
+
 from .backends import ExecutorBackend, make_backend
 from .cache import CacheStats, ResultCache
 from .cells import CellResult, CellSpec, group_cells
 from .events import EngineEvent, EventCallback
-from .serialize import content_key
 from .store import ResultStore, make_store
 
 __all__ = ["ExperimentEngine"]

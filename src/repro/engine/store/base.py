@@ -33,7 +33,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from ..serialize import sanitize
+from repro.serialization import sanitize
 
 __all__ = ["CorruptCallback", "ResultStore", "StoreEntry", "StoreStats"]
 

@@ -1,17 +1,28 @@
 """Timing-error modelling: error-probability functions, fitting and
 the online sampling estimator (paper Sections 4.1 and 4.3)."""
 
-from .estimation import SamplingPlan, SamplingRecord, estimate_error_function
-from .fitting import fit_beta_tail, isotonic_nondecreasing, isotonic_nonincreasing
-from .probability import (
-    BetaTailErrorFunction,
-    EmpiricalErrorFunction,
-    ErrorFunction,
-    TabulatedErrorFunction,
-    ZeroErrorFunction,
-    check_monotone_nonincreasing,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".estimation": (
+            "SamplingPlan", "SamplingRecord", "estimate_error_function",
+        ),
+        ".fitting": (
+            "fit_beta_tail", "isotonic_nondecreasing",
+            "isotonic_nonincreasing",
+        ),
+        ".probability": (
+            "BetaTailErrorFunction", "EmpiricalErrorFunction", "ErrorFunction",
+            "TabulatedErrorFunction", "ZeroErrorFunction",
+            "check_monotone_nonincreasing",
+        ),
+        ".variation": (
+            "ScaledErrorFunction", "VariationModel", "apply_variation",
+        ),
+    },
 )
-from .variation import ScaledErrorFunction, VariationModel, apply_variation
 
 __all__ = [
     "ScaledErrorFunction",

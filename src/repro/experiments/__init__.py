@@ -5,39 +5,51 @@ DESIGN.md Section 4 for the full index.  Each module is also runnable
 as ``python -m repro.experiments.<module>``.
 """
 
-from . import (
-    fig_1_2,
-    fig_3_5,
-    fig_3_6,
-    fig_4_7,
-    fig_5_10,
-    fig_6_17,
-    fig_6_18,
-    headline,
-    overhead_study,
-    pareto_figs,
-    table_5_1,
-)
+from importlib import import_module
+
 from .common import REPORTED_BENCHMARKS, STAGES, ExperimentResult
 
-#: experiment id -> zero-argument callable regenerating it
+
+def _driver(module: str):
+    """``<module>.run``, with the driver module imported on first call."""
+
+    def run(*args, **kwargs):
+        return import_module(f"{__name__}.{module}").run(*args, **kwargs)
+
+    return run
+
+
+def _pareto(fig_id: str):
+    """``pareto_figs.run_figure(fig_id)``, imported on first call."""
+
+    def run():
+        from . import pareto_figs
+
+        return pareto_figs.run_figure(fig_id)
+
+    return run
+
+
+#: experiment id -> zero-argument callable regenerating it.  Driver
+#: modules load on first call, so a run imports only the drivers (and
+#: their dependencies) it executes.
 EXPERIMENTS = {
-    "table_5_1": table_5_1.run,
-    "fig_1_2": fig_1_2.run,
-    "fig_3_5": fig_3_5.run,
-    "fig_3_6": fig_3_6.run,
-    "fig_4_7": fig_4_7.run,
-    "fig_5_10": fig_5_10.run,
-    "fig_6_11": lambda: pareto_figs.run_figure("fig_6_11"),
-    "fig_6_12": lambda: pareto_figs.run_figure("fig_6_12"),
-    "fig_6_13": lambda: pareto_figs.run_figure("fig_6_13"),
-    "fig_6_14": lambda: pareto_figs.run_figure("fig_6_14"),
-    "fig_6_15": lambda: pareto_figs.run_figure("fig_6_15"),
-    "fig_6_16": lambda: pareto_figs.run_figure("fig_6_16"),
-    "fig_6_17": fig_6_17.run,
-    "fig_6_18": fig_6_18.run,
-    "sec_6_3": overhead_study.run,
-    "headline": headline.run,
+    "table_5_1": _driver("table_5_1"),
+    "fig_1_2": _driver("fig_1_2"),
+    "fig_3_5": _driver("fig_3_5"),
+    "fig_3_6": _driver("fig_3_6"),
+    "fig_4_7": _driver("fig_4_7"),
+    "fig_5_10": _driver("fig_5_10"),
+    "fig_6_11": _pareto("fig_6_11"),
+    "fig_6_12": _pareto("fig_6_12"),
+    "fig_6_13": _pareto("fig_6_13"),
+    "fig_6_14": _pareto("fig_6_14"),
+    "fig_6_15": _pareto("fig_6_15"),
+    "fig_6_16": _pareto("fig_6_16"),
+    "fig_6_17": _driver("fig_6_17"),
+    "fig_6_18": _driver("fig_6_18"),
+    "sec_6_3": _driver("overhead_study"),
+    "headline": _driver("headline"),
 }
 
 __all__ = [

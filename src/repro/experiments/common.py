@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.plots import ascii_bars, ascii_scatter
 from repro.analysis.report import Series, format_kv, format_table
-from repro.engine.serialize import sanitize
+from repro.serialization import sanitize
 
 __all__ = [
     "ExperimentResult",

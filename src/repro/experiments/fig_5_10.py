@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import Series
-from repro.gpgpu import HD7970, analyze_valus
 
 from .common import ExperimentResult, cached_experiment
 
@@ -26,6 +25,9 @@ def run(
     instructions_per_item: int = 128,
     n_shown: int = 6,
 ) -> ExperimentResult:
+    # imported here: a warm cache hit never loads the GPGPU model
+    from repro.gpgpu import HD7970, analyze_valus
+
     gpu = HD7970()
     traces = gpu.characterize_simd(
         kernel, n_work_items=n_work_items,

@@ -1,16 +1,20 @@
 """GPGPU case study: Radeon HD 7970 SIMD model, kernel workloads and
 the Hamming-distance homogeneity analysis (paper Sections 3.2/5.5)."""
 
-from .characterize import LaneErrorCurves, characterize_lane_errors
-from .hamming import (
-    VALUAnalysis,
-    analyze_valus,
-    hamming_histogram,
-    successive_hamming,
-    total_variation,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".characterize": ("LaneErrorCurves", "characterize_lane_errors"),
+        ".hamming": (
+            "VALUAnalysis", "analyze_valus", "hamming_histogram",
+            "successive_hamming", "total_variation",
+        ),
+        ".kernels": ("GPGPU_KERNELS", "Kernel", "get_kernel"),
+        ".radeon": ("HD7970", "GPUConfig", "SIMDUnit", "VALUTrace"),
+    },
 )
-from .kernels import GPGPU_KERNELS, Kernel, get_kernel
-from .radeon import HD7970, GPUConfig, SIMDUnit, VALUTrace
 
 __all__ = [
     "GPUConfig",

@@ -36,6 +36,10 @@ def _code_version() -> str:
     return __version__
 
 
+#: Types :func:`sanitize` returns unchanged (exact types only).
+_PLAIN_TYPES = frozenset({float, int, str, bool, type(None)})
+
+
 def sanitize(obj: Any) -> Any:
     """Recursively coerce a payload to plain JSON-serialisable types.
 
@@ -44,6 +48,16 @@ def sanitize(obj: Any) -> Any:
     anything that has no faithful JSON image (rich objects must be
     converted by their owners before caching).
     """
+    # fast path for the exact builtin types that make up nearly every
+    # payload; subclasses (IntEnum, np.float64, ...) take the general
+    # branch below, which coerces them
+    kind = type(obj)
+    if kind in _PLAIN_TYPES:
+        return obj
+    if kind is list or kind is tuple:
+        return [sanitize(v) for v in obj]
+    if kind is dict:
+        return {str(k): sanitize(v) for k, v in obj.items()}
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, np.bool_):

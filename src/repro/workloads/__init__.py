@@ -3,36 +3,30 @@ registry (plus a deterministic synthetic-workload generator), operand
 trace generation and cross-layer characterisation (paper Sections
 5.2-5.4)."""
 
-from .characterization import (
-    RADIX_LIKE_PROFILES,
-    ThreadCharacterization,
-    characterize_threads,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".characterization": (
+            "RADIX_LIKE_PROFILES", "ThreadCharacterization",
+            "characterize_threads",
+        ),
+        ".model": ("BarrierInterval", "Benchmark", "ThreadWorkload"),
+        ".registry": (
+            "WORKLOAD_REGISTRY", "WorkloadEntry", "WorkloadRegistry",
+            "build_benchmark", "get_workload", "register_synthetic",
+            "register_workload", "reported_benchmarks", "synthetic_profile",
+            "unregister_workload", "workload_fingerprint", "workload_names",
+        ),
+        ".splash2": (
+            "EXCLUDED_BENCHMARKS", "HETEROGENEOUS_BENCHMARKS",
+            "SPLASH2_PROFILES", "STAGE_SHAPES", "BenchmarkProfile",
+            "StageErrorShape", "thread_error_function",
+        ),
+        ".traces": ("OperandProfile", "TraceGenerator"),
+    },
 )
-from .model import BarrierInterval, Benchmark, ThreadWorkload
-from .registry import (
-    WORKLOAD_REGISTRY,
-    WorkloadEntry,
-    WorkloadRegistry,
-    build_benchmark,
-    get_workload,
-    register_synthetic,
-    register_workload,
-    reported_benchmarks,
-    synthetic_profile,
-    unregister_workload,
-    workload_fingerprint,
-    workload_names,
-)
-from .splash2 import (
-    EXCLUDED_BENCHMARKS,
-    HETEROGENEOUS_BENCHMARKS,
-    SPLASH2_PROFILES,
-    STAGE_SHAPES,
-    BenchmarkProfile,
-    StageErrorShape,
-    thread_error_function,
-)
-from .traces import OperandProfile, TraceGenerator
 
 __all__ = [
     "ThreadWorkload",

@@ -129,11 +129,15 @@ def _invalidate_problem_memo() -> None:
     """Drop the engine's per-process problem memo (if it is loaded).
 
     The memo is keyed by benchmark *name*; re-registering a name with
-    different parameters must not serve stale problems.
+    different parameters must not serve stale problems.  ``cells`` may
+    be mid-import (it imports this module), in which case its memo
+    does not exist yet and there is nothing to drop.
     """
-    cells = sys.modules.get("repro.engine.cells")
-    if cells is not None:  # pragma: no branch
-        cells._interval_problems.cache_clear()
+    memo = getattr(
+        sys.modules.get("repro.engine.cells"), "_interval_problems", None
+    )
+    if memo is not None:
+        memo.cache_clear()
 
 
 class WorkloadRegistry:

@@ -1,0 +1,157 @@
+"""Import budget: a run loads only the modules it uses.
+
+Every check that depends on what is (not) imported runs in a fresh
+interpreter, because the test session itself has imported everything.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: What ``python -m repro`` imports before it runs anything.
+CLI_IMPORTS = (
+    "import repro.__main__, repro.experiments, repro.experiments.ablations, "
+    "repro.engine.bootstrap\n"
+    "from repro.engine import ExperimentEngine\n"
+)
+
+#: Modules the CLI import above must not load; a trailing ``*``
+#: also forbids every submodule.
+CLI_FORBIDDEN = (
+    "socket",
+    "hmac",
+    "concurrent.futures",
+    "multiprocessing*",
+    "scipy*",
+    "repro.engine.backends.process",
+    "repro.engine.backends.thread",
+    "repro.engine.backends.sharded",
+    "repro.engine.backends.remote",
+    "repro.gpgpu*",
+    "repro.overhead*",
+    "repro.milp*",
+    "repro.arch*",
+    "repro.circuit.synth",
+    "repro.circuit.sta",
+    "repro.circuit.netlist",
+    "repro.circuit.gates",
+    "repro.circuit.logicsim",
+    "repro.circuit.sensitize",
+    "repro.circuit.spice",
+    "repro.circuit.ring_oscillator",
+)
+
+#: Packages whose ``__all__`` names resolve on first attribute access.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.arch",
+    "repro.circuit",
+    "repro.core",
+    "repro.engine",
+    "repro.engine.backends",
+    "repro.errors",
+    "repro.gpgpu",
+    "repro.milp",
+    "repro.overhead",
+    "repro.workloads",
+)
+
+_DUMP_MODULES = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+    env.pop("REPRO_BOOTSTRAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _loaded(code: str):
+    """(stdout before the module dump, modules loaded) after ``code``."""
+    out = _python(code + _DUMP_MODULES).stdout
+    text, _, dump = out.rstrip("\n").rpartition("\n")
+    return text, set(json.loads(dump))
+
+
+def _matches(module: str, pattern: str) -> bool:
+    if pattern.endswith("*"):
+        base = pattern[:-1]
+        return module == base or module.startswith(base + ".")
+    return module == pattern
+
+
+def _forbidden(modules, patterns):
+    return sorted(m for m in modules if any(_matches(m, p) for p in patterns))
+
+
+def test_cli_import_loads_only_the_default_path():
+    _, modules = _loaded(CLI_IMPORTS)
+    assert _forbidden(modules, CLI_FORBIDDEN) == []
+
+
+def test_warm_rerun_skips_driver_dependencies(tmp_path):
+    run_both = textwrap.dedent(
+        f"""
+        from repro.__main__ import main
+        for exp_id in ("fig_5_10", "sec_6_3"):
+            assert main(["run", exp_id, "--cache-dir", {str(tmp_path)!r}]) == 0
+        """
+    )
+    cold, cold_modules = _loaded(run_both)
+    # the cold run really computed: it needed both dependencies
+    assert {"repro.gpgpu", "repro.overhead"} <= cold_modules
+    warm, warm_modules = _loaded(run_both)
+    assert warm == cold
+    assert _forbidden(warm_modules, ("repro.gpgpu*", "repro.overhead*")) == []
+
+
+def _submodules(package):
+    """Every module below ``package``, imported."""
+    for info in pkgutil.walk_packages(package.__path__, package.__name__ + "."):
+        if not info.name.endswith("__main__"):
+            yield importlib.import_module(info.name)
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_lazy_exports_resolve_to_their_definitions(name):
+    package = importlib.import_module(name)
+    submodules = list(_submodules(package))
+    listed = set(dir(package))
+    for export in package.__all__:
+        value = getattr(package, export)
+        assert export in listed, export
+        if export == "__version__" or getattr(value, "__module__", "") == name:
+            continue  # defined by the package itself
+        assert any(vars(m).get(export) is value for m in submodules), export
+
+
+def test_unknown_attribute_still_raises():
+    import repro.core
+
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(repro.core, "nope")
+
+
+@pytest.mark.parametrize("module", ["repro.engine.cells", "repro.workloads.registry"])
+def test_module_imports_alone(module):
+    # cells imports the workload registry, whose SPLASH-2 seeding runs
+    # while cells is still initialising
+    _python(f"import {module}")
