@@ -5,7 +5,9 @@ an ``if spec.scheme == "online"`` special case; adding a comparison
 scheme meant editing the engine.  A :class:`Scheme` entry instead
 *declares* everything the engine needs to run it:
 
-* ``solver`` -- the interval solver.  Offline solvers take
+* ``solver`` -- the interval solver, as a callable or as an import
+  path ``"package.module:function"`` resolved on first call (so a
+  registry lookup never imports solver code).  Offline solvers take
   ``(problem, theta) -> SynTSSolution``; RNG-driven solvers take
   ``(problem, theta, rng, knobs) -> IntervalOutcome`` (the online
   controller's signature).
@@ -31,17 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from .baselines import (
-    solve_no_ts,
-    solve_no_ts_batch,
-    solve_nominal,
-    solve_per_core_ts,
-    solve_per_core_ts_batch,
+from importlib import import_module
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
 )
-from .online import OnlineKnobs, run_online_interval
-from .poly import solve_synts_poly, solve_synts_poly_batch
 
 __all__ = [
     "Scheme",
@@ -55,8 +57,44 @@ __all__ = [
 ]
 
 
-def _online_knobs(spec) -> OnlineKnobs:
+#: A solver: a callable, or its ``"package.module:qualname"`` path.
+SolverRef = Union[Callable, str]
+
+
+def _solver_id(solver: SolverRef) -> str:
+    """``module.qualname`` of a solver, without importing a path."""
+    if isinstance(solver, str):
+        return solver.replace(":", ".", 1)
+    return (
+        f"{getattr(solver, '__module__', '?')}."
+        f"{getattr(solver, '__qualname__', repr(solver))}"
+    )
+
+
+def _resolve_solver(solver: SolverRef) -> Callable:
+    """The callable behind a solver reference.
+
+    A path must name the function where it is defined (not a
+    re-export), so its digest equals the one of the callable itself.
+    """
+    if not isinstance(solver, str):
+        return solver
+    module, _, qualname = solver.partition(":")
+    target = import_module(module)
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    if _solver_id(target) != _solver_id(solver):
+        raise ValueError(
+            f"solver path {solver!r} resolves to {_solver_id(target)}; "
+            "name the function where it is defined"
+        )
+    return target
+
+
+def _online_knobs(spec):
     """Online-controller knobs carried by a cell spec."""
+    from .online import OnlineKnobs
+
     if getattr(spec, "n_samp", None) is not None:
         return OnlineKnobs(n_samp=spec.n_samp)
     if getattr(spec, "sampling_fraction", None) is not None:
@@ -73,8 +111,9 @@ class Scheme:
     name:
         Registry key; the value cells carry in ``CellSpec.scheme``.
     solver:
-        Interval solver (see the module docstring for the two
-        accepted signatures, selected by ``needs_rng``).
+        Interval solver, or its ``"package.module:function"`` import
+        path (see the module docstring for the two accepted
+        signatures, selected by ``needs_rng``).
     uses_theta:
         Whether the Eq. 4.4 weight changes the scheme's decisions.
     needs_rng:
@@ -85,7 +124,7 @@ class Scheme:
     """
 
     name: str
-    solver: Callable
+    solver: SolverRef
     uses_theta: bool = True
     needs_rng: bool = False
     description: str = ""
@@ -95,24 +134,41 @@ class Scheme:
     #: the serial reference); the engine's CellBatch dispatch uses it
     #: to solve a whole (benchmark, stage) run in one pass.  Not part
     #: of :meth:`digest`: a batch solver may never change results,
-    #: only wall time.
-    batch_solver: Optional[Callable] = None
+    #: only wall time.  A callable or an import path, like ``solver``.
+    batch_solver: Optional[SolverRef] = None
+
+    def __post_init__(self):
+        for ref in (self.solver, self.batch_solver):
+            if isinstance(ref, str) and ":" not in ref:
+                raise ValueError(
+                    f"solver path {ref!r} must read 'package.module:function'"
+                )
 
     def digest(self) -> Tuple[str, str, bool, bool]:
         """Plain-data image for cache keys.
 
-        The solver is identified by its import path (callables have no
-        stable content hash), so replacing a name with a *different
+        The solver is identified by ``module.qualname`` (callables have
+        no stable content hash), whether it was given as a callable or
+        as an import path, so replacing a name with a *different
         function* changes the digest.  Best-effort by construction:
         swapping in another lambda defined at the same spot, or
         editing a solver's body in place, is invisible -- the
         package-version salt in every key covers released changes.
         """
-        solver_id = (
-            f"{getattr(self.solver, '__module__', '?')}."
-            f"{getattr(self.solver, '__qualname__', repr(self.solver))}"
+        return (
+            self.name,
+            _solver_id(self.solver),
+            self.uses_theta,
+            self.needs_rng,
         )
-        return (self.name, solver_id, self.uses_theta, self.needs_rng)
+
+    @cached_property
+    def _solve(self) -> Callable:
+        return _resolve_solver(self.solver)
+
+    @cached_property
+    def _solve_batch(self) -> Callable:
+        return _resolve_solver(self.batch_solver)
 
     @cached_property
     def digest_json(self) -> str:
@@ -133,9 +189,9 @@ class Scheme:
             from repro.engine.cells import cell_seed
 
             rng = np.random.default_rng(cell_seed(spec))
-            outcome = self.solver(problem, theta, rng, _online_knobs(spec))
+            outcome = self._solve(problem, theta, rng, _online_knobs(spec))
             return float(outcome.total_energy), float(outcome.texec)
-        solution = self.solver(problem, theta)
+        solution = self._solve(problem, theta)
         evaluation = solution.evaluation
         return float(evaluation.total_energy), float(evaluation.texec)
 
@@ -159,7 +215,7 @@ class Scheme:
         calling :meth:`evaluate` per cell.
         """
         if self.supports_batch:
-            solutions = self.batch_solver(problems, thetas)
+            solutions = self._solve_batch(problems, thetas)
             return [
                 (float(s.evaluation.total_energy), float(s.evaluation.texec))
                 for s in solutions
@@ -245,11 +301,11 @@ def register_scheme(scheme: Scheme, *, replace: bool = False) -> Scheme:
 
 def register_offline_scheme(
     name: str,
-    solver: Callable,
+    solver: SolverRef,
     *,
     uses_theta: bool = True,
     description: str = "",
-    batch_solver: Optional[Callable] = None,
+    batch_solver: Optional[SolverRef] = None,
     replace: bool = False,
 ) -> Scheme:
     """Shorthand: register a ``(problem, theta) -> SynTSSolution`` solver."""
@@ -285,32 +341,32 @@ def scheme_fingerprint() -> Tuple[Tuple[str, str, bool, bool], ...]:
 # ----------------------------------------------------------------------
 register_offline_scheme(
     "synts",
-    solve_synts_poly,
-    batch_solver=solve_synts_poly_batch,
+    "repro.core.poly:solve_synts_poly",
+    batch_solver="repro.core.poly:solve_synts_poly_batch",
     description="SynTS-Poly: joint (V, r) optimisation of Eq. 4.4",
 )
 register_offline_scheme(
     "no_ts",
-    solve_no_ts,
-    batch_solver=solve_no_ts_batch,
+    "repro.core.baselines:solve_no_ts",
+    batch_solver="repro.core.baselines:solve_no_ts_batch",
     description="joint DVFS with speculation disabled (r = 1)",
 )
 register_offline_scheme(
     "nominal",
-    solve_nominal,
+    "repro.core.baselines:solve_nominal",
     uses_theta=False,
     description="every core at (V_max, r = 1); the normalisation baseline",
 )
 register_offline_scheme(
     "per_core_ts",
-    solve_per_core_ts,
-    batch_solver=solve_per_core_ts_batch,
+    "repro.core.baselines:solve_per_core_ts",
+    batch_solver="repro.core.baselines:solve_per_core_ts_batch",
     description="each core minimises en_i + theta*t_i in isolation",
 )
 register_scheme(
     Scheme(
         name="online",
-        solver=run_online_interval,
+        solver="repro.core.online:run_online_interval",
         needs_rng=True,
         description="online SynTS: sampling phase + optimised phase "
         "(Section 4.3)",

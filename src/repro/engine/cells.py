@@ -23,12 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.problem import SynTSProblem
 from repro.core.schemes import SCHEME_REGISTRY
 from repro.serialization import content_key
 from repro.workloads.registry import WORKLOAD_REGISTRY
+
+if TYPE_CHECKING:
+    # problem construction (and numpy) loads only when a cell computes
+    from repro.core.problem import SynTSProblem
 
 __all__ = [
     "CellSpec",

@@ -18,6 +18,8 @@ Three concrete families are provided:
   sensitised-delay sample array from the logic simulator.
 
 All are plain callables ``err(r) -> p`` that also accept numpy arrays.
+numpy is imported by the code that evaluates, so building a workload
+registry (which holds these objects) never loads it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ErrorFunction",
@@ -63,6 +66,8 @@ def _beta_sf(x, a, b):
 def _beta_curve_cached(
     err: "BetaTailErrorFunction", ratios: tuple
 ) -> np.ndarray:
+    import numpy as np
+
     return np.asarray(err(np.asarray(ratios, dtype=float)), dtype=float)
 
 
@@ -85,6 +90,8 @@ class ErrorFunction:
         scalar loop); callables that only support scalars fall back to
         the loop transparently.
         """
+        import numpy as np
+
         grid = np.asarray(ratios, dtype=float)
         try:
             out = np.asarray(self(grid), dtype=float)
@@ -100,6 +107,8 @@ class ZeroErrorFunction(ErrorFunction):
     """A thread that never errs (e.g. r = 1 operation by definition)."""
 
     def __call__(self, r):
+        import numpy as np
+
         return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
 
 
@@ -140,6 +149,8 @@ class BetaTailErrorFunction(ErrorFunction):
             raise ValueError("scale_p must be in (0, 1]")
 
     def __call__(self, r):
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         x = (r - self.lo) / (self.hi - self.lo)
         p = self.scale_p * _beta_sf(np.clip(x, 0.0, 1.0), self.a, self.b)
@@ -166,6 +177,8 @@ class BetaTailErrorFunction(ErrorFunction):
         ``scale_p``; otherwise the instruction does not exercise the
         stage and its delay is ``lo`` (can never err above ``lo``).
         """
+        import numpy as np
+
         body = self.lo + (self.hi - self.lo) * rng.beta(self.a, self.b, size=n)
         active = rng.random(n) < self.scale_p
         return np.where(active, body, self.lo)
@@ -187,6 +200,8 @@ class TabulatedErrorFunction(ErrorFunction):
         probs: Sequence[float],
         project: bool = False,
     ):
+        import numpy as np
+
         r = np.asarray(ratios, dtype=float)
         p = np.asarray(probs, dtype=float)
         if r.ndim != 1 or r.shape != p.shape or len(r) < 2:
@@ -219,6 +234,8 @@ class TabulatedErrorFunction(ErrorFunction):
         return self._p.copy()
 
     def __call__(self, r):
+        import numpy as np
+
         out = np.interp(np.asarray(r, dtype=float), self._r, self._p)
         return float(out) if out.ndim == 0 else out
 
@@ -232,6 +249,8 @@ class EmpiricalErrorFunction(ErrorFunction):
     """
 
     def __init__(self, normalized_delays: Sequence[float]):
+        import numpy as np
+
         d = np.sort(np.asarray(normalized_delays, dtype=float))
         if d.ndim != 1 or len(d) == 0:
             raise ValueError("need a non-empty 1-D delay sample array")
@@ -244,6 +263,8 @@ class EmpiricalErrorFunction(ErrorFunction):
         return len(self._sorted)
 
     def __call__(self, r):
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         idx = np.searchsorted(self._sorted, r, side="right")
         out = 1.0 - idx / len(self._sorted)
@@ -254,6 +275,8 @@ def check_monotone_nonincreasing(
     err: ErrorFunction, ratios: Sequence[float], tol: float = 1e-9
 ) -> bool:
     """True iff ``err`` is non-increasing over the given grid."""
+    import numpy as np
+
     values = err.curve(ratios)
     order = np.argsort(np.asarray(ratios, dtype=float))
     values = values[order]

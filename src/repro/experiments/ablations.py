@@ -18,31 +18,18 @@ knobs sit:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.baselines import solve_per_core_ts
-from repro.core.model import PlatformConfig, ThreadParams
-from repro.core.online import OnlineKnobs
-from repro.core.poly import solve_synts_poly
-from repro.core.problem import SynTSProblem
-from repro.core.runner import (
-    interval_problems,
-    run_offline_benchmark,
-    run_online_benchmark,
-)
-from repro.core.sync_extensions import (
-    barrier_topology,
-    phased_topology,
-    serial_topology,
-    solve_synts_sync,
-)
 from repro.engine import CellSpec, get_engine
-from repro.errors.probability import BetaTailErrorFunction
-from repro.workloads import build_benchmark
 
 from .common import ExperimentResult, cached_experiment
+
+if TYPE_CHECKING:
+    from repro.core.model import PlatformConfig
+    from repro.core.problem import SynTSProblem
+
+# numpy and repro.core load inside the studies, so a warm rerun served
+# from the result store imports neither
 
 __all__ = [
     "sampling_budget",
@@ -60,6 +47,17 @@ def sampling_budget(
     benchmark: str = "radix", stage: str = "decode", seed: int = 3
 ) -> ExperimentResult:
     """Online EDP overhead and estimate error vs N_samp."""
+    import numpy as np
+
+    from repro.core.online import OnlineKnobs
+    from repro.core.poly import solve_synts_poly
+    from repro.core.runner import (
+        interval_problems,
+        run_offline_benchmark,
+        run_online_benchmark,
+    )
+    from repro.workloads import build_benchmark
+
     bm = build_benchmark(benchmark)
     theta = interval_problems(bm, stage)[0].equal_weight_theta()
     offline = run_offline_benchmark(bm, stage, theta, solve_synts_poly)
@@ -104,6 +102,12 @@ def sampling_budget(
 
 def _spread_problem(spread: float, cfg: PlatformConfig) -> SynTSProblem:
     """Four balanced threads whose error scale spans ``spread``x."""
+    import numpy as np
+
+    from repro.core.model import ThreadParams
+    from repro.core.problem import SynTSProblem
+    from repro.errors.probability import BetaTailErrorFunction
+
     scales = np.geomspace(spread, 1.0, 4) * 0.03
     threads = tuple(
         ThreadParams(
@@ -121,6 +125,10 @@ def _spread_problem(spread: float, cfg: PlatformConfig) -> SynTSProblem:
 @cached_experiment("ablation_heterogeneity")
 def heterogeneity() -> ExperimentResult:
     """SynTS gain over per-core TS vs the thread error spread."""
+    from repro.core.baselines import solve_per_core_ts
+    from repro.core.model import PlatformConfig
+    from repro.core.poly import solve_synts_poly
+
     cfg = PlatformConfig()
     rows = []
     for spread in (1.0, 2.0, 4.0, 8.0):
@@ -283,6 +291,16 @@ def leakage(
 @cached_experiment("ablation_sync_topology")
 def sync_topology(benchmark: str = "cholesky", stage: str = "decode") -> ExperimentResult:
     """Future-work extension: barrier vs phased vs serial sync."""
+    from repro.core.baselines import solve_per_core_ts
+    from repro.core.runner import interval_problems
+    from repro.core.sync_extensions import (
+        barrier_topology,
+        phased_topology,
+        serial_topology,
+        solve_synts_sync,
+    )
+    from repro.workloads import build_benchmark
+
     bm = build_benchmark(benchmark)
     problem = interval_problems(bm, stage)[0]
     theta = problem.equal_weight_theta()
@@ -330,7 +348,13 @@ def process_variation(
     reason); core-speed variation re-introduces heterogeneity at the
     die level, and SynTS harvests it just like thread heterogeneity.
     """
+    import numpy as np
+
+    from repro.core.baselines import solve_per_core_ts
+    from repro.core.poly import solve_synts_poly
+    from repro.core.runner import interval_problems
     from repro.errors import VariationModel, apply_variation
+    from repro.workloads import build_benchmark
 
     problem = interval_problems(build_benchmark(benchmark), stage)[0]
     rng = np.random.default_rng(seed)

@@ -9,11 +9,7 @@ thread and locate the optimal speculative point ``r_s`` (the figure's
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import Series
-from repro.core.model import OperatingPoint, PlatformConfig, ThreadParams, thread_time
-from repro.errors.probability import BetaTailErrorFunction
 
 from .common import ExperimentResult, cached_experiment
 
@@ -22,6 +18,16 @@ __all__ = ["run"]
 
 @cached_experiment("fig_1_2")
 def run(n_points: int = 61) -> ExperimentResult:
+    import numpy as np
+
+    from repro.core.model import (
+        OperatingPoint,
+        PlatformConfig,
+        ThreadParams,
+        thread_time,
+    )
+    from repro.errors.probability import BetaTailErrorFunction
+
     cfg = PlatformConfig()
     err = BetaTailErrorFunction(a=5.5, b=4.0, lo=0.4, hi=0.99, scale_p=0.25)
     thread = ThreadParams(n_instructions=100_000, cpi_base=1.25, err=err)

@@ -8,10 +8,7 @@ critical thread at every speculation depth.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import Series
-from repro.workloads.splash2 import SPLASH2_PROFILES, thread_error_function
 
 from .common import ExperimentResult, cached_experiment
 
@@ -24,6 +21,10 @@ def run(
     stage: str = "simple_alu",
     n_points: int = 25,
 ) -> ExperimentResult:
+    import numpy as np
+
+    from repro.workloads.splash2 import SPLASH2_PROFILES, thread_error_function
+
     profile = SPLASH2_PROFILES[benchmark]
     ratios = np.linspace(0.6, 1.0, n_points)
     series = []

@@ -19,21 +19,12 @@ The paper reports ~7 % gains in both execution time and energy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-import numpy as np
-
-from repro.core.model import (
-    Assignment,
-    OperatingPoint,
-    PlatformConfig,
-    ThreadParams,
-    evaluate_assignment,
-    thread_time,
-)
-from repro.errors.probability import BetaTailErrorFunction
+from typing import TYPE_CHECKING, List
 
 from .common import ExperimentResult, cached_experiment
+
+if TYPE_CHECKING:
+    from repro.core.model import PlatformConfig, ThreadParams
 
 __all__ = ["run", "example_threads", "example_config"]
 
@@ -51,12 +42,17 @@ _THREAD_CURVES = (
 
 def example_config() -> PlatformConfig:
     """Platform with a TSR grid containing the paper's 24 % cut."""
+    from repro.core.model import PlatformConfig
+
     return PlatformConfig(
         tsr_levels=(0.64, 0.70, 0.76, 0.82, 0.88, 0.94, 1.0)
     )
 
 
 def example_threads() -> List[ThreadParams]:
+    from repro.core.model import ThreadParams
+    from repro.errors.probability import BetaTailErrorFunction
+
     return [
         ThreadParams(
             n_instructions=500_000,
@@ -70,6 +66,8 @@ def example_threads() -> List[ThreadParams]:
 def _critical_optimal_ratio(threads, cfg) -> float:
     """Step 1: the depth past which the critical thread's replay
     penalty nullifies further frequency gains (the paper's f_s)."""
+    from repro.core.model import OperatingPoint, thread_time
+
     t0 = threads[0]
     best_r, best_t = 1.0, float("inf")
     for r in cfg.tsr_levels:
@@ -81,6 +79,10 @@ def _critical_optimal_ratio(threads, cfg) -> float:
 
 @cached_experiment("fig_3_6")
 def run() -> ExperimentResult:
+    import numpy as np
+
+    from repro.core.model import Assignment, OperatingPoint, evaluate_assignment
+
     cfg = example_config()
     threads = example_threads()
 

@@ -8,10 +8,6 @@ the optimised configuration for the remainder.
 
 from __future__ import annotations
 
-from repro.core.model import PlatformConfig
-from repro.core.online import OnlineKnobs
-from repro.errors.estimation import SamplingPlan
-
 from .common import ExperimentResult, cached_experiment
 
 __all__ = ["run"]
@@ -22,6 +18,10 @@ def run(
     n_instructions: int = 500_000,
     n_samp: int = 50_000,
 ) -> ExperimentResult:
+    from repro.core.model import PlatformConfig
+    from repro.core.online import OnlineKnobs
+    from repro.errors.estimation import SamplingPlan
+
     cfg = PlatformConfig()
     knobs = OnlineKnobs(n_samp=n_samp)
     budget = knobs.budget_for(n_instructions, cfg.n_tsr)

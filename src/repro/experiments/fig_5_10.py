@@ -9,8 +9,6 @@ per-core timing speculation suffices on this architecture.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import Series
 
 from .common import ExperimentResult, cached_experiment
@@ -25,7 +23,10 @@ def run(
     instructions_per_item: int = 128,
     n_shown: int = 6,
 ) -> ExperimentResult:
-    # imported here: a warm cache hit never loads the GPGPU model
+    # imported here: a warm cache hit never loads numpy or the GPGPU
+    # model
+    import numpy as np
+
     from repro.gpgpu import HD7970, analyze_valus
 
     gpu = HD7970()

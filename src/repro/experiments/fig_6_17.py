@@ -9,15 +9,9 @@ critical thread is always identified.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro.analysis.report import Series
-from repro.core.online import OnlineKnobs
-from repro.core.runner import interval_problems
-from repro.errors.estimation import SamplingPlan, estimate_error_function
-from repro.workloads import build_benchmark
 
 from .common import ExperimentResult, cached_experiment
 
@@ -31,6 +25,13 @@ def run_benchmark(
     seed: int = 2016,
     sampling_fraction: float = 0.10,
 ) -> ExperimentResult:
+    import numpy as np
+
+    from repro.core.online import OnlineKnobs
+    from repro.core.runner import interval_problems
+    from repro.errors.estimation import SamplingPlan, estimate_error_function
+    from repro.workloads import build_benchmark
+
     problem = interval_problems(build_benchmark(benchmark), stage)[0]
     cfg = problem.config
     knobs = OnlineKnobs(sampling_fraction=sampling_fraction)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.engine import (
     CellSpec,
     ExperimentEngine,
@@ -61,11 +59,15 @@ class StagePanel:
 
     @property
     def mean_online_overhead(self) -> float:
+        import numpy as np
+
         return float(np.mean(self.synts_online)) - 1.0
 
     @property
     def max_gain_vs_per_core(self) -> float:
         """Best online-SynTS EDP reduction against per-core TS."""
+        import numpy as np
+
         return float(
             np.max(1.0 - np.asarray(self.synts_online) / np.asarray(self.per_core_ts))
         )
@@ -120,6 +122,8 @@ def run_stage(
 def run(
     seed: int = 7, engine: ExperimentEngine | None = None
 ) -> ExperimentResult:
+    import numpy as np
+
     panels = [run_stage(stage, seed, engine) for stage in STAGES]
     rows: List[Tuple] = []
     for panel in panels:

@@ -16,12 +16,9 @@ plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Series
-from repro.core.pareto import TradeoffPoint, pareto_front, theta_grid
 from repro.engine import (
     ExperimentEngine,
     benchmark_specs,
@@ -31,6 +28,9 @@ from repro.engine import (
 )
 
 from .common import ExperimentResult, cached_experiment
+
+if TYPE_CHECKING:
+    from repro.core.pareto import TradeoffPoint
 
 __all__ = ["PARETO_FIGURES", "run", "run_figure", "callout_gaps"]
 
@@ -50,6 +50,8 @@ def _interp_front(
 ) -> Optional[float]:
     """Interpolate a Pareto front: energy at a given time (``by =
     'time'``) or time at a given energy (``by = 'energy'``)."""
+    import numpy as np
+
     if by == "time":
         xs = [p.time for p in front]
         ys = [p.energy for p in front]
@@ -74,6 +76,8 @@ def callout_gaps(
     axis (the paper's "direct comparison cannot be drawn" situation
     of Figs. 6.15-6.16).
     """
+    from repro.core.pareto import pareto_front
+
     syn = pareto_front(syn_points)
     pc = pareto_front(pc_points)
     energy_gaps = []
@@ -103,6 +107,8 @@ def _sweep_cells(
     a parallel engine sweeps whole figures concurrently and repeated
     cells (across figures, sessions) come from the cache.
     """
+    from repro.core.pareto import TradeoffPoint
+
     schemes = {
         "SynTS": "synts",
         "Per-core TS": "per_core_ts",
@@ -146,6 +152,8 @@ def run_figure(
     engine: ExperimentEngine | None = None,
 ) -> ExperimentResult:
     """Regenerate one of Figs. 6.11-6.16."""
+    from repro.core.pareto import pareto_front, theta_grid
+
     if figure_id not in PARETO_FIGURES:
         raise KeyError(
             f"unknown figure {figure_id!r}; have {sorted(PARETO_FIGURES)}"

@@ -7,15 +7,20 @@ and the measured periods are normalised to the 1.0 V corner.
 
 from __future__ import annotations
 
-from repro.circuit.ring_oscillator import RingOscillatorSweep, sweep_ring_oscillator
+from typing import TYPE_CHECKING
 
 from .common import ExperimentResult, cached_experiment
+
+if TYPE_CHECKING:
+    from repro.circuit.ring_oscillator import RingOscillatorSweep
 
 __all__ = ["run", "tabulate"]
 
 
 @cached_experiment("table_5_1")
 def run(n_stages: int = 5) -> ExperimentResult:
+    from repro.circuit.ring_oscillator import sweep_ring_oscillator
+
     return tabulate(sweep_ring_oscillator(n_stages=n_stages), n_stages)
 
 

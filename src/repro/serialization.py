@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Any
-
-import numpy as np
 
 __all__ = ["sanitize", "canonical_json", "content_key", "SCHEMA_VERSION"]
 
@@ -60,16 +59,24 @@ def sanitize(obj: Any) -> Any:
         return {str(k): sanitize(v) for k, v in obj.items()}
     if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     # note: np.float64 subclasses float and np.int_ may subclass int,
     # so coerce through the builtin constructors unconditionally
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
+    # a numpy value can only exist once numpy is imported; never import
+    # it here, so cache-only sessions stay numpy-free
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return [sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     if isinstance(obj, dict):

@@ -115,3 +115,70 @@ class TestDispatch:
         assert online.evaluate(problem, theta, spec) == online.evaluate(
             problem, theta, spec
         )
+
+
+class TestImportPathSolvers:
+    """A solver named by ``"module:function"`` keys like the callable."""
+
+    def test_path_and_callable_have_the_same_digest(self):
+        from repro.core.baselines import solve_no_ts
+
+        by_path = Scheme(name="x", solver="repro.core.baselines:solve_no_ts")
+        by_callable = Scheme(name="x", solver=solve_no_ts)
+        assert by_path.digest() == by_callable.digest()
+        assert by_path.digest_json == by_callable.digest_json
+
+    def test_path_solver_evaluates_like_the_callable(self):
+        from repro.core.baselines import solve_no_ts, solve_no_ts_batch
+        from repro.core.runner import interval_problems
+        from repro.engine import CellSpec
+        from repro.workloads import build_benchmark
+
+        problems = interval_problems(build_benchmark("radix"), "decode")
+        thetas = [p.equal_weight_theta() for p in problems]
+        specs = [
+            CellSpec("radix", "decode", "no_ts", interval=k)
+            for k in range(len(problems))
+        ]
+        by_path = Scheme(
+            name="x",
+            solver="repro.core.baselines:solve_no_ts",
+            batch_solver="repro.core.baselines:solve_no_ts_batch",
+        )
+        by_callable = Scheme(
+            name="x", solver=solve_no_ts, batch_solver=solve_no_ts_batch
+        )
+        assert by_path.evaluate(problems[0], thetas[0], specs[0]) == (
+            by_callable.evaluate(problems[0], thetas[0], specs[0])
+        )
+        assert by_path.evaluate_batch(problems, thetas, specs) == (
+            by_callable.evaluate_batch(problems, thetas, specs)
+        )
+
+    def test_malformed_path_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="package.module:function"):
+            Scheme(name="x", solver="repro.core.baselines.solve_no_ts")
+
+    def test_reexport_path_rejected_on_first_call(self):
+        # repro.core re-exports solve_no_ts; its digest would name the
+        # package, not the defining module, and drift from the callable's
+        scheme = Scheme(name="x", solver="repro.core:solve_no_ts")
+        with pytest.raises(ValueError, match="where it is defined"):
+            scheme.evaluate(None, 1.0, None)
+
+    def test_registration_does_not_import_the_solver(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys\n"
+            "from repro.core.schemes import register_offline_scheme\n"
+            "register_offline_scheme('x', 'repro.core.poly:solve_synts_poly')\n"
+            "assert 'repro.core.poly' not in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -6,6 +6,9 @@ it after a change that moves values on purpose.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,21 @@ golden = _load_tool()
 def test_every_golden_file_has_a_producer():
     files = {path.stem for path in golden.GOLDEN_DIR.glob("*.json")}
     assert files == set(golden.GOLDEN)
+
+
+def test_content_keys_match_pins():
+    """Experiment, ablation and per-scheme cell keys are exactly the
+    pinned ones (a fresh interpreter: no test's registrations leak in)."""
+    env = dict(os.environ, PYTHONPATH=str(_TOOL.parents[1] / "src"))
+    env.pop("REPRO_BOOTSTRAP", None)
+    proc = subprocess.run(
+        [sys.executable, str(_TOOL), "--keys", "--check"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_table_5_1_matches_golden(table_5_1_result, ring_sweep):

@@ -31,6 +31,7 @@ CLI_FORBIDDEN = (
     "hmac",
     "concurrent.futures",
     "multiprocessing*",
+    "numpy*",
     "scipy*",
     "repro.engine.backends.process",
     "repro.engine.backends.thread",
@@ -107,6 +108,15 @@ def test_cli_import_loads_only_the_default_path():
     assert _forbidden(modules, CLI_FORBIDDEN) == []
 
 
+def test_listing_loads_no_numpy():
+    # the bootstrap's entry-point scan loads socket (through email), so
+    # the listing is held to the numpy rule only
+    _, modules = _loaded(
+        "from repro.__main__ import main\nassert main(['list']) == 0\n"
+    )
+    assert _forbidden(modules, ("numpy*", "scipy*")) == []
+
+
 def test_warm_rerun_skips_driver_dependencies(tmp_path):
     run_both = textwrap.dedent(
         f"""
@@ -121,6 +131,22 @@ def test_warm_rerun_skips_driver_dependencies(tmp_path):
     warm, warm_modules = _loaded(run_both)
     assert warm == cold
     assert _forbidden(warm_modules, ("repro.gpgpu*", "repro.overhead*")) == []
+
+
+def test_warm_rerun_of_everything_loads_no_numpy(tmp_path):
+    """A warm hit only keys, reads JSON and renders text."""
+    run_all = textwrap.dedent(
+        f"""
+        from repro.__main__ import main
+        for command in (["run", "all"], ["ablation", "all"]):
+            assert main([*command, "--cache-dir", {str(tmp_path)!r}]) == 0
+        """
+    )
+    cold, cold_modules = _loaded(run_all)
+    assert {"numpy", "scipy"} <= cold_modules
+    warm, warm_modules = _loaded(run_all)
+    assert warm == cold
+    assert _forbidden(warm_modules, ("numpy*", "scipy*")) == []
 
 
 def _submodules(package):

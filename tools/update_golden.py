@@ -19,25 +19,40 @@ and requires exact equality, naming the first difference.  A change
 that moves values on purpose reruns this tool and shows the diff.
 Pin another experiment by adding it to :data:`GOLDEN`.
 
+The tool also pins content keys in ``tests/golden/keys/content_keys.json``
+(a subdirectory, so the per-experiment ``*.json`` set stays exact): the
+experiment-level key of every ``EXPERIMENTS`` and ``ABLATIONS`` entry at
+default arguments, and one ``CellSpec.key()`` per registered scheme.  A
+moved key silently turns every warm ``--cache-dir`` cold, so a refactor
+must leave this file byte-identical.  Experiment keys come from a stub
+engine that returns the key and never runs the computation.
+
 Usage::
 
     PYTHONPATH=src python tools/update_golden.py [experiment ...] [--check]
+    PYTHONPATH=src python tools/update_golden.py --keys [--check]
 
-With no experiment ids, every entry of :data:`GOLDEN` is regenerated.
-``--check`` writes nothing: it prints the first difference per file
-and exits non-zero when any file is stale.
+With no experiment ids, every entry of :data:`GOLDEN` is regenerated,
+then the key pins.  ``--keys`` handles the key pins only.  ``--check``
+writes nothing: it prints the first difference per file and exits
+non-zero when any file is stale.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
+KEYS_PATH = GOLDEN_DIR / "keys" / "content_keys.json"
+
+#: Cell coordinates of the per-scheme ``CellSpec.key()`` pins.
+KEY_CELL = {"benchmark": "radix", "stage": "decode", "interval": 0}
 
 
 def ring_periods(sweep) -> List[List[str]]:
@@ -139,6 +154,74 @@ def first_difference(expected: dict, actual: dict) -> Optional[str]:
     )
 
 
+class _KeyEngine:
+    """Stub engine: ``experiment()`` returns the key the real engine
+    would store the result under, and never runs the computation."""
+
+    def experiment(self, key_parts, thunk) -> str:
+        from repro.serialization import content_key
+
+        return content_key("experiment", list(key_parts))
+
+
+def content_keys() -> dict:
+    """Content keys at default arguments: one per experiment, ablation
+    and registered scheme.
+
+    Registrations from ``REPRO_BOOTSTRAP`` would join the registry
+    fingerprints, so the variable is ignored here.
+    """
+    os.environ.pop("REPRO_BOOTSTRAP", None)
+    from repro.core.schemes import SCHEME_REGISTRY
+    from repro.engine import CellSpec
+    from repro.engine.session import get_engine, set_engine
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.ablations import ABLATIONS
+
+    previous = get_engine()
+    set_engine(_KeyEngine())  # type: ignore[arg-type]
+    try:
+        # every driver returns what its engine.experiment() returns
+        experiments = {name: run() for name, run in EXPERIMENTS.items()}
+        ablations = {name: run() for name, run in ABLATIONS.items()}
+    finally:
+        set_engine(previous)
+    cells = {
+        name: CellSpec(scheme=name, **KEY_CELL).key()
+        for name in SCHEME_REGISTRY.names()
+    }
+    return {
+        "cell": KEY_CELL,
+        "cells": cells,
+        "experiments": experiments,
+        "ablations": ablations,
+    }
+
+
+def _update_keys(check: bool) -> int:
+    """Check or rewrite the key pins; 1 when ``check`` finds them stale."""
+    record = content_keys()
+    name = KEYS_PATH.name
+    if check:
+        diff = (
+            _first_path(json.loads(KEYS_PATH.read_text()), record, "")
+            if KEYS_PATH.exists()
+            else "missing file"
+        )
+        print(f"{name}: {diff or 'ok'}")
+        return diff is not None
+    old = KEYS_PATH.read_text() if KEYS_PATH.exists() else None
+    text = dump(record)
+    if old == text:
+        print(f"{name}: unchanged")
+        return 0
+    KEYS_PATH.parent.mkdir(parents=True, exist_ok=True)
+    KEYS_PATH.write_text(text)
+    diff = _first_path(json.loads(old), record, "") if old else "new file"
+    print(f"{name}: wrote ({diff})")
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("experiments", nargs="*", metavar="experiment")
@@ -147,7 +230,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="compare with the committed files instead of writing them",
     )
+    parser.add_argument(
+        "--keys",
+        action="store_true",
+        help="only the content-key pins (no experiment is computed)",
+    )
     args = parser.parse_args(argv)
+    if args.keys:
+        if args.experiments:
+            parser.error("--keys takes no experiment ids")
+        return _update_keys(args.check)
     unknown = [e for e in args.experiments if e not in GOLDEN]
     if unknown:
         parser.error(f"no golden producer for {unknown}; known: {sorted(GOLDEN)}")
@@ -174,6 +266,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         path.write_text(text)
         diff = first_difference(json.loads(old), record) if old else "new file"
         print(f"{experiment_id}: wrote {path.name} ({diff})")
+    if not args.experiments:
+        stale += _update_keys(args.check)
     return 1 if stale else 0
 
 
