@@ -55,6 +55,21 @@ def test_table_5_1_matches_golden(table_5_1_result, ring_sweep):
     assert diff is None, f"table_5_1 differs from its golden file: {diff}"
 
 
+@pytest.mark.parametrize(
+    "experiment_id", sorted(set(golden.GOLDEN) - {"table_5_1"})
+)
+def test_experiment_matches_golden(experiment_id):
+    """Exact when the installed numpy and scipy are the versions the
+    file records; within ``REL_TOL`` relative when they differ."""
+    expected = golden.load(experiment_id)
+    diff = golden.first_difference(
+        expected,
+        golden.regenerate(experiment_id),
+        golden.tolerance(expected),
+    )
+    assert diff is None, f"{experiment_id} differs from its golden file: {diff}"
+
+
 class TestFirstDifference:
     @pytest.fixture
     def record(self):
@@ -81,3 +96,18 @@ class TestFirstDifference:
     def test_type_changes_count(self, record):
         changed = {**record, "payload": {**record["payload"], "plot": 0}}
         assert golden.first_difference(record, changed) is not None
+
+    def test_tolerance_only_when_versions_differ(self):
+        record = golden.load("fig_6_18")
+        assert golden.tolerance(record) == 0.0
+        assert golden.tolerance(golden.load("table_5_1")) == 0.0
+        other = {**record, "versions": {"numpy": "0.0", "scipy": "0.0"}}
+        assert golden.tolerance(other) == golden.REL_TOL
+
+        rows = [list(r) for r in record["payload"]["rows"]]
+        rows[0][2] *= 1 + 1e-14
+        near = {**record, "payload": {**record["payload"], "rows": rows}}
+        assert golden.first_difference(record, near) is not None
+        assert golden.first_difference(record, near, golden.REL_TOL) is None
+        rows[0][2] *= 1 + 1e-9
+        assert golden.first_difference(record, near, golden.REL_TOL)

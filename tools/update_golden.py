@@ -5,19 +5,26 @@ Each ``tests/golden/<experiment>.json`` pins one experiment bit for
 bit, so a refactor or a performance change can show that it moved no
 value.  A file holds:
 
-* ``experiment_id``;
+* ``experiment_id`` -- an ``EXPERIMENTS`` id, or ``ablation_<name>``
+  for an ``ABLATIONS`` entry;
 * ``payload`` -- the experiment's ``ExperimentResult.to_payload()`` at
   default arguments, regenerated in a fresh serial engine, as
-  canonical JSON (Python's float repr round-trips exactly);
+  canonical JSON (Python's float repr round-trips exactly).  A driver
+  that returns a dict of results (``fig_6_17``) pins each entry under
+  its name;
 * ``extras`` -- named lists of ``[label, float.hex()]`` pairs for
   exact values the payload rounds away.  Table 5.1 stores the
   absolute ring-oscillator periods per voltage, because its table
-  shows only 3-decimal multipliers.
+  shows only 3-decimal multipliers;
+* ``versions`` -- the numpy and scipy versions that produced the
+  file.  Table 5.1 computes on plain Python floats and has none.
 
 ``tests/experiments/test_golden.py`` regenerates every file's content
-and requires exact equality, naming the first difference.  A change
-that moves values on purpose reruns this tool and shows the diff.
-Pin another experiment by adding it to :data:`GOLDEN`.
+and names the first difference.  It requires exact equality when the
+installed numpy and scipy match the file's ``versions`` (or the file
+has none), and agreement to :data:`REL_TOL` relative when they differ.
+A change that moves values on purpose reruns this tool and shows the
+diff.  Pin another experiment by adding it to :data:`GOLDEN`.
 
 The tool also pins content keys in ``tests/golden/keys/content_keys.json``
 (a subdirectory, so the per-experiment ``*.json`` set stays exact): the
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import zip_longest
@@ -67,32 +75,106 @@ def _table_5_1_extras() -> Dict[str, List[List[str]]]:
     return {"ring_periods": ring_periods(sweep_ring_oscillator())}
 
 
+def _no_extras() -> Dict[str, List[List[str]]]:
+    return {}
+
+
+_EXPERIMENT_IDS = (
+    "fig_1_2", "fig_3_5", "fig_3_6", "fig_4_7", "fig_5_10", "fig_6_11",
+    "fig_6_12", "fig_6_13", "fig_6_14", "fig_6_15", "fig_6_16",
+    "fig_6_17", "fig_6_18", "sec_6_3", "headline",
+)
+_ABLATION_NAMES = (
+    "sampling_budget", "heterogeneity", "replay_penalty", "voltage_levels",
+    "leakage", "sync_topology", "process_variation",
+)
+
 #: experiment id -> producer of its ``extras`` (the pinned experiments)
 GOLDEN: Dict[str, Callable[[], Dict[str, List[List[str]]]]] = {
     "table_5_1": _table_5_1_extras,
+    **{name: _no_extras for name in _EXPERIMENT_IDS},
+    **{f"ablation_{name}": _no_extras for name in _ABLATION_NAMES},
 }
 
+#: Goldens computed on plain Python floats: no ``versions`` header,
+#: compared exactly on any numpy and scipy.
+UNVERSIONED = frozenset({"table_5_1"})
 
-def golden_record(result, extras: Dict[str, List[List[str]]]) -> dict:
-    """The golden-file content of one regenerated experiment."""
+#: Relative tolerance of a float comparison when the installed numpy
+#: or scipy differs from the versions a golden file records.
+REL_TOL = 1e-12
+
+
+def library_versions() -> Dict[str, str]:
+    """The installed numpy and scipy versions."""
+    import numpy
+    import scipy
+
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def tolerance(expected: dict) -> float:
+    """Relative float tolerance for checking against ``expected``:
+    exact unless it records library versions other than the installed
+    ones."""
+    versions = expected.get("versions")
+    if versions is None or versions == library_versions():
+        return 0.0
+    return REL_TOL
+
+
+def payload_of(result):
+    """Canonical JSON image of a result, or of each entry of a dict of
+    results."""
     from repro.serialization import canonical_json
 
-    return {
-        "experiment_id": result.experiment_id,
-        "payload": json.loads(canonical_json(result.to_payload())),
+    if isinstance(result, dict):
+        return {name: payload_of(item) for name, item in result.items()}
+    return json.loads(canonical_json(result.to_payload()))
+
+
+def golden_record(
+    result,
+    extras: Dict[str, List[List[str]]],
+    experiment_id: Optional[str] = None,
+    versions: Optional[Dict[str, str]] = None,
+) -> dict:
+    """The golden-file content of one regenerated experiment.
+
+    ``experiment_id`` defaults to the result's own id; a dict of
+    results needs it given.
+    """
+    record = {
+        "experiment_id": experiment_id or result.experiment_id,
+        "payload": payload_of(result),
         "extras": extras,
     }
+    if versions is not None:
+        record["versions"] = versions
+    return record
+
+
+def producer(experiment_id: str) -> Callable:
+    """The zero-argument callable that regenerates a golden id."""
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.ablations import ABLATIONS
+
+    if experiment_id.startswith("ablation_"):
+        return ABLATIONS[experiment_id[len("ablation_"):]]
+    return EXPERIMENTS[experiment_id]
 
 
 def regenerate(experiment_id: str) -> dict:
     """Regenerate one experiment's golden record in a fresh serial
     engine."""
     from repro.engine import engine_session
-    from repro.experiments import EXPERIMENTS
 
     with engine_session(backend="serial"):
-        result = EXPERIMENTS[experiment_id]()
-    return golden_record(result, GOLDEN[experiment_id]())
+        result = producer(experiment_id)()
+    versions = None if experiment_id in UNVERSIONED else library_versions()
+    return golden_record(
+        result, GOLDEN[experiment_id](), experiment_id, versions
+    )
 
 
 def path_of(experiment_id: str) -> Path:
@@ -108,23 +190,37 @@ def dump(record: dict) -> str:
     return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
-def _first_path(expected, actual, path: str) -> Optional[str]:
-    """JSON path of the first place two JSON values differ."""
+def _first_path(
+    expected, actual, path: str, rel_tol: float = 0.0
+) -> Optional[str]:
+    """JSON path of the first place two JSON values differ.
+
+    Floats within ``rel_tol`` relative of each other count as equal.
+    """
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(set(expected) | set(actual)):
             if key not in expected or key not in actual:
                 return f"{path}.{key}"
-            found = _first_path(expected[key], actual[key], f"{path}.{key}")
+            found = _first_path(
+                expected[key], actual[key], f"{path}.{key}", rel_tol
+            )
             if found:
                 return found
         return None
     if isinstance(expected, list) and isinstance(actual, list):
         for i, (a, b) in enumerate(zip(expected, actual)):
-            found = _first_path(a, b, f"{path}[{i}]")
+            found = _first_path(a, b, f"{path}[{i}]", rel_tol)
             if found:
                 return found
         if len(expected) != len(actual):
             return f"{path} (length {len(expected)} != {len(actual)})"
+        return None
+    if (
+        rel_tol
+        and type(expected) is float
+        and type(actual) is float
+        and math.isclose(expected, actual, rel_tol=rel_tol, abs_tol=0.0)
+    ):
         return None
     # bool is an int subclass: compare types too, so true != 1
     if type(expected) is not type(actual) or expected != actual:
@@ -132,12 +228,15 @@ def _first_path(expected, actual, path: str) -> Optional[str]:
     return None
 
 
-def first_difference(expected: dict, actual: dict) -> Optional[str]:
+def first_difference(
+    expected: dict, actual: dict, rel_tol: float = 0.0
+) -> Optional[str]:
     """Describe the first difference between two golden records, or
-    ``None`` when they are identical.
+    ``None`` when they are identical (floats to ``rel_tol`` relative).
 
     Extras are compared pair by pair, so a differing value is named by
-    its label (for Table 5.1, the voltage).
+    its label (for Table 5.1, the voltage).  The ``versions`` header
+    is provenance, not a value, and is not compared.
     """
     want_extras = expected.get("extras", {})
     got_extras = actual.get("extras", {})
@@ -147,10 +246,12 @@ def first_difference(expected: dict, actual: dict) -> Optional[str]:
             if want != got:
                 label = (want or got)[0]
                 return f"extras.{name} at {label}: expected {want}, got {got}"
+    skip = ("extras", "versions")
     return _first_path(
-        {k: v for k, v in expected.items() if k != "extras"},
-        {k: v for k, v in actual.items() if k != "extras"},
+        {k: v for k, v in expected.items() if k not in skip},
+        {k: v for k, v in actual.items() if k not in skip},
         "",
+        rel_tol,
     )
 
 
@@ -249,11 +350,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         record = regenerate(experiment_id)
         path = path_of(experiment_id)
         if args.check:
-            diff = (
-                first_difference(load(experiment_id), record)
-                if path.exists()
-                else "missing file"
-            )
+            if path.exists():
+                expected = load(experiment_id)
+                diff = first_difference(expected, record, tolerance(expected))
+            else:
+                diff = "missing file"
             stale += diff is not None
             print(f"{experiment_id}: {diff or 'ok'}")
             continue
