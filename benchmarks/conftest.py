@@ -11,8 +11,8 @@ timed cold by default; the harness honours these environment knobs:
 * ``REPRO_BENCH_JOBS``       -- workers for experiment cells
   (default 1: the serial reference path);
 * ``REPRO_BENCH_BACKEND``    -- executor backend name (``serial`` /
-  ``thread`` / ``process`` / ``sharded`` / ``remote``; default: the
-  engine's jobs-based choice);
+  ``process`` / ``sharded`` / ``remote``; default: the engine's
+  jobs-based choice);
 * ``REPRO_BENCH_WORKERS``    -- remote worker addresses for the
   ``remote`` backend (``host1:port,host2:port``), or ``auto[:N]`` to
   spawn N loopback workers (default 2) for the whole benchmark

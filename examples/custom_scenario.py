@@ -17,7 +17,6 @@ from repro.engine import (
     EventLog,
     ExperimentEngine,
     ShardedBackend,
-    ThreadBackend,
     benchmark_specs,
     totalize,
 )
@@ -64,11 +63,10 @@ def main():
         )
     )
 
-    # threads (not processes) so the runtime registrations above are
-    # visible to the workers; shards give the event stream structure
-    engine = ExperimentEngine(
-        backend=ShardedBackend(inner=ThreadBackend(workers=4), n_shards=3)
-    )
+    # a serial inner backend (not a process pool) so the runtime
+    # registrations above are visible; shards give the event stream
+    # structure
+    engine = ExperimentEngine(backend=ShardedBackend(n_shards=3))
     log = engine.subscribe(EventLog())
 
     print(f"{'scheme':<14}{'energy':>14}{'time':>12}{'EDP':>16}")

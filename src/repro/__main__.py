@@ -22,7 +22,7 @@ Every regeneration goes through the experiment engine:
 
 * ``--jobs N`` fans the experiment's cells out over N workers
   (results are bit-identical to the serial run);
-* ``--backend {serial,thread,process,sharded,remote}`` picks the
+* ``--backend {serial,process,sharded,remote}`` picks the
   executor backend (default: process pool when ``--jobs > 1``, else
   serial); ``--shards`` sizes the sharded backend's content-keyed
   partitions; ``--workers HOST:PORT[,...]`` names the remote

@@ -25,8 +25,8 @@ another entry, not a code path.  New comparison schemes are a
 :func:`register_scheme` call away; for the process backend, register
 at import time of a module the workers also import (runtime
 registrations reach forked workers only when made before the pool
-starts, never reach spawned ones, and the thread/serial backends see
-them always).
+starts, never reach spawned ones, and the serial backend sees them
+always).
 """
 
 from __future__ import annotations

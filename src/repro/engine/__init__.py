@@ -4,12 +4,11 @@ The paper's evaluation regenerates ~14 tables/figures, each sweeping
 (benchmark x stage x scheme x interval) sub-problems.  This package
 decomposes those sweeps into pure, picklable *cells*
 (:mod:`~repro.engine.cells`), executes them on a pluggable executor
-backend -- serial, thread pool, process pool, content-keyed shards
-over any of them, or remote workers on other machines
-(:mod:`~repro.engine.backends`) -- and memoises every
-result under content-hash keys in a pluggable, tiered result store
-(:mod:`~repro.engine.store`, :mod:`~repro.serialization`; the
-:class:`~repro.engine.cache.ResultCache` facade) -- in memory within
+backend -- serial, process pool, content-keyed shards over either, or
+remote workers on other machines (:mod:`~repro.engine.backends`) --
+and memoises every result under content-hash keys in a pluggable,
+tiered result store (:mod:`~repro.engine.store`,
+:mod:`~repro.serialization`) -- in memory within
 a session, on disk across sessions (``--cache-dir`` / ``--store``),
 and on cache-keeping remote workers across clients (the delta
 protocol of :mod:`~repro.engine.backends.remote`).  Progress is
@@ -37,11 +36,11 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".backends": (
             "ExecutorBackend", "ProcessBackend", "RemoteBackend",
-            "SerialBackend", "ShardedBackend", "ThreadBackend",
+            "SerialBackend", "ShardedBackend",
             "backend_names", "make_backend", "register_backend",
         ),
         ".bootstrap": ("run_bootstrap",),
-        ".cache": ("CacheStats", "ResultCache"),
+        ".cache": ("ResultCache",),
         ".cells": (
             "BenchmarkTotals", "CellBatch", "CellResult", "CellSpec",
             "benchmark_specs", "cached_interval_problems", "cell_seed",
@@ -62,7 +61,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "BenchmarkTotals",
-    "CacheStats",
     "CellBatch",
     "CellResult",
     "CellSpec",
@@ -81,7 +79,6 @@ __all__ = [
     "SerialBackend",
     "ShardedBackend",
     "StoreStats",
-    "ThreadBackend",
     "TieredStore",
     "backend_names",
     "benchmark_specs",

@@ -1,11 +1,10 @@
 """Pluggable executor backends for the experiment engine.
 
-Five strategies ship in-tree, all bit-identical to the serial
+Four strategies ship in-tree, all bit-identical to the serial
 reference (enforced by the parallel-equivalence property test):
 
-* ``serial``  -- in-order, in-process; the reference path.
-* ``thread``  -- thread pool (numpy kernels release the GIL); sees
-  runtime scheme/workload registrations.
+* ``serial``  -- in-order, in-process; the reference path.  Sees
+  schemes and workloads registered at runtime.
 * ``process`` -- process pool; the historical ``--jobs N`` behaviour.
   Workers run the registry bootstrap hook
   (:mod:`repro.engine.bootstrap`) at start-up.
@@ -17,9 +16,9 @@ reference (enforced by the parallel-equivalence property test):
 
 :func:`make_backend` builds one by name; :func:`register_backend`
 makes the set open for out-of-tree strategies.  Factories take
-``(workers, shards)``; a factory that needs more (like ``remote``'s
-worker addresses) declares keyword-only parameters and
-:func:`make_backend` forwards matching options.
+``(workers, **options)``: a factory that needs more (``sharded``'s
+shard count, ``remote``'s worker addresses) declares keyword-only
+parameters and :func:`make_backend` forwards matching options.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".process": ("ProcessBackend",),
         ".remote": ("RemoteBackend", "parse_worker_addresses"),
-        ".sharded": ("ShardedBackend", "shard_of"),
-        ".thread": ("ThreadBackend",),
+        ".sharded": ("ShardedBackend",),
     },
 )
 
@@ -55,51 +53,41 @@ __all__ = [
     "RemoteBackend",
     "SerialBackend",
     "ShardedBackend",
-    "ThreadBackend",
     "backend_names",
     "make_backend",
     "null_emit",
     "parse_worker_addresses",
     "register_backend",
-    "shard_of",
 ]
 
-#: Backend factory signature: ``(workers, shards) -> backend``, plus
-#: optional keyword-only parameters for named options (see
-#: :func:`make_backend`).
+#: Backend factory signature: ``(workers) -> backend``, plus optional
+#: keyword-only parameters for named options (see :func:`make_backend`).
 BackendFactory = Callable[..., ExecutorBackend]
 
 
-def _make_serial(workers: int, shards: Optional[int]) -> ExecutorBackend:
+def _make_serial(workers: int) -> ExecutorBackend:
     return SerialBackend()
 
 
-def _make_thread(workers: int, shards: Optional[int]) -> ExecutorBackend:
-    from .thread import ThreadBackend
-
-    # the worker count is honoured exactly: --jobs 1 --backend thread
-    # really is a one-worker pool (constrained machines rely on it)
-    return ThreadBackend(workers=workers)
-
-
-def _make_process(workers: int, shards: Optional[int]) -> ExecutorBackend:
+def _make_process(workers: int) -> ExecutorBackend:
     from .process import ProcessBackend
 
+    # the worker count is honoured exactly: --jobs 1 --backend process
+    # really is a one-worker pool (constrained machines rely on it)
     return ProcessBackend(workers=workers)
 
 
-def _make_sharded(workers: int, shards: Optional[int]) -> ExecutorBackend:
+def _make_sharded(
+    workers: int, *, shards: Optional[int] = None
+) -> ExecutorBackend:
     from .sharded import ShardedBackend
 
-    inner: ExecutorBackend = (
-        _make_process(workers, None) if workers > 1 else SerialBackend()
-    )
+    inner = _make_process(workers) if workers > 1 else SerialBackend()
     return ShardedBackend(inner=inner, n_shards=shards or max(2, workers))
 
 
 def _make_remote(
     workers: int,
-    shards: Optional[int],
     *,
     remote_workers=None,
     worker_token=None,
@@ -121,7 +109,6 @@ def _make_remote(
 
 _FACTORIES: Dict[str, BackendFactory] = {
     "serial": _make_serial,
-    "thread": _make_thread,
     "process": _make_process,
     "sharded": _make_sharded,
     "remote": _make_remote,
@@ -130,6 +117,8 @@ _FACTORIES: Dict[str, BackendFactory] = {
 
 #: Guidance appended when a CLI-originated option misses its backend.
 _OPTION_HINTS = {
+    "shards": "; --shards sizes the sharded backend's content-keyed "
+    "partitions -- use --backend sharded",
     "remote_workers": "; --workers selects remote worker addresses -- "
     "use --backend remote",
     "worker_token": "; --token is the remote workers' shared auth "
@@ -149,18 +138,13 @@ def backend_names() -> Tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def make_backend(
-    name: str,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    **options,
-) -> ExecutorBackend:
+def make_backend(name: str, workers: int = 1, **options) -> ExecutorBackend:
     """Build a backend by registry name.
 
     ``workers`` sizes the pool-based backends (and the sharded
-    backend's inner pool); ``shards`` sets the shard count of
-    ``sharded`` (default: ``max(2, workers)``).  Named ``options``
-    (e.g. ``remote_workers`` for the remote backend's addresses) are
+    backend's inner pool).  Named ``options`` (``shards`` for the
+    sharded backend's shard count, default ``max(2, workers)``;
+    ``remote_workers`` for the remote backend's addresses) are
     forwarded to factories that declare a matching keyword-only
     parameter; passing an option the chosen backend does not accept
     is an error, not a silent no-op.
@@ -174,4 +158,4 @@ def make_backend(
     options = validate_factory_options(
         "backend", name, factory, options, hints=_OPTION_HINTS
     )
-    return factory(max(1, int(workers)), shards, **options)
+    return factory(max(1, int(workers)), **options)

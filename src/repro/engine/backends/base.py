@@ -14,30 +14,25 @@ Backends receive an ``emit`` callable and report per-cell progress
 attribution honest) plus backend-specific events (shard progress,
 pool fallbacks).  Emission must never affect results.
 
-Future multi-host distribution plugs in here: a remote backend that
-ships spec batches to other machines is just another subclass (the
-content-keyed shards of
-:class:`~repro.engine.backends.sharded.ShardedBackend` are the unit
-such a backend would distribute).
+Multi-host distribution is just another subclass:
+:class:`~repro.engine.backends.remote.RemoteBackend` ships content-keyed
+shards of batches to worker processes on other machines.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.cells import CellBatch, CellResult, CellSpec
+    from repro.engine.cells import CellBatch, CellResult
 
 __all__ = [
     "ExecutorBackend",
     "EmitFn",
     "null_emit",
     "emit_batch_cells",
-    "expand_for_pool",
     "needed_registry_names",
-    "reassemble_units",
 ]
 
 #: ``emit(kind, **fields)``: the engine's event channel, handed to
@@ -58,13 +53,16 @@ def emit_batch_cells(
     batch's cells (the batch is the unit that was actually timed);
     pass ``seconds=None`` under shared pool clocks.
     """
-    from repro.engine.backends.serial import _cell_fields
-
     share = (
         round(seconds / len(batch.specs), 6) if seconds is not None else None
     )
     for spec in batch.specs:
-        fields = _cell_fields(spec)
+        fields = {
+            "benchmark": spec.benchmark,
+            "stage": spec.stage,
+            "scheme": spec.scheme,
+            "interval": spec.interval,
+        }
         if share is not None:
             fields["seconds"] = share
         emit("cell_computed", **fields)
@@ -84,84 +82,11 @@ def needed_registry_names(batches: Sequence["CellBatch"]) -> tuple:
     return schemes, benchmarks
 
 
-def expand_for_pool(
-    batches: Sequence["CellBatch"], workers: int = 1
-) -> tuple:
-    """Pool dispatch units for a batch list, plus reassembly origins.
-
-    Vectorized batches (scheme solves the whole group in one pass)
-    always ship intact.  Per-interval batches (e.g. RNG schemes,
-    which evaluate cell by cell anyway) are split into singleton
-    units -- but only when the batch count alone cannot keep the pool
-    busy (fewer than two waves of ``workers``): with plenty of
-    batches, splitting buys no parallelism and pays one IPC
-    round-trip per cell.  Returns ``(units, origins)`` where
-    ``origins[u] = (batch_index, cell_index|None)``; feed both to
-    :func:`reassemble_units`.
-    """
-    from repro.engine.cells import batch_is_vectorized, split_batch
-
-    split_for_grain = len(batches) < 2 * max(1, workers)
-    units: List["CellBatch"] = []
-    origins: List[tuple] = []
-    for bi, batch in enumerate(batches):
-        if (
-            split_for_grain
-            and len(batch) > 1
-            and not batch_is_vectorized(batch)
-        ):
-            for ci, unit in enumerate(split_batch(batch)):
-                units.append(unit)
-                origins.append((bi, ci))
-        else:
-            units.append(batch)
-            origins.append((bi, None))
-    return units, origins
-
-
-def reassemble_units(
-    batches: Sequence["CellBatch"],
-    origins: Sequence[tuple],
-    unit_results: Sequence[List["CellResult"]],
-) -> List[List["CellResult"]]:
-    """Invert :func:`expand_for_pool`.
-
-    Folds unit results back into lists aligned with the original
-    batches.
-    """
-    out: List[List[Optional["CellResult"]]] = [
-        [None] * len(batch) for batch in batches
-    ]
-    for (bi, ci), cells in zip(origins, unit_results):
-        if ci is None:
-            out[bi] = list(cells)
-        else:
-            out[bi][ci] = cells[0]
-    return out  # type: ignore[return-value]
-
-
-class ExecutorBackend(ABC):
+class ExecutorBackend:
     """Strategy interface for computing a batch of pending cells."""
 
-    #: Stable registry name (``serial``, ``thread``, ``process``, ...).
+    #: Stable registry name (``serial``, ``process``, ``remote``, ...).
     name: str = "abstract"
-
-    @abstractmethod
-    def run(
-        self,
-        specs: Sequence["CellSpec"],
-        emit: EmitFn = null_emit,
-        keys: Optional[Sequence[str]] = None,
-    ) -> List["CellResult"]:
-        """Compute every spec; the result list aligns with ``specs``.
-
-        ``specs`` are already deduplicated and cache-missed by the
-        engine.  ``keys``, when given, carries the specs' content
-        keys (aligned with ``specs``) so key-consuming backends
-        (sharding, future distribution) need not recompute them.
-        Implementations must be order-preserving and bit-identical to
-        the serial reference.
-        """
 
     def run_batches(
         self,
@@ -173,8 +98,9 @@ class ExecutorBackend(ABC):
         A batch (cells sharing benchmark/stage/scheme/overrides) is
         the engine's dispatch unit: problem construction, theta
         resolution and any vectorized scheme solve amortise over it,
-        and pool-based backends ship one batch per task.  The default
-        runs batches in order in-process; subclasses override the
+        and pool-based backends ship one batch per task.  Batches
+        arrive deduplicated and cache-missed by the engine.  The
+        default runs them in order in-process; subclasses override the
         scheduling only -- results must stay bit-identical to this
         reference (batches are pure functions of their specs).
         """
@@ -192,11 +118,6 @@ class ExecutorBackend(ABC):
 
     def close(self) -> None:
         """Release worker pools / remote connections (idempotent)."""
-
-    @property
-    def is_parallel(self) -> bool:
-        """Whether this backend can run cells concurrently."""
-        return False
 
     def describe(self) -> str:
         """Human-readable form for progress events (``process[4]``)."""

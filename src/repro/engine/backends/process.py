@@ -26,24 +26,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.engine.cells import (
-    CellBatch,
-    CellResult,
-    CellSpec,
-    compute_batch,
-    compute_cell,
-)
+from repro.engine.cells import CellBatch, CellResult, compute_batch
 
 from .base import (
     EmitFn,
     ExecutorBackend,
     emit_batch_cells,
-    expand_for_pool,
     needed_registry_names,
     null_emit,
-    reassemble_units,
 )
-from .serial import SerialBackend, _cell_fields
 
 __all__ = ["ProcessBackend", "pool_chunksize"]
 
@@ -52,7 +43,7 @@ def pool_chunksize(n_tasks: int, workers: int) -> int:
     """Chunk size for ``pool.map`` over ``n_tasks`` submissions.
 
     ``chunksize=1`` maximises balance but pays one IPC round-trip per
-    task -- for sub-millisecond cells that round-trip *is* the cost.
+    task -- for sub-millisecond batches that round-trip *is* the cost.
     A quarter of an even split (at least 1) keeps every worker busy
     with four waves while cutting round-trips by the chunk factor.
     """
@@ -86,12 +77,12 @@ def _missing_registry_message(
         "re-import the code (or forked before the registration) and do "
         f"not see schemes/workloads registered at runtime. "
         f"{BOOTSTRAP_REMEDY}; register from a module the workers "
-        "import, or use the thread or serial backend."
+        "import, or use the serial backend."
     )
 
 
 class ProcessBackend(ExecutorBackend):
-    """``concurrent.futures.ProcessPoolExecutor`` over ``compute_cell``."""
+    """``concurrent.futures.ProcessPoolExecutor`` over ``compute_batch``."""
 
     name = "process"
 
@@ -100,11 +91,6 @@ class ProcessBackend(ExecutorBackend):
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = int(workers)
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def is_parallel(self) -> bool:
-        """Concurrent whenever more than one worker is configured."""
-        return self.workers > 1
 
     def describe(self) -> str:
         """``process[N]`` where N is the worker count."""
@@ -124,7 +110,7 @@ class ProcessBackend(ExecutorBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _validate_registries(self, units: Sequence[CellBatch]) -> None:
+    def _validate_registries(self, batches: Sequence[CellBatch]) -> None:
         """Probe one worker's registries before shipping a dispatch.
 
         Raises the actionable ``RuntimeError`` when a scheme/workload
@@ -133,7 +119,7 @@ class ProcessBackend(ExecutorBackend):
         for the pool's actual state).  A pool too broken to probe is
         left for the dispatch path's loud serial fallback.
         """
-        needed_schemes, needed_benchmarks = needed_registry_names(units)
+        needed_schemes, needed_benchmarks = needed_registry_names(batches)
         try:
             pool = self._ensure_pool()
             schemes, benchmarks = pool.submit(
@@ -150,25 +136,32 @@ class ProcessBackend(ExecutorBackend):
                 )
             )
 
-    def _pooled_map(self, items, fn, on_result, serial_rest, emit):
-        """Run ``pool.map(fn, items)`` with the shared failure protocol.
+    def run_batches(
+        self,
+        batches: Sequence[CellBatch],
+        emit: EmitFn = null_emit,
+    ) -> List[List[CellResult]]:
+        """Ship one batch per pool task; registry-validate up front.
 
-        ``on_result(item, value)`` fires per delivered item (progress
-        events); a worker-side registry ``KeyError`` becomes the
-        actionable RuntimeError; a broken/denied pool degrades loudly
-        to ``serial_rest(remaining_items)`` for whatever the pool had
-        not yet delivered (delivered values are valid and already
-        emitted).
+        A worker-side registry ``KeyError`` becomes the actionable
+        RuntimeError; a broken/denied pool degrades loudly to the
+        serial reference for whatever the pool had not yet delivered
+        (delivered results are valid and already emitted).
         """
-        results = []
+        if len(batches) <= 1:
+            # one batch is cheaper in-process than a pool round-trip
+            return super().run_batches(batches, emit)
+        self._validate_registries(batches)
+        results: List[List[CellResult]] = []
         try:
             pool = self._ensure_pool()
-            chunk = pool_chunksize(len(items), self.workers)
-            for item, value in zip(
-                items, pool.map(fn, items, chunksize=chunk)
+            chunk = pool_chunksize(len(batches), self.workers)
+            for batch, cells in zip(
+                batches, pool.map(compute_batch, batches, chunksize=chunk)
             ):
-                on_result(item, value)
-                results.append(value)
+                # shared pool clock: completion without a timing claim
+                emit_batch_cells(emit, batch, seconds=None)
+                results.append(list(cells))
             return results
         except KeyError as exc:
             # a worker failed a registry lookup the submitting process
@@ -178,9 +171,8 @@ class ProcessBackend(ExecutorBackend):
                 f"worker process failed a registry lookup: {exc}. "
                 "Process-pool workers re-import the code and do not "
                 "see schemes/workloads registered at runtime; set "
-                "REPRO_BOOTSTRAP=module:function, use the thread or "
-                "serial backend, or register from a module the workers "
-                "import."
+                "REPRO_BOOTSTRAP=module:function, use the serial "
+                "backend, or register from a module the workers import."
             ) from exc
         except (OSError, BrokenProcessPool) as exc:
             print(
@@ -197,49 +189,6 @@ class ProcessBackend(ExecutorBackend):
             self._pool = None
             if broken is not None:
                 broken.shutdown(wait=False, cancel_futures=True)
-            return results + serial_rest(items[len(results):])
-
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        emit: EmitFn = null_emit,
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[CellResult]:
-        """Map cells over the pool (single cells stay in-process)."""
-        if len(specs) <= 1:
-            # a single pending cell is cheaper in-process than a pool
-            # round-trip (and keeps tiny warm reruns pool-free)
-            return SerialBackend().run(specs, emit)
-        return self._pooled_map(
-            list(specs),
-            compute_cell,
-            lambda spec, _: emit("cell_computed", **_cell_fields(spec)),
-            lambda rest: SerialBackend().run(rest, emit),
-            emit,
-        )
-
-    def run_batches(
-        self,
-        batches: Sequence[CellBatch],
-        emit: EmitFn = null_emit,
-    ) -> List[List[CellResult]]:
-        """Ship one batch per pool task; registry-validate up front."""
-        # vectorized batches ship whole; per-interval batches split
-        # (when the pool would otherwise starve) so their cells
-        # spread across workers instead of serialising in one task
-        units, origins = expand_for_pool(batches, self.workers)
-        if len(units) <= 1:
-            # one unit is cheaper in-process than a pool round-trip
-            return super().run_batches(batches, emit)
-        self._validate_registries(units)
-        unit_results = self._pooled_map(
-            units,
-            compute_batch,
-            # shared pool clock: completion without a timing claim
-            lambda unit, _: emit_batch_cells(emit, unit, seconds=None),
-            lambda rest: super(ProcessBackend, self).run_batches(rest, emit),
-            emit,
-        )
-        return reassemble_units(
-            batches, origins, [list(cells) for cells in unit_results]
-        )
+            return results + super().run_batches(
+                batches[len(results):], emit
+            )

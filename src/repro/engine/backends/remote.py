@@ -2,7 +2,7 @@
 
 :class:`RemoteBackend` is the multi-host seam the sharded backend was
 built to feed: it partitions pending cell batches into content-keyed
-shards (the same :func:`~repro.engine.backends.sharded.shard_of_batch`
+shards (the :func:`~repro.engine.backends.sharded.shard_of_batch`
 partition every host agrees on), ships whole shards to long-lived
 worker processes (``python -m repro worker --serve HOST:PORT``) over a
 length-prefixed canonical-JSON protocol, and merges the results back
@@ -493,11 +493,6 @@ class RemoteBackend(ExecutorBackend):
         # one worker_lost per outage, not one per dispatch attempt
         self._reported_lost: set = set()
 
-    @property
-    def is_parallel(self) -> bool:
-        """Remote dispatch is concurrent whenever >1 worker is configured."""
-        return len(self.addresses) > 1
-
     def describe(self) -> str:
         """``remote[N]`` where N is the configured worker count."""
         return f"remote[{len(self.addresses)}]"
@@ -639,23 +634,6 @@ class RemoteBackend(ExecutorBackend):
                 }
             )
         return reply, events
-
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        emit: EmitFn = null_emit,
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[CellResult]:
-        """Ship cells as singleton batches; flatten aligned results."""
-        if not specs:
-            return []
-        if keys is None:
-            keys = [spec.key() for spec in specs]
-        batches = [
-            CellBatch(specs=(spec,), keys=(key,))
-            for spec, key in zip(specs, keys)
-        ]
-        return [cells[0] for cells in self.run_batches(batches, emit)]
 
     def run_batches(
         self,

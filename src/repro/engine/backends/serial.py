@@ -1,53 +1,18 @@
-"""The deterministic reference backend: one cell at a time, in order."""
+"""The deterministic reference backend: one batch at a time, in order."""
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence
-
-from repro.engine.cells import CellResult, CellSpec, compute_cell
-
-from .base import EmitFn, ExecutorBackend, null_emit
+from .base import ExecutorBackend
 
 __all__ = ["SerialBackend"]
-
-
-def _cell_fields(spec: CellSpec) -> dict:
-    return {
-        "benchmark": spec.benchmark,
-        "stage": spec.stage,
-        "scheme": spec.scheme,
-        "interval": spec.interval,
-    }
 
 
 class SerialBackend(ExecutorBackend):
     """The in-process, in-order reference backend.
 
-    Every other backend must match its output bit for bit.  Batched
-    dispatch uses the base class's in-order ``run_batches`` (the
-    serial reference semantics *are* the default); ``run`` below is
-    the historical per-cell path, kept for single-cell fallbacks and
-    direct use.
+    Every other backend must match its output bit for bit.  It runs
+    the base class's in-order ``run_batches``: the serial reference
+    semantics *are* the default.
     """
 
     name = "serial"
-
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        emit: EmitFn = null_emit,
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[CellResult]:
-        """Evaluate cells one by one, in submission order."""
-        results: List[CellResult] = []
-        for spec in specs:
-            start = time.perf_counter()
-            cell = compute_cell(spec)
-            emit(
-                "cell_computed",
-                seconds=round(time.perf_counter() - start, 6),
-                **_cell_fields(spec),
-            )
-            results.append(cell)
-        return results

@@ -1,15 +1,15 @@
 """Content-keyed sharding over any inner backend.
 
-:class:`ShardedBackend` partitions a cell batch into ``n_shards``
-shards by each spec's *content key* -- the same SHA-256 the result
-cache addresses it by -- and dispatches shard after shard through an
+:class:`ShardedBackend` partitions cell batches into ``n_shards``
+shards by *content key* -- the same SHA-256 the result store
+addresses a cell by -- and dispatches shard after shard through an
 inner backend.  Shard membership is therefore a pure function of the
-cell itself: every host that ever shards the same batch agrees on the
-partition, which is exactly the property a future multi-host
-distributor needs (ship shard ``k`` of ``n`` to worker ``k``, merge by
-original position).  Within one host it also bounds a pool's in-flight
-batch and gives the event stream a natural progress unit
-(``shard_started`` / ``shard_finished``).
+cells themselves: every host that ever shards the same batches agrees
+on the partition, which is the property the remote backend relies on
+(ship shard ``k`` of ``n`` to a worker, merge by original position).
+Within one host it also bounds a pool's in-flight work and gives the
+event stream a natural progress unit (``shard_started`` /
+``shard_finished``).
 
 Results are reassembled into submission order, so a sharded run is
 bit-identical to the serial reference regardless of the inner
@@ -21,19 +21,12 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence
 
-from repro.engine.cells import CellBatch, CellResult, CellSpec
+from repro.engine.cells import CellBatch, CellResult
 
 from .base import EmitFn, ExecutorBackend, null_emit
 from .serial import SerialBackend
 
-__all__ = ["ShardedBackend", "shard_of", "shard_of_batch"]
-
-
-def shard_of(spec: CellSpec, n_shards: int) -> int:
-    """Deterministic shard index of a cell (content-keyed)."""
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    return int(spec.key()[:8], 16) % n_shards
+__all__ = ["ShardedBackend", "shard_of_batch"]
 
 
 def shard_of_batch(batch: CellBatch, n_shards: int) -> int:
@@ -65,11 +58,6 @@ class ShardedBackend(ExecutorBackend):
         self.inner = inner if inner is not None else SerialBackend()
         self.n_shards = int(n_shards)
 
-    @property
-    def is_parallel(self) -> bool:
-        """Parallel exactly when the inner backend is."""
-        return self.inner.is_parallel
-
     def describe(self) -> str:
         """``sharded[K x inner]`` with the shard count and inner form."""
         return f"sharded[{self.n_shards} x {self.inner.describe()}]"
@@ -77,49 +65,6 @@ class ShardedBackend(ExecutorBackend):
     def close(self) -> None:
         """Close the inner backend (idempotent)."""
         self.inner.close()
-
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        emit: EmitFn = null_emit,
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[CellResult]:
-        """Run content-keyed cell shards through the inner backend."""
-        # the engine hands down the content keys it already computed;
-        # standalone use falls back to hashing here
-        if keys is None:
-            keys = [spec.key() for spec in specs]
-        buckets: List[List[CellSpec]] = [[] for _ in range(self.n_shards)]
-        bucket_keys: List[List[str]] = [[] for _ in range(self.n_shards)]
-        positions: List[List[int]] = [[] for _ in range(self.n_shards)]
-        for i, (spec, key) in enumerate(zip(specs, keys)):
-            shard = int(key[:8], 16) % self.n_shards
-            buckets[shard].append(spec)
-            bucket_keys[shard].append(key)
-            positions[shard].append(i)
-
-        out: List[Optional[CellResult]] = [None] * len(specs)
-        for shard, (bucket, where) in enumerate(zip(buckets, positions)):
-            if not bucket:
-                continue
-            emit(
-                "shard_started",
-                shard=shard,
-                n_shards=self.n_shards,
-                n_cells=len(bucket),
-            )
-            start = time.perf_counter()
-            results = self.inner.run(bucket, emit, keys=bucket_keys[shard])
-            emit(
-                "shard_finished",
-                shard=shard,
-                n_shards=self.n_shards,
-                n_cells=len(bucket),
-                seconds=round(time.perf_counter() - start, 6),
-            )
-            for index, cell in zip(where, results):
-                out[index] = cell
-        return out  # type: ignore[return-value]
 
     def run_batches(
         self,

@@ -1,7 +1,7 @@
 """Worker registry bootstrap: import-time registrations, everywhere.
 
 Runtime scheme/workload registrations live in the registering process.
-That is fine for the serial and thread backends, but process-pool
+That is fine for the serial backend, but process-pool
 workers and remote workers re-import the code (or fork before the
 registration happened) and resolve cells against *their own* copy of
 the registries.  The distribution-safe pattern has always been

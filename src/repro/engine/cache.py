@@ -1,152 +1,29 @@
-"""Content-addressed result cache: the engine's default store stack.
+"""The memory(+disk) store stack under its historical name.
 
-Historically this module *was* the cache implementation; the storage
-layers now live in the pluggable :mod:`repro.engine.store` subsystem
-(:class:`~repro.engine.store.memory.MemoryStore`,
-:class:`~repro.engine.store.jsondir.JsonDirStore`,
-:class:`~repro.engine.store.tiered.TieredStore`).  :class:`ResultCache`
-remains as the convenience facade the engine and the tests build by
-default -- a tiered memory(+disk) store with the original accounting
-surface (:class:`CacheStats`, ``disk_hits`` included) and the original
-semantics: ``clear()`` drops the memory tier only, corrupt on-disk
-entries are misses reported through ``on_corrupt``, writes are atomic.
-
-New code that wants a specific layering should build a store directly
-(or via :func:`repro.engine.store.make_store`) and hand it to
-``ExperimentEngine(store=...)``.
+:class:`ResultCache` is a :class:`~repro.engine.store.tiered.TieredStore`
+of a :class:`~repro.engine.store.memory.MemoryStore`, plus a
+:class:`~repro.engine.store.jsondir.JsonDirStore` when a cache
+directory is given -- the stack ``make_store("tiered", cache_dir=...)``
+builds.  The engine builds its stores through
+:func:`repro.engine.store.make_store`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
-from .store import JsonDirStore, MemoryStore, TieredStore
+from .store import JsonDirStore, MemoryStore, ResultStore, TieredStore
 
-__all__ = ["CacheStats", "ResultCache"]
-
-
-@dataclass
-class CacheStats:
-    """Aggregate hit/miss accounting for one :class:`ResultCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-    puts: int = 0
-    corrupt: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups (hits plus misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when idle)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict image for logs and ``--stats`` output."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "puts": self.puts,
-            "corrupt": self.corrupt,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+__all__ = ["ResultCache"]
 
 
-class ResultCache:
-    """Tiered (memory, optional disk) payload store facade.
+class ResultCache(TieredStore):
+    """Memory tier, plus a jsondir tier under ``cache_dir`` when set."""
 
-    Parameters
-    ----------
-    cache_dir:
-        When set, a :class:`JsonDirStore` persistent tier mirrors
-        every payload to ``<cache_dir>/<key[:2]>/<key>.json`` and
-        lookups fall back to disk on a memory miss.  ``None`` keeps
-        the cache in-memory only.
-    on_corrupt:
-        Optional ``(key, path, error)`` callback invoked when a disk
-        entry is unreadable (truncated write, bit rot); the engine
-        wires this to its event stream.  Corrupt entries are treated
-        as misses -- recomputed and atomically overwritten -- never
-        raised out of a warm rerun.  The attribute stays assignable
-        after construction (the engine chains its emitter through it).
-    """
-
-    def __init__(
-        self,
-        cache_dir: Optional[Union[str, Path]] = None,
-        on_corrupt: Optional[Callable[[str, str, str], None]] = None,
-    ) -> None:
+    def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
         """Build the memory(+disk) tier stack."""
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._memory = MemoryStore()
-        self._disk: Optional[JsonDirStore] = None
-        tiers: List[Any] = [self._memory]
-        if self.cache_dir is not None:
-            self._disk = JsonDirStore(self.cache_dir)
-            tiers.append(self._disk)
-        self._store = TieredStore(tiers)
-        # a stable trampoline, so reassigning self.on_corrupt later
-        # (the engine's chaining) needs no store rewiring
-        self._store.on_corrupt = self._fire_corrupt
-        self.on_corrupt = on_corrupt
-
-    def _fire_corrupt(self, key: str, path: str, error: str) -> None:
-        if self.on_corrupt is not None:
-            self.on_corrupt(key, path, error)
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregate :class:`CacheStats` view over the tiers."""
-        aggregate = self._store.stats
-        return CacheStats(
-            hits=aggregate.hits,
-            misses=aggregate.misses,
-            disk_hits=self._disk.stats.hits if self._disk is not None else 0,
-            puts=aggregate.puts,
-            corrupt=aggregate.corrupt,
-        )
-
-    def get(self, key: str) -> Optional[Any]:
-        """Payload for ``key`` or ``None``; counts a hit or a miss."""
-        return self._store.get(key)
-
-    def put(self, key: str, payload: Any) -> None:
-        """Store a JSON-serialisable payload under ``key``.
-
-        The payload is sanitised first (numpy scalars -> Python
-        numbers, tuples -> lists), so memory and disk lookups return
-        the same shapes; a payload with no JSON image raises
-        ``TypeError`` before anything is stored.
-        """
-        self._store.put(key, payload)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether any tier holds ``key`` (no stats side effects)."""
-        return key in self._store
-
-    def __len__(self) -> int:
-        """Entries currently held in the memory tier."""
-        return len(self._memory)
-
-    def clear(self) -> None:
-        """Drop the in-memory layer (the disk layer is left intact)."""
-        self._memory.clear()
-
-    # ------------------------------------------------------------------
-    # store-protocol surface (the engine treats caches and stores alike)
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        """The underlying tier stack's description."""
-        return self._store.describe()
-
-    def tier_stats(self) -> List[Dict[str, Any]]:
-        """Per-tier stats records (memory first, then disk if any)."""
-        return self._store.tier_stats()
+        tiers: List[ResultStore] = [MemoryStore()]
+        if cache_dir is not None:
+            tiers.append(JsonDirStore(cache_dir))
+        super().__init__(tiers)

@@ -407,32 +407,6 @@ def group_cells(
     return batches
 
 
-def batch_is_vectorized(batch: CellBatch) -> bool:
-    """Whether the batch's scheme solves all intervals in one pass.
-
-    True for offline schemes declaring a ``batch_solver``.  Pool
-    backends use this to pick the dispatch grain: a vectorized
-    batch ships whole (splitting it would forfeit the one-pass
-    solve), while a per-interval batch (e.g. ``online``: one RNG
-    stream per cell) is split so its cells spread across workers.
-    """
-    return SCHEME_REGISTRY.get(batch.specs[0].scheme).supports_batch
-
-
-def split_batch(batch: CellBatch) -> List[CellBatch]:
-    """Split into one singleton batch per cell.
-
-    The pool-dispatch grain for schemes that evaluate per interval
-    anyway.
-    """
-    if batch.keys is not None:
-        return [
-            CellBatch(specs=(spec,), keys=(key,))
-            for spec, key in zip(batch.specs, batch.keys)
-        ]
-    return [CellBatch(specs=(spec,)) for spec in batch.specs]
-
-
 def compute_batch(batch: CellBatch) -> Tuple[CellResult, ...]:
     """Evaluate a batch (a pure function of the batch).
 

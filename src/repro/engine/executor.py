@@ -4,9 +4,9 @@
 CLI and the benchmark harness go through:
 
 * ``run_cells(specs)`` -- evaluate experiment cells, deduplicated and
-  cache-backed, on a pluggable :class:`ExecutorBackend` (serial,
-  thread pool, process pool, content-keyed shards over any of them,
-  or remote workers).  Every backend produces bit-identical
+  store-backed, on a pluggable :class:`ExecutorBackend` (serial,
+  process pool, content-keyed shards over either, or remote
+  workers).  Every backend produces bit-identical
   :class:`~repro.engine.cells.CellResult` lists because cells are pure
   functions of their specs.
 * ``experiment(key_parts, thunk)`` -- whole-figure memoisation: the
@@ -33,10 +33,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro.serialization import content_key
 
 from .backends import ExecutorBackend, make_backend
-from .cache import CacheStats, ResultCache
 from .cells import CellResult, CellSpec, group_cells
 from .events import EngineEvent, EventCallback
-from .store import ResultStore, make_store
+from .store import ResultStore, StoreStats, default_store_name, make_store
 
 __all__ = ["ExperimentEngine"]
 
@@ -72,7 +71,7 @@ def _decode_value(payload: Dict[str, Any]) -> Any:
 
 
 class ExperimentEngine:
-    """Cell executor + result cache for one session.
+    """Cell executor + result store for one session.
 
     Parameters
     ----------
@@ -81,25 +80,23 @@ class ExperimentEngine:
         ``1`` select the serial path; larger values run a pool of
         exactly that size (oversubscribing a small machine is
         allowed -- results are identical either way).
-    cache:
-        A :class:`ResultCache`; defaults to a fresh in-memory cache.
     cache_dir:
-        Convenience: build the cache with this on-disk directory.
+        On-disk directory for the persistent store tier.
     store:
         A :class:`~repro.engine.store.ResultStore` instance, or a
         registered store name (``memory`` / ``jsondir`` / ``tiered``,
         the CLI's ``--store``).  A name is built through
         :func:`~repro.engine.store.make_store` with ``cache_dir``
-        forwarded.  Mutually exclusive with ``cache``; when neither
-        is given the engine builds a :class:`ResultCache` (memory, or
-        memory+disk when ``cache_dir`` is set).
+        forwarded.  Default: ``tiered`` (memory + disk) when
+        ``cache_dir`` is set, else ``memory``.
     backend:
         An :class:`ExecutorBackend` instance, or a registered backend
-        name (``serial`` / ``thread`` / ``process`` / ``sharded`` /
-        ``remote``).  Default: ``remote`` when ``remote_workers`` is
-        given, ``process`` when ``jobs > 1``, else ``serial``.
+        name (``serial`` / ``process`` / ``sharded`` / ``remote``).
+        Default: ``remote`` when ``remote_workers`` is given,
+        ``process`` when ``jobs > 1``, else ``serial``.
     shards:
-        Shard count for the ``sharded`` backend (ignored otherwise).
+        Shard count for the ``sharded`` backend (an error for any
+        other backend).
     remote_workers:
         Remote worker addresses for the ``remote`` backend -- the
         CLI's ``host1:port,host2:port`` string or a sequence of
@@ -110,7 +107,6 @@ class ExperimentEngine:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
         cache_dir: Optional[str] = None,
         backend: Union[ExecutorBackend, str, None] = None,
         shards: Optional[int] = None,
@@ -118,10 +114,6 @@ class ExperimentEngine:
         store: Union[ResultStore, str, None] = None,
         worker_token: Optional[str] = None,
     ):
-        if cache is not None and cache_dir is not None:
-            raise ValueError("pass either cache or cache_dir, not both")
-        if cache is not None and store is not None:
-            raise ValueError("pass either cache or store, not both")
         if (
             store is not None
             and not isinstance(store, str)
@@ -150,26 +142,19 @@ class ExperimentEngine:
                 remote_workers=remote_workers,
                 worker_token=worker_token,
             )
-        if isinstance(store, str):
-            self.cache = make_store(store, cache_dir=cache_dir)
-        elif store is not None:
-            self.cache = store
-        else:
-            self.cache = (
-                cache
-                if cache is not None
-                else ResultCache(cache_dir=cache_dir)  # type: ignore[arg-type]
+        if store is None or isinstance(store, str):
+            self.store = make_store(
+                store or default_store_name(cache_dir), cache_dir=cache_dir
             )
-        #: Alias for the configured store (``cache`` predates the
-        #: pluggable store subsystem and remains the canonical slot).
-        self.store = self.cache
+        else:
+            self.store = store
         # corrupt on-disk entries are skipped, counted and surfaced
         # through the event stream rather than crashing warm reruns;
-        # a callback already on a caller-supplied (or shared) cache
+        # a callback already on a caller-supplied (or shared) store
         # keeps firing -- this engine's emitter chains after it, and
         # close() unchains so dead engines never receive ghost events
         self._closed = False
-        self._previous_on_corrupt = self.cache.on_corrupt
+        self._previous_on_corrupt = self.store.on_corrupt
 
         def _chained(key: str, path: str, error: str) -> None:
             if self._previous_on_corrupt is not None:
@@ -178,7 +163,7 @@ class ExperimentEngine:
                 self._cache_corrupt(key, path, error)
 
         self._chained_on_corrupt = _chained
-        self.cache.on_corrupt = _chained
+        self.store.on_corrupt = _chained
         self._subscribers: List[EventCallback] = []
         self.cells_computed = 0
         self.experiments_computed = 0
@@ -187,20 +172,9 @@ class ExperimentEngine:
     # lifecycle
     # ------------------------------------------------------------------
     @property
-    def parallel(self) -> bool:
-        """Whether the configured backend runs cells concurrently."""
-        return self.backend.is_parallel
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss accounting of this engine's result store.
-
-        A :class:`CacheStats` for the default :class:`ResultCache`, a
-        :class:`~repro.engine.store.StoreStats` for a custom store --
-        both expose ``hits`` / ``misses`` / ``puts`` / ``corrupt``
-        and ``as_dict()``.
-        """
-        return self.cache.stats
+    def stats(self) -> StoreStats:
+        """Aggregate hit/miss accounting of this engine's result store."""
+        return self.store.stats
 
     def store_stats(self) -> List[Dict[str, Any]]:
         """Per-tier stats records of the configured store.
@@ -210,20 +184,17 @@ class ExperimentEngine:
         puts, corrupt, ...}``.  Flows into the ``store_stats`` event
         and the CLI's ``--stats`` output.
         """
-        tier_stats = getattr(self.cache, "tier_stats", None)
-        if tier_stats is not None:
-            return tier_stats()
-        return [{"store": "cache", **self.cache.stats.as_dict()}]
+        return self.store.tier_stats()
 
     def close(self) -> None:
-        """Release the backend and detach from the shared cache."""
+        """Release the backend and detach from the shared store."""
         self.backend.close()
-        # detach from the cache: restore the previous callback when we
+        # detach from the store: restore the previous callback when we
         # are still the top of the chain, and in any case stop emitting
         # (an engine wrapped later keeps its own link to the previous)
         self._closed = True
-        if self.cache.on_corrupt is self._chained_on_corrupt:
-            self.cache.on_corrupt = self._previous_on_corrupt
+        if self.store.on_corrupt is self._chained_on_corrupt:
+            self.store.on_corrupt = self._previous_on_corrupt
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -259,7 +230,7 @@ class ExperimentEngine:
     def run_cells(self, specs: Sequence[CellSpec]) -> List[CellResult]:
         """Evaluate cells; the returned list is aligned with ``specs``.
 
-        Duplicate specs are computed once.  Cached cells (from this
+        Duplicate specs are computed once.  Stored cells (from this
         session or a shared ``cache_dir``) are never recomputed.
         Scheduling cannot affect values -- cells are pure -- so every
         backend agrees with the serial reference bit-for-bit.
@@ -272,7 +243,7 @@ class ExperimentEngine:
         for spec, key in zip(specs, keys):
             if key in results:
                 continue
-            payload = self.cache.get(key)
+            payload = self.store.get(key)
             if payload is not None:
                 results[key] = CellResult.from_payload(payload)
                 cached.append(spec)
@@ -324,7 +295,7 @@ class ExperimentEngine:
                 batches, self.backend.run_batches(batches, dispatch_emit)
             ):
                 for key, cell in zip(batch.keys, cells):
-                    self.cache.put(key, cell.to_payload())
+                    self.store.put(key, cell.to_payload())
                     results[key] = cell
                     n_returned += 1
             n_computed = n_returned - worker_cached
@@ -353,12 +324,12 @@ class ExperimentEngine:
         """
         key = content_key("experiment", list(key_parts))
         label = str(key_parts[0]) if len(key_parts) else ""
-        payload = self.cache.get(key)
+        payload = self.store.get(key)
         if payload is not None:
             self._emit("experiment_cached", experiment=label)
             return _decode_value(payload)
         value = thunk()
         self.experiments_computed += 1
-        self.cache.put(key, _encode_value(value))
+        self.store.put(key, _encode_value(value))
         self._emit("experiment_computed", experiment=label)
         return value

@@ -16,8 +16,8 @@ set open:
   enumerate -- so a registered synthetic workload flows through
   ``python -m repro headline`` with no driver changes.
 
-Registrations live in the registering process: the serial/thread
-backends always see them, while process-pool worker visibility depends
+Registrations live in the registering process: the serial backend
+always sees them, while process-pool worker visibility depends
 on the start method (fork inherits pre-pool registrations, spawn
 re-imports and sees none) -- register at import time for portable
 process-backend runs.

@@ -9,13 +9,14 @@ from repro.engine import (
     ProcessBackend,
     SerialBackend,
     ShardedBackend,
-    ThreadBackend,
     backend_names,
     benchmark_specs,
+    group_cells,
     make_backend,
 )
 from repro.engine.backends import register_backend
-from repro.engine.backends.sharded import shard_of
+from repro.engine.backends.sharded import shard_of_batch
+from repro.engine.cells import CellBatch
 
 
 def _specs():
@@ -27,13 +28,12 @@ def _specs():
 
 class TestFactory:
     def test_in_tree_backends_registered(self):
-        assert {"serial", "thread", "process", "sharded", "remote"} <= set(
+        assert {"serial", "process", "sharded", "remote"} <= set(
             backend_names()
         )
 
     def test_make_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread", workers=3), ThreadBackend)
         assert isinstance(make_backend("process", workers=3), ProcessBackend)
         sharded = make_backend("sharded", workers=1, shards=5)
         assert isinstance(sharded, ShardedBackend)
@@ -55,7 +55,7 @@ class TestFactory:
 
     def test_duplicate_backend_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda workers, shards: SerialBackend())
+            register_backend("serial", lambda workers: SerialBackend())
 
     def test_engine_accepts_backend_instance(self):
         backend = SerialBackend()
@@ -71,22 +71,8 @@ class TestFactory:
     def test_explicit_single_worker_is_honoured(self):
         """--jobs 1 --backend process must not be bumped to 2 workers."""
         assert make_backend("process", workers=1).workers == 1
-        assert make_backend("thread", workers=1).workers == 1
-
-    def test_parallel_property_tracks_backend(self):
-        assert not ExperimentEngine().parallel
-        assert not ExperimentEngine(backend=ThreadBackend(workers=1)).parallel
-        assert ExperimentEngine(backend=ThreadBackend(workers=2)).parallel
-        assert not ExperimentEngine(
-            backend=ShardedBackend(n_shards=3)
-        ).parallel  # serial inner
-        assert ExperimentEngine(
-            backend=ShardedBackend(inner=ThreadBackend(workers=2))
-        ).parallel
 
     def test_invalid_worker_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ThreadBackend(workers=0)
         with pytest.raises(ValueError):
             ProcessBackend(workers=0)
         with pytest.raises(ValueError):
@@ -95,21 +81,21 @@ class TestFactory:
 
 class TestSharding:
     def test_shard_assignment_is_content_keyed(self):
-        spec = CellSpec("radix", "decode", "synts")
-        again = CellSpec("radix", "decode", "synts")
-        assert shard_of(spec, 7) == shard_of(again, 7)
-        assert 0 <= shard_of(spec, 7) < 7
+        batch = CellBatch(specs=(CellSpec("radix", "decode", "synts"),))
+        again = CellBatch(specs=(CellSpec("radix", "decode", "synts"),))
+        assert shard_of_batch(batch, 7) == shard_of_batch(again, 7)
+        assert 0 <= shard_of_batch(batch, 7) < 7
 
     def test_results_reassembled_in_submission_order(self):
-        specs = _specs()
-        serial = SerialBackend().run(specs)
-        sharded = ShardedBackend(n_shards=3).run(specs)
+        batches = group_cells(_specs())
+        serial = SerialBackend().run_batches(batches)
+        sharded = ShardedBackend(n_shards=3).run_batches(batches)
         assert sharded == serial
 
     def test_more_shards_than_cells(self):
-        specs = _specs()[:2]
-        sharded = ShardedBackend(n_shards=64).run(specs)
-        assert sharded == SerialBackend().run(specs)
+        batches = group_cells(_specs()[:2])
+        sharded = ShardedBackend(n_shards=64).run_batches(batches)
+        assert sharded == SerialBackend().run_batches(batches)
 
     def test_shard_events_cover_every_cell(self):
         eng = ExperimentEngine(backend=ShardedBackend(n_shards=3))
@@ -200,24 +186,25 @@ class TestEventStream:
 
 class TestEngineCacheDetachment:
     def test_closed_engine_stops_receiving_corrupt_events(self, tmp_path):
-        """close() must detach the engine from a shared cache: no
+        """close() must detach the engine from a shared store: no
         ghost events into dead sessions, previous callback restored."""
         from repro.engine import ResultCache
 
         seen = []
         original = lambda k, p, e: seen.append(k)  # noqa: E731
-        cache = ResultCache(cache_dir=tmp_path, on_corrupt=original)
+        cache = ResultCache(cache_dir=tmp_path)
+        cache.on_corrupt = original
         spec = _specs()[0]
-        first = ExperimentEngine(cache=cache)
+        first = ExperimentEngine(store=cache)
         first.run_cells([spec])
         first_log = first.subscribe(EventLog())
         first.close()
         assert cache.on_corrupt is original  # caller's callback restored
 
-        cache.clear()  # force the disk path on the next lookup
+        cache.tiers[0].clear()  # force the disk path on the next lookup
         path = tmp_path / spec.key()[:2] / f"{spec.key()}.json"
         path.write_text("{broken")
-        second = ExperimentEngine(cache=cache)
+        second = ExperimentEngine(store=cache)
         second_log = second.subscribe(EventLog())
         second.run_cells([spec])
         assert first_log.of_kind("cache_corrupt") == []  # no ghosts
@@ -255,7 +242,7 @@ class TestProcessBackendRegistryVisibility:
                 benchmark_specs("synth_proc_late", "decode", "synts")
                 + benchmark_specs("synth_proc_late", "simple_alu", "synts")
             )
-            with pytest.raises(RuntimeError, match="thread or serial") as err:
+            with pytest.raises(RuntimeError, match="use the serial backend") as err:
                 eng.run_cells(specs)
             assert "REPRO_BOOTSTRAP" in str(err.value)
             # the probe fired before dispatch: no synthetic cell ran
@@ -280,20 +267,3 @@ class TestProcessBackendRegistryVisibility:
         finally:
             eng.close()
             unregister_workload("synth_proc_single")
-
-
-class TestThreadBackendRegistryVisibility:
-    def test_thread_backend_sees_runtime_registrations(self):
-        """Threads share the submitting process's registries -- the
-        documented reason to prefer them for ad-hoc schemes/workloads."""
-        from repro.workloads import register_synthetic, unregister_workload
-
-        register_synthetic("synth_threaded", heterogeneity=2.5)
-        try:
-            eng = ExperimentEngine(jobs=2, backend="thread")
-            specs = list(benchmark_specs("synth_threaded", "decode", "synts"))
-            results = eng.run_cells(specs)
-            assert len(results) == len(specs)
-            eng.close()
-        finally:
-            unregister_workload("synth_threaded")

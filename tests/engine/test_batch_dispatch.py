@@ -120,7 +120,7 @@ class TestBatchedDispatchEquivalence:
         with ExperimentEngine(backend="serial") as eng:
             return specs, eng.run_cells(specs)
 
-    @pytest.mark.parametrize("backend", ("thread", "process", "sharded"))
+    @pytest.mark.parametrize("backend", ("process", "sharded"))
     def test_backend_matches_serial(self, serial_reference, backend):
         specs, reference = serial_reference
         with ExperimentEngine(jobs=4, backend=backend) as eng:
@@ -154,62 +154,55 @@ class TestBatchedDispatchEquivalence:
         assert all(e.get("seconds") >= 0 for e in computed)
 
 
+class _RecordingPool:
+    """Stands in for the process pool: records the units ``map`` ships
+    and evaluates them in-process."""
+
+    def __init__(self):
+        self.units = []
+
+    def map(self, fn, items, chunksize=1):
+        self.units.extend(items)
+        return map(fn, items)
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+def _shipped_units(batches):
+    """The units a 2-worker ProcessBackend hands its pool for
+    ``batches``, checked against the serial reference."""
+    from repro.engine import ProcessBackend, SerialBackend
+
+    backend = ProcessBackend(workers=2)
+    backend._pool = pool = _RecordingPool()
+    backend._validate_registries = lambda batches: None
+    assert backend.run_batches(batches) == SerialBackend().run_batches(
+        batches
+    )
+    return pool.units
+
+
 class TestPoolDispatchGrain:
     def test_vectorized_batches_ship_whole(self):
-        from repro.engine.backends.base import expand_for_pool
-
-        batches = group_cells(list(benchmark_specs("radix", "decode", "synts")))
-        units, origins = expand_for_pool(batches, workers=4)
-        assert len(units) == 1 and origins == [(0, None)]
-
-    def test_per_interval_batches_split_across_workers(self):
-        """Schemes without a batch solver (online: per-cell RNG) must
-        not serialise inside one pool task when the batch count alone
-        would starve the pool -- their cells become singleton units so
-        --jobs still buys parallelism."""
-        from repro.engine.backends.base import (
-            expand_for_pool,
-            reassemble_units,
+        batches = group_cells(
+            list(benchmark_specs("radix", "decode", "synts"))
+            + list(benchmark_specs("fmm", "decode", "synts"))
         )
-
-        specs = list(
-            benchmark_specs("radix", "decode", "online", seed=1, n_samp=5_000)
-        )
-        batches = group_cells(specs, keys=[s.key() for s in specs])
-        units, origins = expand_for_pool(batches, workers=2)
-        assert len(units) == len(specs)
-        assert all(len(u) == 1 for u in units)
-        assert [o[0] for o in origins] == [0] * len(specs)
-        unit_results = [list(compute_batch(u)) for u in units]
-        (reassembled,) = reassemble_units(batches, origins, unit_results)
-        assert reassembled == [compute_cell(s) for s in specs]
+        assert _shipped_units(batches) == batches
 
     def test_no_split_when_batches_already_fill_the_pool(self):
-        """With plenty of batches, splitting per-interval groups buys
-        no parallelism and only pays IPC -- batches ship whole."""
-        from repro.engine.backends.base import expand_for_pool
-
+        """Per-interval batches (online: per-cell RNG) ship whole too:
+        one pool task per batch, never one per cell."""
         specs = []
         for benchmark in ("radix", "fmm", "cholesky", "barnes"):
             specs += list(
-                benchmark_specs(benchmark, "decode", "online", seed=1)
+                benchmark_specs(
+                    benchmark, "decode", "online", seed=1, n_samp=5_000
+                )
             )
         batches = group_cells(specs)
-        units, origins = expand_for_pool(batches, workers=2)
-        assert len(units) == len(batches)
-        assert all(ci is None for _, ci in origins)
-
-    def test_single_online_group_still_parallel_on_pool(self):
-        """End to end: one online group through a process pool equals
-        serial (and actually exercises the pool, not the single-batch
-        in-process shortcut)."""
-        specs = list(
-            benchmark_specs("fmm", "decode", "online", seed=5, n_samp=5_000)
-        )
-        with ExperimentEngine(backend="serial") as eng:
-            reference = eng.run_cells(specs)
-        with ExperimentEngine(jobs=2, backend="process") as eng:
-            assert eng.run_cells(specs) == reference
+        assert _shipped_units(batches) == batches
 
 
 class TestPoolChunksize:

@@ -1,4 +1,5 @@
-"""Result-cache behaviour: accounting, layering, disk round trips."""
+"""The memory(+disk) ``ResultCache`` stack: accounting, layering,
+disk round trips."""
 
 import json
 
@@ -24,16 +25,20 @@ class TestStats:
         assert key not in cache
         cache.put(key, [1, 2])
         assert key in cache
-        assert len(cache) == 1
+        assert len(cache.tiers[0]) == 1
 
     def test_clear_keeps_disk(self, tmp_path):
+        """Dropping the memory tier loses nothing: the next read falls
+        through to disk and promotes the entry back."""
         cache = ResultCache(cache_dir=tmp_path)
+        memory, disk = cache.tiers
         key = content_key("y")
         cache.put(key, {"v": 2})
-        cache.clear()
-        assert len(cache) == 0
+        memory.clear()
+        assert len(memory) == 0
         assert cache.get(key) == {"v": 2}
-        assert cache.stats.disk_hits == 1
+        assert disk.stats.hits == 1
+        assert len(memory) == 1
 
 
 class TestDisk:
@@ -43,11 +48,12 @@ class TestDisk:
         first.put(key, {"rows": [[1, 2.5, "a"]], "note": None})
 
         second = ResultCache(cache_dir=tmp_path)
+        disk = second.tiers[1]
         assert second.get(key) == {"rows": [[1, 2.5, "a"]], "note": None}
-        assert second.stats.disk_hits == 1
+        assert disk.stats.hits == 1
         # promoted to memory: the next lookup does not touch disk
         assert second.get(key) is not None
-        assert second.stats.disk_hits == 1
+        assert disk.stats.hits == 1
 
     def test_entries_are_plain_json_files(self, tmp_path):
         key = content_key("inspectable")
@@ -92,10 +98,8 @@ class TestDisk:
         path = tmp_path / key[:2] / f"{key}.json"
         path.write_text('{"v": 5')  # truncated write
         seen = []
-        fresh = ResultCache(
-            cache_dir=tmp_path,
-            on_corrupt=lambda k, p, err: seen.append((k, p, err)),
-        )
+        fresh = ResultCache(cache_dir=tmp_path)
+        fresh.on_corrupt = lambda k, p, err: seen.append((k, p, err))
         assert fresh.get(key) is None
         assert seen and seen[0][0] == key and str(path) in seen[0][1]
 
@@ -110,11 +114,9 @@ class TestDisk:
         path.write_text("{broken")
 
         seen = []
-        cache = ResultCache(
-            cache_dir=tmp_path,
-            on_corrupt=lambda k, p, e: seen.append(k),
-        )
-        eng = ExperimentEngine(cache=cache)
+        cache = ResultCache(cache_dir=tmp_path)
+        cache.on_corrupt = lambda k, p, e: seen.append(k)
+        eng = ExperimentEngine(store=cache)
         events = eng.subscribe(EventLog())
         eng.run_cells([spec])
         assert seen == [spec.key()]  # caller's callback still fires

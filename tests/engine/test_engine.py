@@ -123,7 +123,7 @@ class TestRunCells:
         warm = ExperimentEngine(cache_dir=tmp_path)
         b = warm.run_cells(specs)
         assert warm.cells_computed == 0
-        assert warm.stats.disk_hits == len(specs)
+        assert warm.store.tiers[1].stats.hits == len(specs)  # jsondir
         assert a == b
 
     def test_totals_shape(self):

@@ -11,7 +11,6 @@ import pytest
 from repro.engine import (
     EventLog,
     ExperimentEngine,
-    ResultCache,
     benchmark_specs,
 )
 
@@ -104,7 +103,7 @@ class TestCacheCorruptFidelity:
         key = spec.key()
         cache_dir = tmp_path / backend
         # a warm cache with one corrupt entry
-        seed = ExperimentEngine(cache=ResultCache(cache_dir=cache_dir))
+        seed = ExperimentEngine(cache_dir=str(cache_dir))
         seed.run_cells([spec])
         seed.close()
         path = cache_dir / key[:2] / f"{key}.json"
@@ -117,7 +116,7 @@ class TestCacheCorruptFidelity:
             else {}
         )
         engine = ExperimentEngine(
-            backend=backend, cache=ResultCache(cache_dir=cache_dir), **kwargs
+            backend=backend, cache_dir=str(cache_dir), **kwargs
         )
         log = engine.subscribe(EventLog())
         engine.run_cells([spec])

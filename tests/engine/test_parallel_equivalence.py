@@ -31,11 +31,11 @@ GOLDEN_TABLE_5_1 = Path(__file__).resolve().parents[1] / "golden" / "table_5_1.j
 #: Backends swept against the serial reference.  ``sharded`` wraps a
 #: 4-worker ProcessBackend -- the acceptance configuration; ``remote``
 #: ships shards to two loopback worker subprocesses.
-EQUIVALENCE_BACKENDS = ("thread", "process", "sharded", "remote")
+EQUIVALENCE_BACKENDS = ("process", "sharded", "remote")
 
 #: The in-process subset (hypothesis sweeps these without paying a
 #: worker-subprocess spin-up per example).
-LOCAL_BACKENDS = ("thread", "process", "sharded")
+LOCAL_BACKENDS = ("process", "sharded")
 
 
 def _figure_cell_set():

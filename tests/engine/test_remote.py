@@ -74,12 +74,6 @@ class TestFactory:
         )
         assert isinstance(backend, RemoteBackend)
         assert backend.describe() == "remote[2]"
-        assert backend.is_parallel
-        backend.close()
-
-    def test_single_worker_is_not_parallel(self):
-        backend = RemoteBackend("host1:7700")
-        assert not backend.is_parallel
         backend.close()
 
     def test_other_backends_reject_remote_workers_option(self):

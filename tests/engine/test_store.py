@@ -144,7 +144,7 @@ class TestJsonDirStore:
         JsonDirStore(tmp_path / "b").put(key, {"v": 8})
         cache = ResultCache(cache_dir=tmp_path / "b")
         assert cache.get(key) == {"v": 8}
-        assert cache.stats.disk_hits == 1
+        assert cache.tiers[1].stats.hits == 1  # jsondir
         path = tmp_path / "b" / key[:2] / f"{key}.json"
         assert json.loads(path.read_text()) == {"v": 8}
 
@@ -298,8 +298,6 @@ class TestEngineStoreOption:
     def test_engine_rejects_cache_and_store(self, tmp_path):
         from repro.engine import ExperimentEngine
 
-        with pytest.raises(ValueError, match="not both"):
-            ExperimentEngine(cache=ResultCache(), store="memory")
         with pytest.raises(ValueError, match="not both"):
             ExperimentEngine(
                 store=MemoryStore(), cache_dir=str(tmp_path)

@@ -66,7 +66,7 @@ class TestLocalStoreConfigurations:
     def test_result_cache_facade_matches(self, serial_reference, tmp_path):
         specs, reference = serial_reference
         with ExperimentEngine(
-            cache=ResultCache(cache_dir=tmp_path)
+            store=ResultCache(cache_dir=tmp_path)
         ) as eng:
             assert eng.run_cells(specs) == reference
 
