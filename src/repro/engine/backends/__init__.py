@@ -72,8 +72,6 @@ def _make_serial(workers: int) -> ExecutorBackend:
 def _make_process(workers: int) -> ExecutorBackend:
     from .process import ProcessBackend
 
-    # the worker count is honoured exactly: --jobs 1 --backend process
-    # really is a one-worker pool (constrained machines rely on it)
     return ProcessBackend(workers=workers)
 
 

@@ -2,7 +2,7 @@
 
 :class:`RemoteBackend` is the multi-host seam the sharded backend was
 built to feed: it partitions pending cell batches into content-keyed
-shards (the :func:`~repro.engine.backends.sharded.shard_of_batch`
+shards (the same :func:`~repro.engine.backends.sharded.shard_of_batch`
 partition every host agrees on), ships whole shards to long-lived
 worker processes (``python -m repro worker --serve HOST:PORT``) over a
 length-prefixed canonical-JSON protocol, and merges the results back
