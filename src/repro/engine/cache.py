@@ -27,3 +27,7 @@ class ResultCache(TieredStore):
         if cache_dir is not None:
             tiers.append(JsonDirStore(cache_dir))
         super().__init__(tiers)
+
+    def clear(self) -> None:
+        """Drop the memory tier; the disk tier is left intact."""
+        self.tiers[0].clear()

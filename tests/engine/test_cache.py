@@ -28,13 +28,13 @@ class TestStats:
         assert len(cache.tiers[0]) == 1
 
     def test_clear_keeps_disk(self, tmp_path):
-        """Dropping the memory tier loses nothing: the next read falls
+        """``clear()`` drops only the memory tier: the next read falls
         through to disk and promotes the entry back."""
         cache = ResultCache(cache_dir=tmp_path)
         memory, disk = cache.tiers
         key = content_key("y")
         cache.put(key, {"v": 2})
-        memory.clear()
+        cache.clear()
         assert len(memory) == 0
         assert cache.get(key) == {"v": 2}
         assert disk.stats.hits == 1

@@ -24,7 +24,8 @@ and names the first difference.  It requires exact equality when the
 installed numpy and scipy match the file's ``versions`` (or the file
 has none), and agreement to :data:`REL_TOL` relative when they differ.
 A change that moves values on purpose reruns this tool and shows the
-diff.  Pin another experiment by adding it to :data:`GOLDEN`.
+diff.  Every registered experiment and ablation is pinned; one that
+needs extras gets a producer in ``_EXTRAS``.
 
 The tool also pins content keys in ``tests/golden/keys/content_keys.json``
 (a subdirectory, so the per-experiment ``*.json`` set stays exact): the
@@ -79,21 +80,26 @@ def _no_extras() -> Dict[str, List[List[str]]]:
     return {}
 
 
-_EXPERIMENT_IDS = (
-    "fig_1_2", "fig_3_5", "fig_3_6", "fig_4_7", "fig_5_10", "fig_6_11",
-    "fig_6_12", "fig_6_13", "fig_6_14", "fig_6_15", "fig_6_16",
-    "fig_6_17", "fig_6_18", "sec_6_3", "headline",
-)
-_ABLATION_NAMES = (
-    "sampling_budget", "heterogeneity", "replay_penalty", "voltage_levels",
-    "leakage", "sync_topology", "process_variation",
-)
+#: experiment id -> producer of its ``extras``, for the experiments
+#: that pin more than their payload
+_EXTRAS = {"table_5_1": _table_5_1_extras}
 
-#: experiment id -> producer of its ``extras`` (the pinned experiments)
+
+def _golden_ids() -> List[str]:
+    """Every ``EXPERIMENTS`` id, then ``ablation_<name>`` for every
+    ``ABLATIONS`` entry."""
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.ablations import ABLATIONS
+
+    return [*EXPERIMENTS, *(f"ablation_{name}" for name in ABLATIONS)]
+
+
+#: experiment id -> producer of its ``extras``: every registered
+#: experiment and ablation, so a newly registered one has no golden
+#: file until this tool writes it, and the golden tests say so
 GOLDEN: Dict[str, Callable[[], Dict[str, List[List[str]]]]] = {
-    "table_5_1": _table_5_1_extras,
-    **{name: _no_extras for name in _EXPERIMENT_IDS},
-    **{f"ablation_{name}": _no_extras for name in _ABLATION_NAMES},
+    experiment_id: _EXTRAS.get(experiment_id, _no_extras)
+    for experiment_id in _golden_ids()
 }
 
 #: Goldens computed on plain Python floats: no ``versions`` header,
