@@ -26,6 +26,9 @@ __all__ = ["RING_CALIBRATION", "RingOscillatorSweep", "sweep_ring_oscillator"]
 #: 0.72 V knee, which a single alpha-power device cannot bend around.
 RING_CALIBRATION = InverterParams(vth=0.52, alpha=0.9)
 
+#: The supply Table 5.1 normalises every period to.
+REFERENCE_VDD = 1.0
+
 
 @dataclass(frozen=True)
 class RingOscillatorSweep:
@@ -72,7 +75,10 @@ def sweep_ring_oscillator(
     n_stages:
         Odd number of inverters in the ring.
     voltages:
-        Supply levels to sweep; defaults to the paper's seven.
+        Supply levels to sweep; defaults to the paper's seven.  At
+        least one must be a Table 5.1 level.  The 1.0 V reference is
+        simulated for the normalisation even when it is not listed,
+        but only the listed levels are reported.
     params:
         Inverter device parameters; defaults to the calibrated
         :data:`RING_CALIBRATION`.
@@ -82,22 +88,31 @@ def sweep_ring_oscillator(
         edges land inside the window.
     """
     volts = list(voltages) if voltages is not None else sorted(TABLE_5_1, reverse=True)
+    if not any(v in TABLE_5_1 for v in volts):
+        raise ValueError(
+            f"none of the swept voltages {volts} is a Table 5.1 level "
+            f"{sorted(TABLE_5_1, reverse=True)}: nothing to compare against"
+        )
     p = params or RING_CALIBRATION
 
-    periods: Dict[float, float] = {}
-    for vdd in volts:
+    def period(vdd: float) -> float:
         stretch = max(1.0, (1.0 - p.vth) / (vdd - p.vth)) ** (p.alpha + 1.0)
         result = simulate_inverter_ring(
-            n_stages, vdd, p, t_stop=t_stop * stretch, dt=dt
+            n_stages, vdd, p, t_stop=t_stop * stretch, dt=dt, record=False
         )
         if result.period is None:
             raise RuntimeError(
                 f"ring oscillator failed to settle at {vdd} V; "
                 f"increase t_stop"
             )
-        periods[vdd] = result.period
+        return result.period
 
-    ref = periods[max(periods)]
+    periods = {vdd: period(vdd) for vdd in volts}
+    # Table 5.1 is normalised to 1.0 V: simulate it even when not swept
+    if REFERENCE_VDD in periods:
+        ref = periods[REFERENCE_VDD]
+    else:
+        ref = period(REFERENCE_VDD)
     normalized = {v: p / ref for v, p in periods.items()}
     max_err = max(
         abs(normalized[v] - TABLE_5_1[v]) / TABLE_5_1[v]

@@ -24,20 +24,57 @@ a sweep together as one array measured slower still.  The loop keeps
 the floating-point operation order of the textbook array form
 (current / C * dt added to the node voltage, then clipped to the
 rails), so waveforms and periods are bit-identical to it.
+
+**Period-only mode.**  ``record=False`` skips the ``(n_stages,
+n_steps)`` sample buffer and returns only the period; Table 5.1 needs
+nothing else.  It is the same loop with the sample write switched
+off, so the period is the one a recording run measures.
+
+**Rail fast paths.**  The clip puts nodes exactly on the rails: in the
+Table 5.1 sweep about half of all stage updates have an input or an
+output there.  Two shortcuts make those updates cheap without changing
+a bit:
+
+* An input exactly on a rail gives the same overdrive on either
+  branch: ``vdd - vth`` when it is high, and ``(vdd - 0.0) - vth``,
+  the same float, when it is low.  So the saturation current
+  ``k * (vdd - vth)**alpha`` is computed once per run, not per step.
+* An output already on the rail its input drives it to has a rolloff
+  of exactly 0, so its current is +0.0 or -0.0 (for a finite drive
+  current).  The Euler step then adds a zero to the rail voltage and
+  the clip keeps it, so the update is skipped.  The same holds for a
+  stage with no overdrive (at a low supply, an input near Vdd/2 turns
+  neither device on), whose current is 0.0 by definition.  Node
+  voltages are never -0.0, so adding a zero returns them unchanged.
+
+**The period without numpy.**  The period is the mean of the
+rising-edge intervals after the first, as ``float(np.mean(...))``
+computes it: ``np.add.reduce`` starts from 0.0 and adds numpy's
+pairwise sum of the intervals, which is then divided by their count.
+:func:`mean` replays that sum in the same order (fewer than 8 values
+added in turn; eight strided accumulators up to 128; above that, a
+split at half the length rounded down to a multiple of 8), so a
+period-only run imports no numpy and matches the array form under
+``float.hex``.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = ["InverterParams", "TransientResult", "simulate_inverter_ring"]
+__all__ = ["InverterParams", "TransientResult", "mean", "simulate_inverter_ring"]
 
 #: Width (V) of the linear rolloff band next to each rail.
 LINEAR_BAND = 0.05
+
+#: numpy's pairwise-summation block: up to this many values are summed
+#: with eight strided accumulators, longer runs are split in two.
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -64,14 +101,48 @@ class InverterParams:
 
 @dataclass
 class TransientResult:
-    """Waveforms and measurements from a transient run."""
+    """Waveforms and measurements from a transient run.
 
-    time: np.ndarray
-    waveforms: np.ndarray  # shape (n_nodes, n_steps)
+    ``time`` and ``waveforms`` are ``None`` for a period-only run
+    (``record=False``).
+    """
+
+    time: Optional[np.ndarray]
+    waveforms: Optional[np.ndarray]  # shape (n_nodes, n_steps)
     period: Optional[float]  # measured oscillation period, None if none
 
     def node_waveform(self, node: int) -> np.ndarray:
+        if self.waveforms is None:
+            raise ValueError("period-only run (record=False) kept no waveforms")
         return self.waveforms[node]
+
+
+def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
+    """numpy's pairwise sum of ``xs[lo:lo + n]``, in its order."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += xs[i]
+        return res
+    if n <= _PAIRWISE_BLOCK:
+        r = list(xs[lo:lo + 8])
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += xs[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(xs, lo, n2) + _pairwise_sum(xs, lo + n2, n - n2)
+
+
+def mean(xs: Sequence[float]) -> float:
+    """``float(np.mean(xs))`` of a non-empty float sequence, bit for
+    bit, without numpy."""
+    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
 
 
 def simulate_inverter_ring(
@@ -80,12 +151,16 @@ def simulate_inverter_ring(
     params: InverterParams | None = None,
     t_stop: float = 2.0e-9,
     dt: float = 1.0e-13,
+    *,
+    record: bool = True,
 ) -> TransientResult:
     """Transient-simulate an ``n_stages``-inverter ring oscillator.
 
     ``n_stages`` must be odd for oscillation.  Returns waveforms and
     the measured steady-state period (averaged over the last few
-    rising-edge crossings of node 0, skipping start-up).
+    rising-edge crossings of node 0, skipping start-up).  With
+    ``record=False`` only the period is measured: no waveforms are
+    kept and numpy is not imported.
     """
     if n_stages < 3 or n_stages % 2 == 0:
         raise ValueError("ring oscillator needs an odd stage count >= 3")
@@ -98,51 +173,58 @@ def simulate_inverter_ring(
     v = [vdd if i % 2 else 0.0 for i in range(n_stages)]
     v[0] = vdd * 0.25
 
-    # One exact-size sample buffer, filled step-major (all stages of a
-    # step are adjacent) and exposed transposed at the end.
-    samples = array("d", [0.0]) * (n_steps * n_stages)
+    samples = array("d")  # step-major: all stages of a step are adjacent
     crossings: List[float] = []
     half = vdd / 2.0
     vth, alpha, k_drive, cap = p.vth, p.alpha, p.k_drive, p.cap
+    # saturation current of a stage whose input sits on either rail
+    rail_drive = k_drive * (vdd - vth) ** alpha
+    stages = range(n_stages)
     prev_v0 = v[0]
-    pos = 0
 
     for step in range(n_steps):
-        new_v = []
         v_in = v[-1]  # stage 0 is driven by the last stage
-        for v_out in v:
+        # Nodes update in place; ``v_in`` carries each stage's input,
+        # the previous stage's voltage before this step.
+        for i in stages:
+            v_out = v[i]
             # Net current charging this stage's output: NMOS pulls down
             # when the input is high, PMOS pulls up when it is low;
             # overdrive follows the alpha-power law with a linear
             # rolloff within LINEAR_BAND of the destination rail (crude
             # triode region) so integration terminates at the rails.
+            # A stage with no overdrive, or whose output is already on
+            # its destination rail, draws a zero current: its node is
+            # left as it is.
             if v_in >= half:
-                overdrive = v_in - vth
-                if overdrive <= 0.0:
-                    current = 0.0
-                else:
+                if v_out != 0.0 and v_in > vth:  # exactly when v_in - vth > 0.0
+                    if v_in == vdd:
+                        current = -rail_drive
+                    else:
+                        current = -(k_drive * (v_in - vth) ** alpha)
                     rolloff = v_out / LINEAR_BAND
                     rolloff = rolloff if rolloff > 0.0 else 0.0
                     rolloff = rolloff if rolloff < 1.0 else 1.0
-                    current = -(k_drive * overdrive**alpha) * rolloff
-            else:
+                    # forward-Euler step, clamped to the rails like np.clip
+                    x = v_out + current * rolloff / cap * dt
+                    x = x if x > 0.0 else 0.0
+                    v[i] = x if x < vdd else vdd
+            elif v_out != vdd:
                 overdrive = (vdd - v_in) - vth
-                if overdrive <= 0.0:
-                    current = 0.0
-                else:
+                if overdrive > 0.0:
+                    if v_in == 0.0:
+                        current = rail_drive
+                    else:
+                        current = k_drive * overdrive**alpha
                     rolloff = (vdd - v_out) / LINEAR_BAND
                     rolloff = rolloff if rolloff > 0.0 else 0.0
                     rolloff = rolloff if rolloff < 1.0 else 1.0
-                    current = (k_drive * overdrive**alpha) * rolloff
-            # forward-Euler step, clamped to the rails like np.clip
-            x = v_out + current / cap * dt
-            x = x if x > 0.0 else 0.0
-            x = x if x < vdd else vdd
-            new_v.append(x)
-            samples[pos] = x
-            pos += 1
+                    x = v_out + current * rolloff / cap * dt
+                    x = x if x > 0.0 else 0.0
+                    v[i] = x if x < vdd else vdd
             v_in = v_out
-        v = new_v
+        if record:
+            samples.extend(v)
         v0 = v[0]
         if prev_v0 < half <= v0:
             # linear interpolation of the rising-edge crossing instant
@@ -150,12 +232,15 @@ def simulate_inverter_ring(
             crossings.append((step - 1 + frac) * dt)
         prev_v0 = v0
 
-    waveforms = np.frombuffer(samples).reshape(n_steps, n_stages).T
-    times = np.arange(n_steps) * dt
     period: Optional[float] = None
     if len(crossings) >= 4:
         # Skip the first edges (start-up transient), average the rest.
-        diffs = np.diff(crossings[1:])
-        if len(diffs) > 0:
-            period = float(np.mean(diffs))
+        period = mean([b - a for a, b in zip(crossings[1:], crossings[2:])])
+    if not record:
+        return TransientResult(time=None, waveforms=None, period=period)
+
+    import numpy as np
+
+    waveforms = np.frombuffer(samples).reshape(n_steps, n_stages).T
+    times = np.arange(n_steps) * dt
     return TransientResult(time=times, waveforms=waveforms, period=period)

@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "TABLE_5_1",
     "VOLTAGE_LEVELS",
@@ -66,8 +64,10 @@ class Table51Model:
     """
 
     def __init__(self) -> None:
-        # deferred: scipy costs ~0.4 s to import and most sessions
-        # (e.g. cache-warm CLI runs) never build an interpolator
+        # deferred: numpy and scipy cost ~0.4 s to import and most
+        # sessions (cache-warm CLI runs, the Table 5.1 ring sweep, which
+        # needs only TABLE_5_1) never build an interpolator
+        import numpy as np
         from scipy.interpolate import PchipInterpolator
 
         volts = np.array(sorted(TABLE_5_1))
@@ -143,6 +143,9 @@ def fit_alpha_power_model(v_ref: float = 1.0) -> AlphaPowerModel:
     Minimises squared log-error over (vth, alpha); deterministic
     (Nelder-Mead from a physical initial point).
     """
+    import numpy as np
+    from scipy.optimize import minimize
+
     volts = np.array(sorted(TABLE_5_1))
     target = np.log(np.array([TABLE_5_1[v] for v in volts]))
 
@@ -153,8 +156,6 @@ def fit_alpha_power_model(v_ref: float = 1.0) -> AlphaPowerModel:
         model = AlphaPowerModel(vth=float(vth), alpha=float(alpha), v_ref=v_ref)
         pred = np.log(np.array([model.scale(v) for v in volts]))
         return float(np.sum((pred - target) ** 2))
-
-    from scipy.optimize import minimize
 
     res = minimize(loss, x0=np.array([0.42, 1.3]), method="Nelder-Mead")
     vth, alpha = res.x

@@ -4,11 +4,11 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.ring_oscillator import RING_CALIBRATION
-from repro.circuit.spice import InverterParams, simulate_inverter_ring
+from repro.circuit.ring_oscillator import RING_CALIBRATION, sweep_ring_oscillator
+from repro.circuit.spice import InverterParams, mean, simulate_inverter_ring
 from repro.circuit.voltage import TABLE_5_1
 
 
@@ -40,6 +40,60 @@ class TestTransient:
         small = simulate_inverter_ring(5, 1.0, RING_CALIBRATION, t_stop=2.0e-9)
         big = simulate_inverter_ring(9, 1.0, RING_CALIBRATION, t_stop=2.0e-9)
         assert big.period > small.period
+
+    def test_period_only_run_keeps_no_waveforms(self):
+        res = simulate_inverter_ring(
+            5, 1.0, RING_CALIBRATION, t_stop=1.5e-9, record=False
+        )
+        assert res.period is not None
+        assert res.time is None and res.waveforms is None
+        with pytest.raises(ValueError, match="record=False"):
+            res.node_waveform(0)
+
+
+def _hex(x: Optional[float]) -> Optional[str]:
+    return None if x is None else float(x).hex()
+
+
+#: Where numpy's pairwise sum changes strategy: fewer than 8 values,
+#: one block of 8 accumulators (up to 128), then recursive splits.
+_MEAN_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 256, 257, 600)
+
+#: Mixed signs and magnitudes (zeros of both signs and subnormals
+#: included), plus values shaped like rising-edge intervals.
+_mean_values = st.one_of(
+    st.floats(-1.0e30, 1.0e30),
+    st.floats(-1.0, 1.0),
+    st.floats(1.0e-12, 1.0e-10),
+)
+
+
+class TestMean:
+    """``spice.mean`` is ``float(np.mean(...))`` without numpy."""
+
+    @pytest.mark.parametrize("n", _MEAN_LENGTHS)
+    # a fixed-length list has no small example to shrink towards, and
+    # shrinking 600 values takes minutes: report the failing draw as is
+    @settings(
+        max_examples=10,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+        suppress_health_check=[HealthCheck.large_base_example],
+    )
+    @given(data=st.data())
+    def test_strategy_boundaries_match_numpy(self, n, data):
+        xs = data.draw(st.lists(_mean_values, min_size=n, max_size=n))
+        assert mean(xs).hex() == float(np.mean(np.asarray(xs))).hex()
+
+    @pytest.mark.parametrize("n", _MEAN_LENGTHS)
+    def test_reduction_starts_from_positive_zero(self, n):
+        xs = [-0.0] * n
+        assert mean(xs).hex() == float(np.mean(np.asarray(xs))).hex() == "0x0.0p+0"
+
+    @settings(max_examples=40, deadline=None)
+    @given(xs=st.lists(_mean_values, min_size=1, max_size=600))
+    def test_any_length_matches_numpy(self, xs):
+        assert mean(xs).hex() == float(np.mean(np.asarray(xs))).hex()
 
 
 def _reference_drive_current(v_in, v_out, vdd, p):
@@ -129,7 +183,8 @@ class TestReferenceEquivalence:
         times, waveforms, period = _reference_ring(
             case["n_stages"], case["vdd"], case["params"], case["t_stop"], case["dt"]
         )
-        assert res.period == period
+        assert _hex(res.period) == _hex(period)
+        assert _hex(simulate_inverter_ring(**case, record=False).period) == _hex(period)
         assert np.array_equal(res.time, times)
         assert res.waveforms.shape == waveforms.shape
         assert np.array_equal(res.waveforms, waveforms)
@@ -156,3 +211,20 @@ class TestRingSweep:
         rows = ring_sweep.rows()
         assert len(rows) == len(TABLE_5_1)
         assert rows[0][0] == 1.0
+
+    def test_partial_sweep_normalises_to_one_volt(self, ring_sweep):
+        """Without 1.0 V in the sweep, periods are still normalised to
+        it, as the published table is."""
+        sub = sweep_ring_oscillator(voltages=[0.92, 0.8])
+        assert list(sub.periods) == [0.92, 0.8]
+        for vdd in (0.92, 0.8):
+            assert sub.periods[vdd] == ring_sweep.periods[vdd]
+            assert sub.normalized[vdd] == ring_sweep.normalized[vdd]
+        assert sub.max_rel_error == max(
+            abs(ring_sweep.normalized[v] - TABLE_5_1[v]) / TABLE_5_1[v]
+            for v in (0.92, 0.8)
+        )
+
+    def test_sweep_without_a_published_level_rejected(self):
+        with pytest.raises(ValueError, match="Table 5.1 level"):
+            sweep_ring_oscillator(voltages=[0.9])

@@ -116,6 +116,17 @@ def test_listing_loads_no_numpy():
     assert _forbidden(modules, ("numpy*", "scipy*")) == []
 
 
+def test_cold_table_5_1_loads_no_numpy():
+    """The ring sweep needs only floats: a cold Table 5.1 regeneration
+    (no cache) computes everything without numpy or scipy."""
+    out, modules = _loaded(
+        "from repro.__main__ import main\nassert main(['run', 'table_5_1']) == 0\n"
+    )
+    assert "max relative error : 7.8%" in out
+    assert "repro.circuit.spice" in modules
+    assert _forbidden(modules, ("numpy*", "scipy*")) == []
+
+
 def test_warm_rerun_skips_driver_dependencies(tmp_path):
     run_both = textwrap.dedent(
         f"""
