@@ -7,7 +7,10 @@ Nominal, No-TS (joint DVFS), Per-core TS (independent speculation) and
 SynTS (the joint optimum, Algorithm 1).
 
 Run:  python examples/quickstart.py
+(exits 1 if the MILP cross-check disagrees with SynTS-Poly)
 """
+
+import sys
 
 from repro import build_benchmark, solve_synts_poly
 from repro.analysis import format_table
@@ -20,7 +23,7 @@ from repro.core import (
 )
 
 
-def main() -> None:
+def main() -> int:
     benchmark = build_benchmark("radix")
     problem = interval_problems(benchmark, "decode")[0]
     theta = problem.equal_weight_theta()
@@ -58,12 +61,13 @@ def main() -> None:
     # The MILP route (Eqs. 4.5-4.10) must agree with Algorithm 1.
     milp = solve_synts_milp(problem, theta)
     poly = schemes[-1][1]
+    agree = abs(milp.cost - poly.cost) < 1e-6 * poly.cost
     print(
         f"\nSynTS-MILP cross-check: cost {milp.cost:.1f} "
-        f"(SynTS-Poly {poly.cost:.1f}, "
-        f"agree: {abs(milp.cost - poly.cost) < 1e-6 * poly.cost})"
+        f"(SynTS-Poly {poly.cost:.1f}, agree: {agree})"
     )
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,7 +23,7 @@ from .poly import (
     solve_synts_poly_batch,
     stacked_shape_groups,
 )
-from .problem import SynTSProblem
+from .problem import SynTSProblem, check_theta
 
 __all__ = [
     "solve_nominal",
@@ -126,8 +126,7 @@ def solve_per_core_ts(problem: SynTSProblem, theta: float) -> SynTSSolution:
     barrier max-semantics is ignored at decision time (that is exactly
     the deficiency SynTS fixes) but applied at evaluation time.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    check_theta(theta)
     m = problem.n_threads
     times = problem.time_table.reshape(m, -1)
     energies = problem.energy_table.reshape(m, -1)
@@ -149,8 +148,7 @@ def solve_per_core_ts_batch(
     """
     thetas = [float(t) for t in thetas]
     for theta in thetas:
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
+        check_theta(theta)
     out: List[SynTSSolution] = [None] * len(problems)  # type: ignore[list-item]
     for members, times, energies in stacked_shape_groups(problems):
         theta_col = np.asarray([thetas[b] for b in members])[:, None, None]

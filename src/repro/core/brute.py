@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .poly import SynTSSolution
-from .problem import SynTSProblem
+from .problem import SynTSProblem, check_theta
 
 __all__ = ["solve_synts_brute"]
 
@@ -22,8 +22,7 @@ def solve_synts_brute(
     problem: SynTSProblem, theta: float, max_assignments: int = 2_000_000
 ) -> SynTSSolution:
     """Exact solution by enumeration (test oracle)."""
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    check_theta(theta)
     cfg = problem.config
     m = problem.n_threads
     q, s = cfg.n_voltages, cfg.n_tsr

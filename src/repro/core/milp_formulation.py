@@ -10,115 +10,95 @@ constraints in ``x``:
     s.t.       t_exec >= sum_jk T[i,j,k] x_ijk      for all i (4.6-4.7)
                sum_jk x_ijk = 1                     for all i (4.10)
 
-Solved exactly with the in-repo branch-and-bound engine; used to
-cross-validate SynTS-Poly (they must agree to numerical tolerance).
+The model is built as arrays and solved by HiGHS through
+``scipy.optimize.milp`` with a zero relative gap and no starting
+point, so the optimum it reports is found independently of
+SynTS-Poly.  That makes it a certificate for Algorithm 1: the two
+must agree to numerical tolerance.  No figure uses this route.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.milp import MILP, MILPStatus, Sense, solve_milp
-
 from .poly import SynTSSolution
-from .problem import SynTSProblem
+from .problem import SynTSProblem, check_theta
+
+if TYPE_CHECKING:
+    from scipy.optimize import Bounds, LinearConstraint
 
 __all__ = ["build_synts_milp", "solve_synts_milp"]
 
 
 def build_synts_milp(
     problem: SynTSProblem, theta: float
-) -> Tuple[MILP, Dict[Tuple[int, int, int], int], int]:
-    """Construct the MILP; returns (model, x-index map, t_exec index)."""
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    cfg = problem.config
-    m, q, s = problem.n_threads, cfg.n_voltages, cfg.n_tsr
-    t_table = problem.time_table
-    e_table = problem.energy_table
+) -> Tuple[np.ndarray, "LinearConstraint", np.ndarray, "Bounds"]:
+    """Construct the MILP as ``(cost, constraints, integrality, bounds)``.
 
-    milp = MILP("synts")
-    x_idx: Dict[Tuple[int, int, int], int] = {}
+    Variable ``i*Q*S + j*S + k`` is ``x_ijk`` and the last variable is
+    ``t_exec``; the arguments are those of ``scipy.optimize.milp``.
+    """
+    check_theta(theta)
+    from scipy.optimize import Bounds, LinearConstraint
+
+    m = problem.n_threads
+    times = problem.time_table.reshape(m, -1)
+    qs = times.shape[1]
+    n_x = m * qs
+
+    cost = np.append(problem.energy_table.ravel(), float(theta))
+    rows = np.zeros((2 * m, n_x + 1))
     for i in range(m):
-        for j in range(q):
-            for k in range(s):
-                x_idx[(i, j, k)] = milp.add_binary(f"x_{i}_{j}_{k}")
-    texec = milp.add_variable("t_exec", lb=0.0)
-
-    objective = {
-        x_idx[(i, j, k)]: float(e_table[i, j, k])
-        for i in range(m)
-        for j in range(q)
-        for k in range(s)
-    }
-    objective[texec] = theta
-    milp.set_objective(objective)
-
-    for i in range(m):
+        block = slice(i * qs, (i + 1) * qs)
         # Eq. 4.10: exactly one configuration per thread.
-        milp.add_constraint(
-            {x_idx[(i, j, k)]: 1.0 for j in range(q) for k in range(s)},
-            Sense.EQ,
-            1.0,
-        )
+        rows[i, block] = 1.0
         # Eq. 4.6: t_exec dominates thread i's completion time.
-        coeffs = {
-            x_idx[(i, j, k)]: float(t_table[i, j, k])
-            for j in range(q)
-            for k in range(s)
-        }
-        coeffs[texec] = -1.0
-        milp.add_constraint(coeffs, Sense.LE, 0.0)
-    return milp, x_idx, texec
+        rows[m + i, block] = times[i]
+        rows[m + i, -1] = -1.0
+    lower = np.concatenate([np.ones(m), np.full(m, -np.inf)])
+    upper = np.concatenate([np.ones(m), np.zeros(m)])
+    integrality = np.append(np.ones(n_x), 0.0)
+    bounds = Bounds(np.zeros(n_x + 1), np.append(np.ones(n_x), np.inf))
+    return cost, LinearConstraint(rows, lower, upper), integrality, bounds
 
 
 def solve_synts_milp(problem: SynTSProblem, theta: float) -> SynTSSolution:
-    """Solve SynTS-OPT through the MILP route (exact).
+    """Solve SynTS-OPT through the MILP route (exact, via HiGHS)."""
+    from scipy.optimize import milp
 
-    The branch-and-bound incumbent is seeded from the SynTS-Poly
-    solution (known optimal by Lemma 4.2.1), so best-first search
-    prunes dominated nodes from node 0; the LP bounds still have to
-    close the gap, so the solve remains an independent optimality
-    certificate for the seeded point rather than a tautology.
-    """
-    from .poly import solve_synts_poly
+    cost, constraints, integrality, bounds = build_synts_milp(problem, theta)
+    result = milp(
+        cost,
+        constraints=constraints,
+        integrality=integrality,
+        bounds=bounds,
+        options={"mip_rel_gap": 0.0},
+    )
+    if result.status != 0:
+        raise RuntimeError(
+            f"SynTS-MILP did not solve to optimality: {result.message}"
+        )
 
-    milp, x_idx, texec_idx = build_synts_milp(problem, theta)
-    poly = solve_synts_poly(problem, theta)
-    x0 = np.zeros(milp.n_variables)
-    for i, (j, k) in enumerate(poly.indices):
-        x0[x_idx[(i, j, k)]] = 1.0
-    x0[texec_idx] = float(poly.evaluation.texec)
-    result = solve_milp(milp, incumbent=x0)
-    if result.status is not MILPStatus.OPTIMAL:
-        raise RuntimeError(f"SynTS-MILP did not solve to optimality: {result.status}")
-
-    cfg = problem.config
-    m, q, s = problem.n_threads, cfg.n_voltages, cfg.n_tsr
+    s = problem.config.n_tsr
+    active = result.x[:-1].reshape(problem.n_threads, -1) > 0.5
     indices = []
-    for i in range(m):
-        chosen = [
-            (j, k)
-            for j in range(q)
-            for k in range(s)
-            if result.x[x_idx[(i, j, k)]] > 0.5
-        ]
+    for i, row in enumerate(active):
+        chosen = np.flatnonzero(row)
         if len(chosen) != 1:
             raise RuntimeError(
                 f"thread {i}: expected exactly one active configuration, "
                 f"got {len(chosen)}"
             )
-        indices.append(chosen[0])
+        indices.append(divmod(int(chosen[0]), s))
 
     evaluation = problem.evaluate_indices(indices)
-    times = np.array(evaluation.times)
     return SynTSSolution(
         indices=tuple(indices),
         assignment=problem.assignment_from_indices(indices),
         evaluation=evaluation,
         cost=float(evaluation.cost(theta)),
         theta=theta,
-        critical_thread=int(np.argmax(times)),
+        critical_thread=int(np.argmax(evaluation.times)),
     )

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Assignment, Evaluation
-from .problem import SynTSProblem
+from .problem import SynTSProblem, check_theta
 
 __all__ = [
     "SynTSSolution",
@@ -252,8 +252,7 @@ def solve_synts_poly(problem: SynTSProblem, theta: float) -> SynTSSolution:
     same candidate the scalar reference fold would accept
     (bit-identical outputs, tie cases included).
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    check_theta(theta)
     m = problem.n_threads
     times = problem.time_table.reshape(m, -1)
     energies = problem.energy_table.reshape(m, -1)
@@ -307,8 +306,7 @@ def solve_synts_poly_batch(
             f"got {len(problems)} problems but {len(thetas)} thetas"
         )
     for theta in thetas:
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
+        check_theta(theta)
     out: List[Optional[SynTSSolution]] = [None] * len(problems)
 
     for members, times, energies in stacked_shape_groups(problems):
@@ -392,8 +390,7 @@ def solve_synts_poly_reference(
     property-tested against: same candidate order, same
     ``< best - 1e-15`` first-wins acceptance, same output structure.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    check_theta(theta)
     cfg = problem.config
     m = problem.n_threads
     q, s = cfg.n_voltages, cfg.n_tsr

@@ -9,6 +9,7 @@ brute-force reference and the baselines -- consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -26,7 +27,17 @@ from .model import (
     effective_cpi,
 )
 
-__all__ = ["SynTSProblem", "problem_from_interval"]
+__all__ = ["SynTSProblem", "check_theta", "problem_from_interval"]
+
+
+def check_theta(theta: float) -> None:
+    """Raise ``ValueError`` unless ``theta`` is finite and >= 0.
+
+    Every solver calls this first: a NaN or infinite Eq. 4.4 weight
+    would otherwise cost every candidate as NaN or inf.
+    """
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and non-negative, got {theta!r}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import Assignment
 from .poly import solve_synts_poly
-from .problem import SynTSProblem
+from .problem import SynTSProblem, check_theta
 
 __all__ = [
     "SyncTopology",
@@ -153,8 +153,7 @@ def solve_synts_sync(
     group independently -- SynTS-Poly for true groups, separable
     argmin for singletons -- is globally optimal.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    check_theta(theta)
     if topology.n_threads != problem.n_threads:
         raise ValueError(
             f"topology covers {topology.n_threads} threads, problem has "

@@ -44,7 +44,7 @@ __getattr__, __dir__ = lazy_exports(
         ".cells": (
             "BenchmarkTotals", "CellBatch", "CellResult", "CellSpec",
             "benchmark_specs", "cached_interval_problems", "cell_seed",
-            "compute_batch", "compute_cell", "group_cells", "totalize",
+            "compute_batch", "group_cells", "totalize",
         ),
         ".events": (
             "EngineEvent", "EventLog", "JsonLinesPrinter", "ProgressPrinter",
@@ -86,7 +86,6 @@ __all__ = [
     "canonical_json",
     "cell_seed",
     "compute_batch",
-    "compute_cell",
     "content_key",
     "engine_session",
     "get_engine",

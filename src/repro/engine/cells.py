@@ -7,12 +7,12 @@ knobs (seed, sampling budget) and platform overrides (ablations).
 
 A :class:`CellSpec` is pure data -- picklable for the process pool and
 canonically JSON-serialisable for content-hash cache keys -- and
-:func:`compute_cell` is a module-level pure function of the spec, so
-a cell computes to the same :class:`CellResult` in any process, in any
-order.  That property is what lets the executor promise bit-identical
-results for serial and parallel runs, and lets figures share cells
-through the cache (e.g. ``headline`` reuses the offline totals
-``fig_6_18`` already computed).
+:func:`compute_batch` is a module-level pure function of its cells,
+so a cell computes to the same :class:`CellResult` in any process, in
+any batch, in any order.  That property is what lets the executor
+promise bit-identical results for serial and parallel runs, and lets
+figures share cells through the cache (e.g. ``headline`` reuses the
+offline totals ``fig_6_18`` already computed).
 
 Online cells derive their RNG stream from the spec itself (stable
 content hash), never from shared mutable state, so online results are
@@ -41,7 +41,6 @@ __all__ = [
     "benchmark_specs",
     "cached_interval_problems",
     "cell_seed",
-    "compute_cell",
     "compute_batch",
     "group_cells",
     "totalize",
@@ -293,33 +292,6 @@ def _resolve_theta(spec: CellSpec, problems: Sequence[SynTSProblem]) -> float:
     return problems[0].equal_weight_theta()
 
 
-def compute_cell(spec: CellSpec) -> CellResult:
-    """Evaluate one cell (pure function of the spec).
-
-    Scheme dispatch goes through the scheme registry: the entry
-    declares its solver, theta handling and RNG needs, so ``online``
-    (and any scheme registered later) is evaluated by the same path
-    as the offline solvers.
-    """
-    problems = _interval_problems(
-        spec.benchmark,
-        spec.stage,
-        spec.c_penalty,
-        spec.leakage,
-        spec.n_voltages,
-    )
-    if spec.interval >= len(problems):
-        raise IndexError(
-            f"{spec.benchmark} has {len(problems)} intervals, "
-            f"cell asks for {spec.interval}"
-        )
-    theta = _resolve_theta(spec, problems)
-    problem = problems[spec.interval]
-    scheme = SCHEME_REGISTRY.get(spec.scheme)
-    energy, time = scheme.evaluate(problem, theta, spec)
-    return CellResult(spec=spec, theta=theta, energy=energy, time=time)
-
-
 # ----------------------------------------------------------------------
 # batched evaluation: the engine's dispatch unit
 # ----------------------------------------------------------------------
@@ -413,8 +385,8 @@ def compute_batch(batch: CellBatch) -> Tuple[CellResult, ...]:
     Problem construction and equal-weight theta resolution are shared
     across the batch; schemes declaring a ``batch_solver`` evaluate
     all intervals in one vectorized pass.  Results are bit-identical
-    to ``tuple(compute_cell(s) for s in batch.specs)`` -- the batch
-    seam may change wall time, never values.
+    to evaluating each cell alone with ``Scheme.evaluate`` -- the
+    batch seam may change wall time, never values.
     """
     head = batch.specs[0]
     problems = _interval_problems(

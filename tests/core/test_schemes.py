@@ -70,14 +70,18 @@ class TestDispatch:
     def test_registered_scheme_runs_through_cells(self):
         """A runtime registration is immediately a valid cell scheme."""
         from repro.core.baselines import solve_nominal
-        from repro.engine import CellSpec, compute_cell
+        from repro.engine import CellBatch, CellSpec, compute_batch
 
         register_offline_scheme(
             "nominal_alias", solve_nominal, uses_theta=False
         )
         try:
-            alias = compute_cell(CellSpec("radix", "decode", "nominal_alias"))
-            nominal = compute_cell(CellSpec("radix", "decode", "nominal"))
+            alias = compute_batch(
+                CellBatch((CellSpec("radix", "decode", "nominal_alias"),))
+            )[0]
+            nominal = compute_batch(
+                CellBatch((CellSpec("radix", "decode", "nominal"),))
+            )[0]
             assert alias.energy == nominal.energy
             assert alias.time == nominal.time
         finally:

@@ -5,19 +5,50 @@ This is the reproduction's load-bearing property test: Lemma 4.2.1
 formulation (Eqs. 4.5-4.10) are checked on randomised instances.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.poly
 from repro.core import (
+    PlatformConfig,
     SynTSProblem,
+    ThreadParams,
+    barrier_topology,
+    build_synts_milp,
+    solve_no_ts,
+    solve_per_core_ts,
     solve_synts_brute,
     solve_synts_milp,
     solve_synts_poly,
+    solve_synts_poly_batch,
+    solve_synts_poly_reference,
+    solve_synts_sync,
 )
+from repro.core.baselines import solve_no_ts_batch, solve_per_core_ts_batch
+from repro.errors.probability import ZeroErrorFunction
 
 from .conftest import random_problem
+
+#: Every solver entry point, as ``(problem, theta) -> anything``.
+SOLVER_ENTRY_POINTS = {
+    "synts_poly": solve_synts_poly,
+    "synts_poly_reference": solve_synts_poly_reference,
+    "synts_poly_batch": lambda p, t: solve_synts_poly_batch([p], [t]),
+    "synts_brute": solve_synts_brute,
+    "synts_milp": solve_synts_milp,
+    "build_synts_milp": build_synts_milp,
+    "synts_sync": lambda p, t: solve_synts_sync(
+        p, t, barrier_topology(p.n_threads)
+    ),
+    "no_ts": solve_no_ts,
+    "no_ts_batch": lambda p, t: solve_no_ts_batch([p], [t]),
+    "per_core_ts": solve_per_core_ts,
+    "per_core_ts_batch": lambda p, t: solve_per_core_ts_batch([p], [t]),
+}
 
 
 class TestPolyBasics:
@@ -100,6 +131,56 @@ class TestExactnessChain:
         milp = solve_synts_milp(problem, theta)
         assert milp.cost == pytest.approx(poly.cost, rel=1e-6)
 
+    def test_milp_never_calls_poly(self, tiny_problem, monkeypatch):
+        """The certificate is independent: it finds the optimum with
+        every SynTS-Poly solver disabled."""
+        theta = 2.0
+        expected = solve_synts_poly(tiny_problem, theta)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SynTS-MILP called a SynTS-Poly solver")
+
+        for name in (
+            "solve_synts_poly",
+            "solve_synts_poly_batch",
+            "solve_synts_poly_reference",
+        ):
+            monkeypatch.setattr(repro.core.poly, name, forbidden)
+        milp = solve_synts_milp(tiny_problem, theta)
+        assert milp.cost == pytest.approx(expected.cost, rel=1e-6)
+
+    def test_milp_returns_one_of_exactly_tied_optima(self):
+        """Two identical TSR levels make every optimum come in
+        bit-identical pairs; the MILP must land on one of them."""
+        table = {1.0: 1.0, 0.86: 1.27, 0.72: 1.63}
+        config = PlatformConfig(
+            voltages=tuple(table),
+            tnom_table=table,
+            tsr_levels=(0.8, 0.8, 1.0),
+        )
+        problem = SynTSProblem(
+            config=config,
+            threads=(
+                ThreadParams(300, 1.2, ZeroErrorFunction()),
+                ThreadParams(180, 1.4, ZeroErrorFunction()),
+            ),
+        )
+        theta = problem.equal_weight_theta()
+        configs = list(itertools.product(range(3), range(3)))
+        costs = {
+            indices: problem.evaluate_indices(indices).cost(theta)
+            for indices in itertools.product(configs, repeat=2)
+        }
+        best = min(costs.values())
+        tied = {indices for indices, cost in costs.items() if cost == best}
+        assert len(tied) == 4  # both threads at r = 0.8, either copy
+        milp = solve_synts_milp(problem, theta)
+        assert milp.indices in tied
+        assert milp.cost == pytest.approx(best, rel=1e-6)
+        assert solve_synts_poly(problem, theta).cost == pytest.approx(
+            best, rel=1e-6
+        )
+
     def test_brute_budget_guard(self):
         problem = random_problem(np.random.default_rng(1), m=3)
         with pytest.raises(ValueError, match="budget"):
@@ -120,3 +201,10 @@ class TestSolutionDominance:
             for k in range(s):
                 ev = problem.evaluate_indices([(j, k)] * problem.n_threads)
                 assert sol.cost <= ev.cost(theta) + 1e-9
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("solver", sorted(SOLVER_ENTRY_POINTS))
+def test_non_finite_or_negative_theta_rejected(tiny_problem, solver, theta):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SOLVER_ENTRY_POINTS[solver](tiny_problem, theta)

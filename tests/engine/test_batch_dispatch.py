@@ -2,24 +2,27 @@
 parallel equivalence of the batch path on every backend.
 
 The batch seam may change wall time, never values: ``compute_batch``
-must be bit-identical to mapping ``compute_cell``, and the engine's
+must be bit-identical to evaluating each cell alone through its
+scheme's ``evaluate`` (never its ``batch_solver``), and the engine's
 batched dispatch must stay bit-identical to the serial reference on
 all backends, including partially cached batches.
 """
 
 import pytest
 
+from repro.core.schemes import SCHEME_REGISTRY
 from repro.engine import (
     CellBatch,
+    CellResult,
     CellSpec,
     EventLog,
     ExperimentEngine,
     benchmark_specs,
     compute_batch,
-    compute_cell,
     group_cells,
 )
 from repro.engine.backends.process import pool_chunksize
+from repro.engine.cells import _interval_problems
 from repro.experiments import fig_6_18
 from repro.experiments.common import STAGES
 
@@ -30,6 +33,32 @@ def _figure_cell_set():
         for group in fig_6_18._stage_specs(stage, seed=7).values():
             specs.extend(group)
     return specs
+
+
+def _per_cell(specs):
+    """Each cell evaluated alone by ``Scheme.evaluate``: the reference
+    the batch path must reproduce bit for bit."""
+    results = []
+    for spec in specs:
+        problems = _interval_problems(
+            spec.benchmark,
+            spec.stage,
+            spec.c_penalty,
+            spec.leakage,
+            spec.n_voltages,
+        )
+        theta = (
+            float(spec.theta)
+            if spec.theta is not None
+            else problems[0].equal_weight_theta()
+        )
+        energy, time = SCHEME_REGISTRY.get(spec.scheme).evaluate(
+            problems[spec.interval], theta, spec
+        )
+        results.append(
+            CellResult(spec=spec, theta=theta, energy=energy, time=time)
+        )
+    return tuple(results)
 
 
 class TestGrouping:
@@ -82,14 +111,14 @@ class TestComputeBatch:
     def test_offline_batch_equals_per_cell(self, scheme):
         specs = list(benchmark_specs("cholesky", "decode", scheme))
         (batch,) = group_cells(specs)
-        assert compute_batch(batch) == tuple(compute_cell(s) for s in specs)
+        assert compute_batch(batch) == _per_cell(specs)
 
     def test_online_batch_equals_per_cell(self):
         specs = list(
             benchmark_specs("fmm", "decode", "online", seed=3, n_samp=5_000)
         )
         (batch,) = group_cells(specs)
-        assert compute_batch(batch) == tuple(compute_cell(s) for s in specs)
+        assert compute_batch(batch) == _per_cell(specs)
 
     def test_override_batch_equals_per_cell(self):
         specs = [
@@ -97,7 +126,7 @@ class TestComputeBatch:
             for k in range(3)
         ]
         (batch,) = group_cells(specs)
-        assert compute_batch(batch) == tuple(compute_cell(s) for s in specs)
+        assert compute_batch(batch) == _per_cell(specs)
 
     def test_explicit_theta_batch_equals_per_cell(self):
         specs = [
@@ -105,7 +134,7 @@ class TestComputeBatch:
             for t in (0.1, 1.0, 10.0)
         ]
         (batch,) = group_cells(specs)
-        assert compute_batch(batch) == tuple(compute_cell(s) for s in specs)
+        assert compute_batch(batch) == _per_cell(specs)
 
     def test_out_of_range_interval_is_actionable(self):
         spec = CellSpec("radix", "decode", "synts", interval=99)

@@ -5,18 +5,23 @@ import pytest
 
 from repro.engine import (
     BenchmarkTotals,
+    CellBatch,
     CellResult,
     CellSpec,
     ExperimentEngine,
     benchmark_specs,
     cell_seed,
-    compute_cell,
+    compute_batch,
     engine_session,
     get_engine,
     set_engine,
     totalize,
 )
 from repro.experiments.common import ExperimentResult
+
+
+def _cell(spec):
+    return compute_batch(CellBatch((spec,)))[0]
 
 
 def _specs():
@@ -29,7 +34,7 @@ def _specs():
 class TestCells:
     def test_compute_cell_is_deterministic(self):
         spec = CellSpec("radix", "decode", "online", seed=11, n_samp=5_000)
-        assert compute_cell(spec) == compute_cell(spec)
+        assert _cell(spec) == _cell(spec)
 
     def test_cell_seed_separates_coordinates(self):
         base = CellSpec("radix", "decode", "online", seed=1)
@@ -50,7 +55,7 @@ class TestCells:
         theta = interval_problems(bm, "decode")[0].equal_weight_theta()
         legacy = run_offline_benchmark(bm, "decode", theta, solve_synts_poly)
         totals = totalize(
-            [compute_cell(s) for s in benchmark_specs("radix", "decode", "synts")]
+            [_cell(s) for s in benchmark_specs("radix", "decode", "synts")]
         )
         assert totals.total_energy == pytest.approx(legacy.total_energy, rel=1e-12)
         assert totals.total_time == pytest.approx(legacy.total_time, rel=1e-12)
@@ -83,14 +88,14 @@ class TestCells:
 
     def test_totalize_rejects_mixed_groups(self):
         cells = [
-            compute_cell(CellSpec("radix", "decode", "synts")),
-            compute_cell(CellSpec("radix", "decode", "nominal")),
+            _cell(CellSpec("radix", "decode", "synts")),
+            _cell(CellSpec("radix", "decode", "nominal")),
         ]
         with pytest.raises(ValueError):
             totalize(cells)
 
     def test_result_payload_round_trip(self):
-        cell = compute_cell(CellSpec("fmm", "simple_alu", "no_ts"))
+        cell = _cell(CellSpec("fmm", "simple_alu", "no_ts"))
         assert CellResult.from_payload(cell.to_payload()) == cell
 
 

@@ -38,7 +38,6 @@ CLI_FORBIDDEN = (
     "repro.engine.backends.remote",
     "repro.gpgpu*",
     "repro.overhead*",
-    "repro.milp*",
     "repro.arch*",
     "repro.circuit.synth",
     "repro.circuit.sta",
@@ -61,7 +60,6 @@ LAZY_PACKAGES = (
     "repro.engine.backends",
     "repro.errors",
     "repro.gpgpu",
-    "repro.milp",
     "repro.overhead",
     "repro.workloads",
 )
