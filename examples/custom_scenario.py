@@ -3,7 +3,7 @@
 Registers a deterministic synthetic workload (8 threads, 3x
 heterogeneity spread, a hotter decode stage) and a custom comparison
 scheme (a "greedy uniform" solver that picks one shared operating
-point), then sweeps both through the engine on the sharded backend
+point), then sweeps both through the engine on the serial backend
 while watching the progress event stream -- no experiment-driver or
 engine changes anywhere.
 
@@ -16,7 +16,6 @@ from repro.core.schemes import Scheme, register_scheme
 from repro.engine import (
     EventLog,
     ExperimentEngine,
-    ShardedBackend,
     benchmark_specs,
     totalize,
 )
@@ -63,10 +62,9 @@ def main():
         )
     )
 
-    # a serial inner backend (not a process pool) so the runtime
-    # registrations above are visible; shards give the event stream
-    # structure
-    engine = ExperimentEngine(backend=ShardedBackend(n_shards=3))
+    # the serial backend (not a process pool) so the runtime
+    # registrations above are visible
+    engine = ExperimentEngine(backend="serial")
     log = engine.subscribe(EventLog())
 
     print(f"{'scheme':<14}{'energy':>14}{'time':>12}{'EDP':>16}")
@@ -79,9 +77,9 @@ def main():
         )
     engine.close()
 
-    shards = len(log.of_kind("shard_started"))
+    batches = len(log.of_kind("batch_started"))
     cells = len(log.of_kind("cell_computed"))
-    print(f"\nevents: {cells} cells computed across {shards} shard runs")
+    print(f"\nevents: {cells} cells computed across {batches} engine batches")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ Usage::
     python -m repro run fig_6_18         # regenerate one artifact
     python -m repro fig_6_18             # shorthand for 'run fig_6_18'
     python -m repro run all --jobs 8     # parallel regeneration
-    python -m repro headline --jobs 4 --backend sharded --progress
+    python -m repro headline --jobs 4 --backend process --progress
     python -m repro table_5_1 --cache-dir .repro-cache   # warm reruns
     python -m repro ablation heterogeneity
     python -m repro worker --serve 0.0.0.0:7700          # remote worker
@@ -22,10 +22,9 @@ Every regeneration goes through the experiment engine:
 
 * ``--jobs N`` fans the experiment's cells out over N workers
   (results are bit-identical to the serial run);
-* ``--backend {serial,process,sharded,remote}`` picks the
+* ``--backend {serial,process,remote}`` picks the
   executor backend (default: process pool when ``--jobs > 1``, else
-  serial); ``--shards`` sizes the sharded backend's content-keyed
-  partitions; ``--workers HOST:PORT[,...]`` names the remote
+  serial); ``--workers HOST:PORT[,...]`` names the remote
   backend's worker processes (``python -m repro worker``);
   ``--token`` (or ``REPRO_WORKER_TOKEN``) is the workers' shared
   auth secret;
@@ -81,12 +80,6 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         choices=backend_names(),
         default=argparse.SUPPRESS,
         help="executor backend (default: process when --jobs > 1)",
-    )
-    engine_opts.add_argument(
-        "--shards",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="shard count for the sharded backend",
     )
     engine_opts.add_argument(
         "--workers",
@@ -287,7 +280,6 @@ _VALUE_FLAGS = (
     "-j",
     "--cache-dir",
     "--backend",
-    "--shards",
     "--workers",
     "--store",
     "--token",
@@ -405,7 +397,6 @@ def main(argv=None) -> int:
     jobs = getattr(args, "jobs", None)
     cache_dir = getattr(args, "cache_dir", None)
     backend = getattr(args, "backend", None)
-    shards = getattr(args, "shards", None)
     workers = getattr(args, "workers", None)
     store = getattr(args, "store", None)
     token = getattr(args, "token", None)
@@ -415,7 +406,6 @@ def main(argv=None) -> int:
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,
-            shards=shards,
             remote_workers=workers,
             store=store,
             worker_token=token,

@@ -4,9 +4,8 @@ The paper's evaluation regenerates ~14 tables/figures, each sweeping
 (benchmark x stage x scheme x interval) sub-problems.  This package
 decomposes those sweeps into pure, picklable *cells*
 (:mod:`~repro.engine.cells`), executes them on a pluggable executor
-backend -- serial, process pool, content-keyed shards over either, or
-remote workers on other machines (:mod:`~repro.engine.backends`) --
-and memoises every result under content-hash keys in a pluggable,
+backend -- serial, process pool, or remote workers on other machines
+(:mod:`~repro.engine.backends`) -- and memoises every result under content-hash keys in a pluggable,
 tiered result store (:mod:`~repro.engine.store`,
 :mod:`~repro.serialization`) -- in memory within
 a session, on disk across sessions (``--cache-dir`` / ``--store``),
@@ -36,7 +35,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".backends": (
             "ExecutorBackend", "ProcessBackend", "RemoteBackend",
-            "SerialBackend", "ShardedBackend",
+            "SerialBackend",
             "backend_names", "make_backend", "register_backend",
         ),
         ".bootstrap": ("run_bootstrap",),
@@ -77,7 +76,6 @@ __all__ = [
     "ResultCache",
     "ResultStore",
     "SerialBackend",
-    "ShardedBackend",
     "StoreStats",
     "TieredStore",
     "backend_names",

@@ -1,6 +1,6 @@
 """Pluggable executor backends for the experiment engine.
 
-Four strategies ship in-tree, all bit-identical to the serial
+Three strategies ship in-tree, all bit-identical to the serial
 reference (enforced by the parallel-equivalence property test):
 
 * ``serial``  -- in-order, in-process; the reference path.  Sees
@@ -8,22 +8,20 @@ reference (enforced by the parallel-equivalence property test):
 * ``process`` -- process pool; the historical ``--jobs N`` behaviour.
   Workers run the registry bootstrap hook
   (:mod:`repro.engine.bootstrap`) at start-up.
-* ``sharded`` -- content-keyed shards dispatched through an inner
-  backend; bounds in-flight work and gives progress a shard grain.
 * ``remote``  -- the multi-host distributor: ships content-keyed
   shards to ``python -m repro worker`` processes on other machines
   (``--workers host1:port,host2:port``), with per-shard failover.
 
 :func:`make_backend` builds one by name; :func:`register_backend`
 makes the set open for out-of-tree strategies.  Factories take
-``(workers, **options)``: a factory that needs more (``sharded``'s
-shard count, ``remote``'s worker addresses) declares keyword-only
-parameters and :func:`make_backend` forwards matching options.
+``(workers, **options)``: a factory that needs more (``remote``'s
+worker addresses and token) declares keyword-only parameters and
+:func:`make_backend` forwards matching options.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro._lazy import lazy_exports
 from repro.engine._registry import (
@@ -42,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".process": ("ProcessBackend",),
         ".remote": ("RemoteBackend", "parse_worker_addresses"),
-        ".sharded": ("ShardedBackend",),
     },
 )
 
@@ -52,7 +49,6 @@ __all__ = [
     "ProcessBackend",
     "RemoteBackend",
     "SerialBackend",
-    "ShardedBackend",
     "backend_names",
     "make_backend",
     "null_emit",
@@ -73,15 +69,6 @@ def _make_process(workers: int) -> ExecutorBackend:
     from .process import ProcessBackend
 
     return ProcessBackend(workers=workers)
-
-
-def _make_sharded(
-    workers: int, *, shards: Optional[int] = None
-) -> ExecutorBackend:
-    from .sharded import ShardedBackend
-
-    inner = _make_process(workers) if workers > 1 else SerialBackend()
-    return ShardedBackend(inner=inner, n_shards=shards or max(2, workers))
 
 
 def _make_remote(
@@ -108,15 +95,12 @@ def _make_remote(
 _FACTORIES: Dict[str, BackendFactory] = {
     "serial": _make_serial,
     "process": _make_process,
-    "sharded": _make_sharded,
     "remote": _make_remote,
 }
 
 
 #: Guidance appended when a CLI-originated option misses its backend.
 _OPTION_HINTS = {
-    "shards": "; --shards sizes the sharded backend's content-keyed "
-    "partitions -- use --backend sharded",
     "remote_workers": "; --workers selects remote worker addresses -- "
     "use --backend remote",
     "worker_token": "; --token is the remote workers' shared auth "
@@ -139,10 +123,8 @@ def backend_names() -> Tuple[str, ...]:
 def make_backend(name: str, workers: int = 1, **options) -> ExecutorBackend:
     """Build a backend by registry name.
 
-    ``workers`` sizes the pool-based backends (and the sharded
-    backend's inner pool).  Named ``options`` (``shards`` for the
-    sharded backend's shard count, default ``max(2, workers)``;
-    ``remote_workers`` for the remote backend's addresses) are
+    ``workers`` sizes the process pool.  Named ``options``
+    (``remote_workers`` and ``worker_token`` for the remote backend) are
     forwarded to factories that declare a matching keyword-only
     parameter; passing an option the chosen backend does not accept
     is an error, not a silent no-op.

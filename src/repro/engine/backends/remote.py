@@ -1,9 +1,8 @@
 """Remote executor backend: ship content-keyed shards to other hosts.
 
-:class:`RemoteBackend` is the multi-host seam the sharded backend was
-built to feed: it partitions pending cell batches into content-keyed
-shards (the same :func:`~repro.engine.backends.sharded.shard_of_batch`
-partition every host agrees on), ships whole shards to long-lived
+:class:`RemoteBackend` partitions pending cell batches into
+content-keyed shards (:func:`shard_of_batch`, a partition every host
+agrees on), ships whole shards to long-lived
 worker processes (``python -m repro worker --serve HOST:PORT``) over a
 length-prefixed canonical-JSON protocol, and merges the results back
 into submission order -- bit-identical to the serial reference,
@@ -79,7 +78,6 @@ from .base import (
     needed_registry_names,
     null_emit,
 )
-from .sharded import shard_of_batch
 
 __all__ = [
     "FrameTooLargeError",
@@ -93,6 +91,7 @@ __all__ = [
     "recv_frame",
     "send_frame",
     "set_nodelay",
+    "shard_of_batch",
 ]
 
 #: Bump when the frame layout or message vocabulary changes
@@ -444,6 +443,36 @@ class _WorkerLink:
             return frame, events
 
 
+def shard_of_batch(batch: CellBatch, n_shards: int) -> int:
+    """Deterministic shard index of a cell batch.
+
+    A batch travels as one unit (splitting it would forfeit the
+    shared problem construction and vectorized solve), so it is
+    keyed by its first cell's content key -- still a pure function of
+    cell content, so every host agrees on the partition.
+    """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be positive, got {n_shards}")
+    key = batch.keys[0] if batch.keys is not None else batch.specs[0].key()
+    return int(key[:8], 16) % n_shards
+
+
+def _result_groups(reply: Dict[str, Any], sizes: List[int]) -> List[List[CellResult]]:
+    """A ``run_batches`` reply's cells: one group of ``sizes[i]`` per batch.
+
+    Any other shape raises :class:`RemoteProtocolError`, so the shard
+    fails over like any other broken exchange.
+    """
+    groups = reply.get("batches")
+    if not isinstance(groups, list) or sizes != [
+        len(group) if isinstance(group, list) else -1 for group in groups
+    ]:
+        raise RemoteProtocolError(
+            f"malformed run_batches reply: expected cells per batch {sizes}"
+        )
+    return [[CellResult.from_payload(p) for p in group] for group in groups]
+
+
 class RemoteBackend(ExecutorBackend):
     """Dispatch content-keyed shards of cell batches to remote workers.
 
@@ -643,7 +672,7 @@ class RemoteBackend(ExecutorBackend):
         """Shard batches across workers; merge by original position.
 
         Shard membership is the content-keyed partition of
-        :func:`~repro.engine.backends.sharded.shard_of_batch` over the
+        :func:`shard_of_batch` over the
         *configured* worker count; shard -> worker placement is a
         work-queue (surviving workers drain shards of lost ones).
         Against workers advertising a result store, each shard ships
@@ -696,6 +725,10 @@ class RemoteBackend(ExecutorBackend):
                     reply, events = self._request_shard(
                         link, shard, members, batches
                     )
+                    if reply.get("ok"):
+                        cells = _result_groups(
+                            reply, [len(batches[i]) for i in members]
+                        )
                 except FrameTooLargeError as exc:
                     # deterministic for this payload: retrying on
                     # another worker would fail identically
@@ -716,10 +749,6 @@ class RemoteBackend(ExecutorBackend):
                         )
                     )
                     return
-                cells = [
-                    [CellResult.from_payload(p) for p in group]
-                    for group in reply["batches"]
-                ]
                 cached = [
                     key
                     for key in reply.get("cached", ())

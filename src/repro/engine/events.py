@@ -68,10 +68,6 @@ class EventLog:
     def __call__(self, event: EngineEvent) -> None:
         self.events.append(event)
 
-    def kinds(self) -> List[str]:
-        """Every recorded event kind, in arrival order."""
-        return [e.kind for e in self.events]
-
     def of_kind(self, kind: str) -> List[EngineEvent]:
         """The recorded events of one kind, in arrival order."""
         return [e for e in self.events if e.kind == kind]

@@ -91,12 +91,9 @@ class ExperimentEngine:
         ``cache_dir`` is set, else ``memory``.
     backend:
         An :class:`ExecutorBackend` instance, or a registered backend
-        name (``serial`` / ``process`` / ``sharded`` / ``remote``).
+        name (``serial`` / ``process`` / ``remote``).
         Default: ``remote`` when ``remote_workers`` is given,
         ``process`` when ``jobs > 1``, else ``serial``.
-    shards:
-        Shard count for the ``sharded`` backend (an error for any
-        other backend).
     remote_workers:
         Remote worker addresses for the ``remote`` backend -- the
         CLI's ``host1:port,host2:port`` string or a sequence of
@@ -109,7 +106,6 @@ class ExperimentEngine:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         backend: Union[ExecutorBackend, str, None] = None,
-        shards: Optional[int] = None,
         remote_workers: Optional[Union[str, Sequence[str]]] = None,
         store: Union[ResultStore, str, None] = None,
         worker_token: Optional[str] = None,
@@ -138,7 +134,6 @@ class ExperimentEngine:
             self.backend = make_backend(
                 name,
                 workers=self.jobs,
-                shards=shards,
                 remote_workers=remote_workers,
                 worker_token=worker_token,
             )
@@ -290,15 +285,20 @@ class ExperimentEngine:
                     worker_cached += 1
                 self._emit(kind, **data)
 
-            n_returned = 0
-            for batch, cells in zip(
-                batches, self.backend.run_batches(batches, dispatch_emit)
-            ):
+            returned = self.backend.run_batches(batches, dispatch_emit)
+            # zip would truncate silently and leave ``None`` results
+            if [len(cells) for cells in returned] != [len(b) for b in batches]:
+                raise RuntimeError(
+                    f"backend {self.backend.describe()} returned "
+                    f"{sum(map(len, returned))} cells in {len(returned)} "
+                    f"batches for {len(pending)} cells in {len(batches)} "
+                    "batches; a backend must return one result per cell"
+                )
+            for batch, cells in zip(batches, returned):
                 for key, cell in zip(batch.keys, cells):
                     self.store.put(key, cell.to_payload())
                     results[key] = cell
-                    n_returned += 1
-            n_computed = n_returned - worker_cached
+            n_computed = len(pending) - worker_cached
             self.cells_computed += n_computed
             self._emit(
                 "batch_finished",

@@ -40,7 +40,6 @@ def engine_session(
     cache_dir: Optional[str] = None,
     engine: Optional[ExperimentEngine] = None,
     backend: Optional[str] = None,
-    shards: Optional[int] = None,
     remote_workers: Optional[str] = None,
     store: Optional[str] = None,
     worker_token: Optional[str] = None,
@@ -57,7 +56,6 @@ def engine_session(
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,
-            shards=shards,
             remote_workers=remote_workers,
             store=store,
             worker_token=worker_token,
@@ -68,7 +66,6 @@ def engine_session(
             jobs,
             cache_dir,
             backend,
-            shards,
             remote_workers,
             store,
             worker_token,

@@ -3,8 +3,8 @@
 Every table/figure of the paper's evaluation has a driver module with
 a ``run(...) -> ExperimentResult``.  The result carries the same rows
 or series the paper reports plus paper-vs-measured notes, and renders
-to plain text (tables + ASCII plots).  ``benchmarks/bench_*.py``
-regenerates each one under pytest-benchmark.
+to plain text (tables + ASCII plots).  ``perfbench/`` times each
+one end to end.
 """
 
 from __future__ import annotations

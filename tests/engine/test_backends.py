@@ -8,14 +8,13 @@ from repro.engine import (
     ExperimentEngine,
     ProcessBackend,
     SerialBackend,
-    ShardedBackend,
     backend_names,
     benchmark_specs,
     group_cells,
     make_backend,
 )
-from repro.engine.backends import register_backend
-from repro.engine.backends.sharded import shard_of_batch
+from repro.engine.backends import null_emit, register_backend
+from repro.engine.backends.remote import shard_of_batch
 from repro.engine.cells import CellBatch
 
 
@@ -28,22 +27,13 @@ def _specs():
 
 class TestFactory:
     def test_in_tree_backends_registered(self):
-        assert {"serial", "process", "sharded", "remote"} <= set(
+        assert {"serial", "process", "remote"} <= set(
             backend_names()
         )
 
     def test_make_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("process", workers=3), ProcessBackend)
-        sharded = make_backend("sharded", workers=1, shards=5)
-        assert isinstance(sharded, ShardedBackend)
-        assert sharded.n_shards == 5
-        assert isinstance(sharded.inner, SerialBackend)
-
-    def test_sharded_wraps_process_pool_when_parallel(self):
-        sharded = make_backend("sharded", workers=3)
-        assert isinstance(sharded.inner, ProcessBackend)
-        assert sharded.inner.workers == 3
 
     def test_unknown_backend_error_is_actionable(self):
         with pytest.raises(KeyError) as err:
@@ -75,8 +65,6 @@ class TestFactory:
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
             ProcessBackend(workers=0)
-        with pytest.raises(ValueError):
-            ShardedBackend(n_shards=0)
 
 
 class TestSharding:
@@ -85,28 +73,30 @@ class TestSharding:
         again = CellBatch(specs=(CellSpec("radix", "decode", "synts"),))
         assert shard_of_batch(batch, 7) == shard_of_batch(again, 7)
         assert 0 <= shard_of_batch(batch, 7) < 7
+        with pytest.raises(ValueError):
+            shard_of_batch(batch, 0)
 
-    def test_results_reassembled_in_submission_order(self):
-        batches = group_cells(_specs())
-        serial = SerialBackend().run_batches(batches)
-        sharded = ShardedBackend(n_shards=3).run_batches(batches)
-        assert sharded == serial
 
-    def test_more_shards_than_cells(self):
-        batches = group_cells(_specs()[:2])
-        sharded = ShardedBackend(n_shards=64).run_batches(batches)
-        assert sharded == SerialBackend().run_batches(batches)
+class _DroppingBackend(SerialBackend):
+    """Loses the last cell of every batch, or the whole last batch."""
 
-    def test_shard_events_cover_every_cell(self):
-        eng = ExperimentEngine(backend=ShardedBackend(n_shards=3))
-        log = eng.subscribe(EventLog())
-        specs = _specs()
-        eng.run_cells(specs)
-        started = log.of_kind("shard_started")
-        finished = log.of_kind("shard_finished")
-        assert len(started) == len(finished)
-        assert sum(e.get("n_cells") for e in started) == len(specs)
-        assert len(log.of_kind("cell_computed")) == len(specs)
+    def __init__(self, whole_batch=False):
+        self.whole_batch = whole_batch
+
+    def run_batches(self, batches, emit=null_emit):
+        results = super().run_batches(batches, emit)
+        if self.whole_batch:
+            return results[:-1]
+        return [cells[:-1] for cells in results]
+
+
+class TestShortBackendResult:
+    @pytest.mark.parametrize("whole_batch", (False, True))
+    def test_short_result_raises_naming_the_backend(self, whole_batch):
+        eng = ExperimentEngine(backend=_DroppingBackend(whole_batch))
+        with pytest.raises(RuntimeError, match="backend serial returned"):
+            eng.run_cells(_specs())
+        assert eng.cells_computed == 0
 
 
 class TestEventStream:

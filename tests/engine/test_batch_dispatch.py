@@ -149,7 +149,7 @@ class TestBatchedDispatchEquivalence:
         with ExperimentEngine(backend="serial") as eng:
             return specs, eng.run_cells(specs)
 
-    @pytest.mark.parametrize("backend", ("process", "sharded"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_backend_matches_serial(self, serial_reference, backend):
         specs, reference = serial_reference
         with ExperimentEngine(jobs=4, backend=backend) as eng:

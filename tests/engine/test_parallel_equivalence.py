@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     ExperimentEngine,
-    ShardedBackend,
     benchmark_specs,
     engine_session,
-    make_backend,
 )
 from repro.experiments import fig_6_18, table_5_1
 from repro.experiments.common import STAGES
@@ -28,14 +26,14 @@ from repro.serialization import canonical_json
 
 GOLDEN_TABLE_5_1 = Path(__file__).resolve().parents[1] / "golden" / "table_5_1.json"
 
-#: Backends swept against the serial reference.  ``sharded`` wraps a
-#: 4-worker ProcessBackend -- the acceptance configuration; ``remote``
-#: ships shards to two loopback worker subprocesses.
-EQUIVALENCE_BACKENDS = ("process", "sharded", "remote")
+#: Backends swept against the serial reference.  ``process`` runs a
+#: 4-worker pool; ``remote`` ships shards to two loopback worker
+#: subprocesses.
+EQUIVALENCE_BACKENDS = ("process", "remote")
 
 #: The in-process subset (hypothesis sweeps these without paying a
 #: worker-subprocess spin-up per example).
-LOCAL_BACKENDS = ("process", "sharded")
+LOCAL_BACKENDS = ("process",)
 
 
 def _figure_cell_set():
@@ -70,17 +68,6 @@ class TestBackendEquivalence:
             results = eng.run_cells(specs)
         assert results == reference
 
-    def test_sharded_process_backend_explicitly(self, serial_reference):
-        """ShardedBackend(ProcessBackend) -- the acceptance pairing --
-        through an explicitly constructed instance."""
-        specs, reference = serial_reference
-        backend = ShardedBackend(
-            inner=make_backend("process", workers=4), n_shards=3
-        )
-        with ExperimentEngine(jobs=4, backend=backend) as eng:
-            results = eng.run_cells(specs)
-        assert results == reference
-
 
 class TestExperimentEquivalence:
     def test_table_5_1_parallel_equals_serial(self):
@@ -101,13 +88,6 @@ class TestExperimentEquivalence:
             tuple(r) for r in serial.rows
         ]
         assert parallel.notes == serial.notes
-
-    def test_fig_6_18_sharded_equals_serial(self):
-        with engine_session(jobs=1):
-            serial = fig_6_18.run()
-        with engine_session(jobs=2, backend="sharded"):
-            sharded = fig_6_18.run()
-        assert sharded == serial
 
 
 class TestCellEquivalence:

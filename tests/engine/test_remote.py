@@ -78,7 +78,7 @@ class TestFactory:
 
     def test_other_backends_reject_remote_workers_option(self):
         with pytest.raises(ValueError, match="--backend remote"):
-            make_backend("sharded", remote_workers="h:1")
+            make_backend("process", remote_workers="h:1")
 
     def test_other_backends_reject_token_actionably(self):
         """`--token` without `--backend remote` must name the flag's
@@ -265,6 +265,36 @@ class TestFailover:
             eng.close()
         finally:
             stop_workers(processes)
+
+    @pytest.mark.parametrize(
+        "damage", ("no_batches", "short_group", "short_batch_list")
+    )
+    def test_malformed_reply_ends_the_run(self, loopback_workers, damage):
+        """A reply without ``batches``, or with fewer groups or cells
+        than were sent, is a protocol error: the shard fails over, and
+        with every worker answering that way the run ends in the
+        all-workers-lost error instead of returning ``None`` cells."""
+        backend = RemoteBackend(loopback_workers)
+        original = backend._request_shard
+
+        def damaged(link, shard, members, batches):
+            reply, events = original(link, shard, members, batches)
+            if damage == "no_batches":
+                del reply["batches"]
+            elif damage == "short_group":
+                reply["batches"][-1] = reply["batches"][-1][:-1]
+            else:
+                reply["batches"] = reply["batches"][:-1]
+            return reply, events
+
+        backend._request_shard = damaged
+        with ExperimentEngine(backend=backend) as eng:
+            log = eng.subscribe(EventLog())
+            with pytest.raises(RuntimeError, match="all remote workers"):
+                eng.run_cells(_two_group_specs())
+        lost = log.of_kind("worker_lost")
+        assert len(lost) == len(loopback_workers)
+        assert all("malformed run_batches reply" in e.get("error") for e in lost)
 
     def test_unreachable_workers_raise_actionably(self):
         # a port nothing listens on: connect is refused immediately

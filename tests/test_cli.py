@@ -129,21 +129,6 @@ class TestEngineCLI:
         assert "sampling" in captured.out.lower()
         assert "backend=process[2]" in captured.err
 
-    def test_sharded_backend_flag(self, capsys):
-        assert main(["fig_4_7", "--backend", "sharded", "--shards", "3", "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert "backend=sharded[3 x serial]" in captured.err
-
-    @pytest.mark.parametrize("backend", ("serial", "process"))
-    def test_shards_on_other_backend_rejected(self, backend, capsys):
-        """`--shards` sizes only the sharded backend; elsewhere it is
-        an error naming the fix, like `--workers` on a wrong backend."""
-        argv = ["fig_4_7", "--backend", backend, "-j", "2", "--shards", "3"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert "--backend sharded" in captured.err
-        assert captured.out == ""
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):  # argparse: invalid choice
             main(["run", "fig_4_7", "--backend", "quantum"])

@@ -34,7 +34,6 @@ CLI_FORBIDDEN = (
     "numpy*",
     "scipy*",
     "repro.engine.backends.process",
-    "repro.engine.backends.sharded",
     "repro.engine.backends.remote",
     "repro.gpgpu*",
     "repro.overhead*",
