@@ -167,8 +167,8 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         "worker",
         help="serve experiment cells to remote-backend clients",
         description="Run a long-lived worker process: binds HOST:PORT, "
-        "runs the registry bootstrap (REPRO_BOOTSTRAP, --bootstrap, "
-        "'repro.registrations' entry points), prints 'repro worker: "
+        "runs the registry bootstrap (REPRO_BOOTSTRAP, then --bootstrap), "
+        "prints 'repro worker: "
         "listening on HOST:PORT' to stdout once ready, then serves "
         "content-keyed shards from '--backend remote' clients until "
         "killed. Results are bit-identical to a local serial run.",
@@ -184,9 +184,9 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="MODULE:FUNCTION",
-        help="extra registration hook(s) to run at start-up, in "
-        "addition to REPRO_BOOTSTRAP and installed entry points "
-        "(repeatable; a bare MODULE means importing it registers)",
+        help="extra registration hook(s) to run at start-up, after "
+        "REPRO_BOOTSTRAP (repeatable; a bare MODULE means importing "
+        "it registers)",
     )
     # SUPPRESS, like the engine_opts parents: these names also exist
     # on the main parser, and a plain default would clobber a value

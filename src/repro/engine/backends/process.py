@@ -2,9 +2,8 @@
 
 Worker processes run the registry bootstrap hook
 (:mod:`repro.engine.bootstrap`) as their pool initialiser, so
-schemes/workloads named by ``REPRO_BOOTSTRAP=module:function`` (or an
-installed ``repro.registrations`` entry point) resolve in every
-worker regardless of the multiprocessing start method.  Registrations
+schemes/workloads named by ``REPRO_BOOTSTRAP=module:function``
+resolve in every worker regardless of the multiprocessing start method.  Registrations
 made at *runtime* without the hook remain start-method dependent:
 ``fork`` (Linux default) inherits registrations made before the pool
 spins up, ``spawn`` (macOS/Windows) re-imports the code and sees

@@ -11,10 +11,9 @@ module is the hook that makes that pattern executable:
 * ``REPRO_BOOTSTRAP=module:function`` (comma-separated specs allowed;
   a bare ``module`` means "importing it is the registration") names
   user code every worker runs before serving cells;
-* the ``repro.registrations`` entry-point group lets installed
-  packages contribute registrations without any environment variable;
-* :func:`run_bootstrap` executes both, exactly once per spec per
-  process, and is called by the process-pool worker initialiser, by
+* :func:`run_bootstrap` executes those specs (plus a worker's
+  ``--bootstrap`` flags), exactly once per spec per process, and is
+  called by the process-pool worker initialiser, by
   ``python -m repro worker`` at start-up, and by the CLI itself (so
   the submitting side sees the same registry picture its workers do).
 
@@ -32,7 +31,6 @@ from typing import Callable, List, Optional, Sequence
 __all__ = [
     "BOOTSTRAP_ENV",
     "BOOTSTRAP_REMEDY",
-    "ENTRY_POINT_GROUP",
     "bootstrap_specs",
     "parse_bootstrap",
     "run_bootstrap",
@@ -43,14 +41,10 @@ __all__ = [
 #: read by ``python -m repro worker`` at start-up.
 BOOTSTRAP_ENV = "REPRO_BOOTSTRAP"
 
-#: Entry-point group scanned for installed registration hooks.
-ENTRY_POINT_GROUP = "repro.registrations"
-
 #: The remedy worker-side registry-miss errors point at (shared by
 #: the process and remote backends so the guidance cannot drift).
 BOOTSTRAP_REMEDY = (
-    "set REPRO_BOOTSTRAP=module:function (or install a "
-    "'repro.registrations' entry point) so every worker runs the "
+    "set REPRO_BOOTSTRAP=module:function so every worker runs the "
     "same registrations as the client"
 )
 
@@ -124,31 +118,16 @@ def bootstrap_specs(extra: Optional[Sequence[str]] = None) -> List[str]:
     return ordered
 
 
-def _entry_point_hooks() -> List[tuple]:
-    """(name, callable) pairs from the ``repro.registrations`` group."""
-    from importlib import metadata
-
-    hooks = []
-    try:
-        entry_points = metadata.entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 signature
-        entry_points = metadata.entry_points().get(ENTRY_POINT_GROUP, ())
-    for entry in entry_points:
-        hooks.append((f"entry-point:{entry.name}", entry))
-    return hooks
-
-
 def run_bootstrap(extra: Optional[Sequence[str]] = None) -> List[str]:
     """Run every configured bootstrap hook once per process.
 
-    Executes, in order: ``REPRO_BOOTSTRAP`` specs, ``extra`` specs,
-    then installed ``repro.registrations`` entry points.  Each hook
-    runs at most once per process (a second :func:`run_bootstrap`
-    call, or a fork that already inherited the registrations, is a
-    no-op for it).  Returns the labels of hooks that actually ran.
-    A failing hook raises ``RuntimeError`` naming the spec -- a worker
-    that cannot see the registrations it was promised must not serve
-    cells.
+    Executes, in order: ``REPRO_BOOTSTRAP`` specs, then ``extra``
+    specs (see :func:`bootstrap_specs`).  Each hook runs at most once
+    per process (a second :func:`run_bootstrap` call, or a fork that
+    already inherited the registrations, is a no-op for it).  Returns
+    the specs of hooks that actually ran.  A failing hook raises
+    ``RuntimeError`` naming the spec -- a worker that cannot see the
+    registrations it was promised must not serve cells.
     """
     ran: List[str] = []
     for spec in bootstrap_specs(extra):
@@ -165,15 +144,4 @@ def run_bootstrap(extra: Optional[Sequence[str]] = None) -> List[str]:
             ) from exc
         _already_run.add(spec)
         ran.append(spec)
-    for label, entry in _entry_point_hooks():
-        if label in _already_run:
-            continue
-        try:
-            entry.load()()
-        except Exception as exc:
-            raise RuntimeError(
-                f"bootstrap {label} failed: {exc!r}"
-            ) from exc
-        _already_run.add(label)
-        ran.append(label)
     return ran

@@ -28,14 +28,21 @@ The engine never mutates global state; sessions are managed by
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union,
+)
 
 from repro.serialization import content_key
 
 from .backends import ExecutorBackend, make_backend
-from .cells import CellResult, CellSpec, group_cells
 from .events import EngineEvent, EventCallback
 from .store import ResultStore, StoreStats, default_store_name, make_store
+
+if TYPE_CHECKING:
+    from .cells import CellResult, CellSpec
+
+# cells load in run_cells: a rerun served by experiment() hits alone
+# never imports them
 
 __all__ = ["ExperimentEngine"]
 
@@ -230,6 +237,8 @@ class ExperimentEngine:
         Scheduling cannot affect values -- cells are pure -- so every
         backend agrees with the serial reference bit-for-bit.
         """
+        from .cells import CellResult, group_cells
+
         keys = [spec.key() for spec in specs]
         results: Dict[str, CellResult] = {}
         cached: List[CellSpec] = []

@@ -1,9 +1,8 @@
 """The long-lived remote worker: ``python -m repro worker --serve``.
 
 A worker binds a TCP port, runs the registry bootstrap
-(:mod:`repro.engine.bootstrap`: ``REPRO_BOOTSTRAP`` specs, its own
-``--bootstrap`` flags, installed ``repro.registrations`` entry
-points), then serves shard requests from
+(:mod:`repro.engine.bootstrap`: ``REPRO_BOOTSTRAP`` specs, then its
+own ``--bootstrap`` flags), then serves shard requests from
 :class:`~repro.engine.backends.remote.RemoteBackend` clients until
 killed.  Evaluation goes through the very same pure
 ``compute_batch`` path every local backend uses (via

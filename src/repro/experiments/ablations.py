@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine import CellSpec, get_engine
+from repro.engine import get_engine
 
 from .common import ExperimentResult, cached_experiment
 
@@ -28,8 +28,8 @@ if TYPE_CHECKING:
     from repro.core.model import PlatformConfig
     from repro.core.problem import SynTSProblem
 
-# numpy and repro.core load inside the studies, so a warm rerun served
-# from the result store imports neither
+# numpy, repro.core and the engine's cells load inside the studies, so
+# a warm rerun served from the result store imports none of them
 
 __all__ = [
     "sampling_budget",
@@ -166,6 +166,8 @@ def _first_interval_cells(benchmark, stage, schemes, engine=None, **overrides):
     first barrier interval; ``overrides`` maps one CellSpec platform
     field to the swept values.
     """
+    from repro.engine.cells import CellSpec
+
     (field, values), = overrides.items()
     specs = {
         (scheme, value): CellSpec(

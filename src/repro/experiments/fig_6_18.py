@@ -17,15 +17,9 @@ offline cells are shared with ``headline`` through the session cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.engine import (
-    CellSpec,
-    ExperimentEngine,
-    benchmark_specs,
-    get_engine,
-    totalize,
-)
+from repro.engine import ExperimentEngine, get_engine
 
 from .common import (
     STAGES,
@@ -33,6 +27,9 @@ from .common import (
     cached_experiment,
     reported_benchmarks,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.cells import CellSpec
 
 __all__ = ["StagePanel", "run", "run_stage"]
 
@@ -77,6 +74,8 @@ def _stage_specs(
     stage: str, seed: int
 ) -> Dict[Tuple[str, str], Tuple[CellSpec, ...]]:
     """(benchmark, scheme) -> interval cells for one panel."""
+    from repro.engine.cells import benchmark_specs
+
     groups: Dict[Tuple[str, str], Tuple[CellSpec, ...]] = {}
     for name in reported_benchmarks():
         groups[name, "synts"] = benchmark_specs(name, stage, "synts")
@@ -91,6 +90,8 @@ def _stage_specs(
 def run_stage(
     stage: str, seed: int = 7, engine: ExperimentEngine | None = None
 ) -> StagePanel:
+    from repro.engine.cells import totalize
+
     eng = engine or get_engine()
     groups = _stage_specs(stage, seed)
     flat = [spec for specs in groups.values() for spec in specs]

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.engine import (
-    ExperimentEngine,
-    benchmark_specs,
-    get_engine,
-    totalize,
-)
+from repro.engine import ExperimentEngine, get_engine
 
 from .common import (
     STAGES,
@@ -47,6 +42,8 @@ def stage_gains(
     Enumerates the workload registry's *reported* set, so registered
     synthetic workloads join the comparison with no driver change.
     """
+    from repro.engine.cells import benchmark_specs, totalize
+
     eng = engine or get_engine()
     benchmarks = reported_benchmarks()
     groups = {

@@ -19,13 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Series
-from repro.engine import (
-    ExperimentEngine,
-    benchmark_specs,
-    cached_interval_problems,
-    get_engine,
-    totalize,
-)
+from repro.engine import ExperimentEngine, get_engine
 
 from .common import ExperimentResult, cached_experiment
 
@@ -108,6 +102,7 @@ def _sweep_cells(
     cells (across figures, sessions) come from the cache.
     """
     from repro.core.pareto import TradeoffPoint
+    from repro.engine.cells import benchmark_specs, totalize
 
     schemes = {
         "SynTS": "synts",
@@ -153,6 +148,7 @@ def run_figure(
 ) -> ExperimentResult:
     """Regenerate one of Figs. 6.11-6.16."""
     from repro.core.pareto import pareto_front, theta_grid
+    from repro.engine.cells import cached_interval_problems
 
     if figure_id not in PARETO_FIGURES:
         raise KeyError(

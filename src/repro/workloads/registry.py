@@ -100,6 +100,19 @@ class WorkloadEntry:
         re-registering a *name* with different parameters (profile,
         stage shapes, reported flag) can never serve stale cached
         numbers -- within a session or across a shared ``--cache-dir``.
+        Every call returns the same dict (see :attr:`_digest`); treat
+        it as read-only.
+        """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> Dict[str, Any]:
+        """:meth:`digest`'s dict, built once per entry.
+
+        Every experiment key mixes in the whole registry's digests;
+        the recursive ``asdict`` walk over each profile is too
+        expensive to redo per key.  Safe to memoise on the instance
+        for the same reason as :attr:`digest_json`.
         """
         return {
             "profile": asdict(self.profile),

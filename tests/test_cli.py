@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -177,6 +179,42 @@ class TestEngineCLI:
     def test_unknown_store_rejected(self):
         with pytest.raises(SystemExit):  # argparse: invalid choice
             main(["run", "fig_4_7", "--store", "s3"])
+
+
+class TestBootstrapCLI:
+    """A ``REPRO_BOOTSTRAP`` hook that cannot run stops the CLI cleanly:
+    exit 2 and one ``repro:`` line naming the spec, no traceback."""
+
+    @pytest.fixture
+    def failing_hook(self, tmp_path, monkeypatch):
+        module = "repro_test_failing_hook"
+        (tmp_path / f"{module}.py").write_text(
+            "def register():\n"
+            "    raise ValueError('registration refused')\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        yield f"{module}:register"
+        sys.modules.pop(module, None)
+
+    def _list_with_bootstrap(self, spec, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_BOOTSTRAP", spec)
+        assert main(["list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ")
+        assert repr(spec) in line
+        return line
+
+    def test_unimportable_hook_module(self, monkeypatch, capsys):
+        line = self._list_with_bootstrap(
+            "repro_no_such_hook_module:register", monkeypatch, capsys
+        )
+        assert "cannot import bootstrap module" in line
+
+    def test_raising_hook(self, failing_hook, monkeypatch, capsys):
+        line = self._list_with_bootstrap(failing_hook, monkeypatch, capsys)
+        assert "registration refused" in line
 
 
 class TestCacheCLI:

@@ -27,6 +27,8 @@ CLI_IMPORTS = (
 #: Modules the CLI import above must not load; a trailing ``*``
 #: also forbids every submodule.
 CLI_FORBIDDEN = (
+    "importlib.metadata",
+    "email*",
     "socket",
     "hmac",
     "concurrent.futures",
@@ -105,12 +107,10 @@ def test_cli_import_loads_only_the_default_path():
 
 
 def test_listing_loads_no_numpy():
-    # the bootstrap's entry-point scan loads socket (through email), so
-    # the listing is held to the numpy rule only
     _, modules = _loaded(
         "from repro.__main__ import main\nassert main(['list']) == 0\n"
     )
-    assert _forbidden(modules, ("numpy*", "scipy*")) == []
+    assert _forbidden(modules, CLI_FORBIDDEN) == []
 
 
 def test_cold_table_5_1_loads_no_numpy():
@@ -125,23 +125,37 @@ def test_cold_table_5_1_loads_no_numpy():
 
 
 def test_warm_rerun_skips_driver_dependencies(tmp_path):
-    run_both = textwrap.dedent(
+    # fig_5_10 and sec_6_3 submit no cells; the replay-penalty ablation
+    # does, so the cold run proves the cells check can fail
+    run_three = textwrap.dedent(
         f"""
         from repro.__main__ import main
-        for exp_id in ("fig_5_10", "sec_6_3"):
-            assert main(["run", exp_id, "--cache-dir", {str(tmp_path)!r}]) == 0
+        for command in (["run", "fig_5_10"], ["run", "sec_6_3"],
+                        ["ablation", "replay_penalty"]):
+            assert main([*command, "--cache-dir", {str(tmp_path)!r}]) == 0
         """
     )
-    cold, cold_modules = _loaded(run_both)
-    # the cold run really computed: it needed both dependencies
-    assert {"repro.gpgpu", "repro.overhead"} <= cold_modules
-    warm, warm_modules = _loaded(run_both)
+    cold, cold_modules = _loaded(run_three)
+    # the cold run really computed: it needed every dependency
+    assert {"repro.gpgpu", "repro.overhead", "repro.engine.cells"} <= cold_modules
+    warm, warm_modules = _loaded(run_three)
     assert warm == cold
-    assert _forbidden(warm_modules, ("repro.gpgpu*", "repro.overhead*")) == []
+    # memo hits only: no driver dependency, no cell keyed or computed,
+    # no installed-package metadata read
+    assert _forbidden(
+        warm_modules,
+        (
+            "repro.gpgpu*",
+            "repro.overhead*",
+            "repro.engine.cells",
+            "importlib.metadata",
+        ),
+    ) == []
 
 
 def test_warm_rerun_of_everything_loads_no_numpy(tmp_path):
-    """A warm hit only keys, reads JSON and renders text."""
+    """A warm hit only keys, reads JSON and renders text: no numpy or
+    scipy, no cells and none of the CLI-forbidden standard modules."""
     run_all = textwrap.dedent(
         f"""
         from repro.__main__ import main
@@ -150,10 +164,10 @@ def test_warm_rerun_of_everything_loads_no_numpy(tmp_path):
         """
     )
     cold, cold_modules = _loaded(run_all)
-    assert {"numpy", "scipy"} <= cold_modules
+    assert {"numpy", "scipy", "repro.engine.cells"} <= cold_modules
     warm, warm_modules = _loaded(run_all)
     assert warm == cold
-    assert _forbidden(warm_modules, ("numpy*", "scipy*")) == []
+    assert _forbidden(warm_modules, (*CLI_FORBIDDEN, "repro.engine.cells")) == []
 
 
 def _submodules(package):

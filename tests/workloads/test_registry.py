@@ -76,6 +76,45 @@ class TestRegistrationDiscipline:
         )
         assert WORKLOAD_REGISTRY.fingerprint() != first
 
+    def test_fingerprint_digests_each_entry_once(self, monkeypatch):
+        """Experiment keys fingerprint the registry on every call; an
+        unchanged entry hands back its memoised digest, no new
+        ``asdict`` walk."""
+        import repro.workloads.registry as registry
+
+        first = WORKLOAD_REGISTRY.fingerprint()
+        walked = []
+        real_asdict = registry.asdict
+        monkeypatch.setattr(
+            registry, "asdict", lambda obj: walked.append(obj) or real_asdict(obj)
+        )
+        second = WORKLOAD_REGISTRY.fingerprint()
+        assert walked == []
+        assert [name for name, _ in second] == [name for name, _ in first]
+        assert all(a is b for (_, a), (_, b) in zip(first, second))
+
+    def test_replacement_changes_experiment_keys(self, fresh_names):
+        """``replace=True`` installs a new entry, hence a new digest: the
+        memo never carries the old parameters into experiment keys."""
+        from repro.experiments.common import cached_experiment
+        from repro.serialization import content_key
+
+        class KeyEngine:
+            def experiment(self, key_parts, thunk):
+                return content_key("experiment", list(key_parts))
+
+        @cached_experiment("probe")
+        def probe():
+            raise AssertionError("keying never runs the driver")
+
+        register_synthetic("synth_fp_memo", heterogeneity=2.0)
+        fingerprint = WORKLOAD_REGISTRY.fingerprint()
+        key = probe(engine=KeyEngine())
+        assert probe(engine=KeyEngine()) == key
+        register_synthetic("synth_fp_memo", heterogeneity=8.0, replace=True)
+        assert WORKLOAD_REGISTRY.fingerprint() != fingerprint
+        assert probe(engine=KeyEngine()) != key
+
     def test_reregistration_never_serves_stale_cells(self, fresh_names):
         """Same name, different parameters -> different cell cache
         keys, so a shared engine/cache can never return yesterday's
