@@ -19,6 +19,7 @@ import numpy as np
 
 from .poly import (
     SynTSSolution,
+    _assemble_once,
     solve_synts_poly,
     solve_synts_poly_batch,
     stacked_shape_groups,
@@ -87,15 +88,25 @@ def solve_no_ts_batch(
 ) -> List[SynTSSolution]:
     """Batch form of :func:`solve_no_ts` (bit-identical per interval).
 
-    The r = 1 slices of all intervals go through
-    :func:`solve_synts_poly_batch` in one pass; each solution is then
-    re-expressed through the same assembly the per-interval path uses.
+    Each distinct problem gets one r = 1 slice, and the slices go
+    through :func:`solve_synts_poly_batch` in one pass, so a slice
+    repeated at many thetas is solved once.  Each (problem, indices)
+    is re-expressed once through the assembly the per-interval path
+    uses; its other thetas only re-cost that evaluation.
     """
-    restricted = [p.restrict_tsr([1.0]) for p in problems]
-    solutions = solve_synts_poly_batch(restricted, thetas)
+    distinct = {id(problem): problem for problem in problems}
+    slices = {key: p.restrict_tsr([1.0]) for key, p in distinct.items()}
+    solutions = solve_synts_poly_batch([slices[id(p)] for p in problems], thetas)
+    expanded: dict = {}
     return [
-        _expand_r1_solution(problem, theta, sol)
-        for problem, theta, sol in zip(problems, thetas, solutions)
+        _assemble_once(
+            expanded,
+            (id(problem), sol.indices),
+            sol.theta,
+            lambda: _expand_r1_solution(problem, sol.theta, sol),
+            critical_thread=sol.critical_thread,
+        )
+        for problem, sol in zip(problems, solutions)
     ]
 
 
@@ -144,17 +155,24 @@ def solve_per_core_ts_batch(
     Same-shape interval tables are stacked and the per-core argmin
     runs once over the whole (interval, thread) plane; ``np.argmin``
     over the stacked axis picks the same first-minimum configuration
-    the scalar path does.
+    the scalar path does.  An interval whose argmins repeat across
+    thetas is assembled once and re-costed per theta.
     """
     thetas = [float(t) for t in thetas]
     for theta in thetas:
         check_theta(theta)
     out: List[SynTSSolution] = [None] * len(problems)  # type: ignore[list-item]
-    for members, times, energies in stacked_shape_groups(problems):
+    for members, rows, times, energies in stacked_shape_groups(problems):
         theta_col = np.asarray([thetas[b] for b in members])[:, None, None]
-        flat = np.argmin(energies + theta_col * times, axis=2)  # (B, m)
-        for row, b in zip(flat, members):
-            out[b] = _per_core_solution(problems[b], thetas[b], row)
+        flat = np.argmin(energies[rows] + theta_col * times[rows], axis=2)  # (B, m)
+        assembled: dict = {}
+        for flat_row, row, b in zip(flat, rows, members):
+            out[b] = _assemble_once(
+                assembled,
+                (row, flat_row.tobytes()),
+                thetas[b],
+                lambda: _per_core_solution(problems[b], thetas[b], flat_row),
+            )
     return out
 
 

@@ -30,7 +30,7 @@ engine's :class:`~repro.engine.cells.CellBatch` dispatch feeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -243,6 +243,24 @@ def _assemble(
     )
 
 
+def _assemble_once(
+    assembled: dict, key, theta: float, assemble, **changes
+) -> SynTSSolution:
+    """The solution for ``key`` at ``theta``, assembled once per batch.
+
+    A batch that repeats a problem at many thetas often repeats its
+    winning assignment too: the first occurrence of ``key`` calls
+    ``assemble()``, later ones re-cost that assignment at their own
+    theta (Eq. 4.4) -- the floats ``assemble`` would have produced.
+    """
+    first = assembled.get(key)
+    if first is None:
+        assembled[key] = first = assemble()
+        return first
+    cost = float(first.evaluation.cost(theta))
+    return replace(first, cost=cost, theta=theta, **changes)
+
+
 def solve_synts_poly(problem: SynTSProblem, theta: float) -> SynTSSolution:
     """Exactly minimise ``sum en_i + theta * t_exec`` (Algorithm 1).
 
@@ -266,25 +284,31 @@ def solve_synts_poly(problem: SynTSProblem, theta: float) -> SynTSSolution:
 
 
 def stacked_shape_groups(problems: Sequence[SynTSProblem]):
-    """Yield ``(member_indices, times, energies)`` per table shape.
+    """Yield ``(members, rows, times, energies)`` per table shape.
 
     Same-shape problems (all intervals of one benchmark stage) stack
-    into (B, M, Q*S) tables; mixed shapes come out as separate
-    groups, members in input order.  Shared by every batch solver
-    that broadcasts over stacked interval tables.
+    into (R, M, Q*S) tables; mixed shapes come out as separate
+    groups, members in input order.  Each distinct problem object is
+    stacked once -- a theta sweep repeats the same memoised problems
+    -- and ``rows[k]`` is the stack row of ``problems[members[k]]``.
+    Shared by every batch solver that broadcasts over stacked
+    interval tables.
     """
     groups: dict = {}
     for b, problem in enumerate(problems):
-        groups.setdefault(problem.time_table.shape, []).append(b)
-    for members in groups.values():
-        m = problems[members[0]].n_threads
-        times = np.stack(
-            [problems[b].time_table.reshape(m, -1) for b in members]
+        members, rows, row_of = groups.setdefault(
+            problem.time_table.shape, ([], [], {})
         )
-        energies = np.stack(
-            [problems[b].energy_table.reshape(m, -1) for b in members]
+        members.append(b)
+        rows.append(row_of.setdefault(id(problem), len(row_of)))
+    for members, rows, _ in groups.values():
+        distinct = list(
+            {row: problems[b] for b, row in zip(members, rows)}.values()
         )
-        yield members, times, energies
+        m = distinct[0].n_threads
+        times = np.stack([p.time_table.reshape(m, -1) for p in distinct])
+        energies = np.stack([p.energy_table.reshape(m, -1) for p in distinct])
+        yield members, np.asarray(rows), times, energies
 
 
 def solve_synts_poly_batch(
@@ -297,7 +321,10 @@ def solve_synts_poly_batch(
     ``solve_synts_poly(problems[b], thetas[b])``.  Same-shape interval
     tables (all intervals of one benchmark stage share (M, Q, S)) are
     stacked and costed through one broadcast kernel; mixed shapes are
-    grouped internally, so heterogeneous batches are legal.
+    grouped internally, so heterogeneous batches are legal.  Theta
+    enters Eq. 4.4 only as ``+ theta * texec``: a problem repeated at
+    many thetas is pruned and accumulated once, and a winner it
+    repeats is assembled once and re-costed per theta.
     """
     problems = list(problems)
     thetas = [float(t) for t in thetas]
@@ -309,27 +336,29 @@ def solve_synts_poly_batch(
         check_theta(theta)
     out: List[Optional[SynTSSolution]] = [None] * len(problems)
 
-    for members, times, energies in stacked_shape_groups(problems):
-        if len(members) == 1:
-            b = members[0]
-            out[b] = solve_synts_poly(problems[b], thetas[b])
-            continue
-        batch_stairs = [
-            prune_dominated_tables(times[k], energies[k])
-            for k in range(len(members))
+    for members, rows, times, energies in stacked_shape_groups(problems):
+        row_stairs = [
+            prune_dominated_tables(times[r], energies[r])
+            for r in range(len(times))
         ]
+        member_thetas = np.asarray([thetas[b] for b in members])
         costs = _batched_candidate_costs(
-            times, energies, batch_stairs, np.asarray([thetas[b] for b in members])
+            times, energies, row_stairs, rows, member_thetas
         )
+        n = times.shape[2]
+        assembled: dict = {}
         for k, b in enumerate(members):
             winner = _fold_winner(costs[k].ravel())
             if winner < 0:
                 raise RuntimeError(
                     "SynTS-Poly found no feasible candidate (impossible)"
                 )
-            n = times.shape[2]
-            out[b] = _assemble(
-                problems[b], thetas[b], winner // n, winner % n, batch_stairs[k]
+            crit, flat, stairs = winner // n, winner % n, row_stairs[rows[k]]
+            out[b] = _assemble_once(
+                assembled,
+                (rows[k], winner),
+                thetas[b],
+                lambda: _assemble(problems[b], thetas[b], crit, flat, stairs),
             )
     return out  # type: ignore[return-value]
 
@@ -337,34 +366,36 @@ def solve_synts_poly_batch(
 def _batched_candidate_costs(
     times: np.ndarray,
     energies: np.ndarray,
-    batch_stairs: Sequence[Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    row_stairs: Sequence[Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    rows: np.ndarray,
     thetas: np.ndarray,
 ) -> np.ndarray:
-    """(B, M, N) candidate costs for a stack of same-shape problems.
+    """(K, M, N) candidate costs, member k on stack row ``rows[k]``.
 
-    The staircases are padded to a common length with ``+inf`` times
-    (padding can never be counted by the ``<=`` rank) so the position
-    lookup broadcasts over the whole batch; the per-candidate
-    accumulation order matches the scalar reference exactly.
+    The staircases of the R stacked problems are padded to a common
+    length with ``+inf`` times (padding can never be counted by the
+    ``<=`` rank) so the position lookup broadcasts over the stack.
+    Energies and feasibility are accumulated once per row, in the
+    scalar reference's order; only ``+ theta * texec`` is per member.
     """
-    n_batch, m, n = times.shape
+    n_rows, m, n = times.shape
     max_len = max(
-        len(stairs[l][0]) for stairs in batch_stairs for l in range(m)
+        len(stairs[l][0]) for stairs in row_stairs for l in range(m)
     )
-    t_pad = np.full((n_batch, m, max_len), np.inf)
-    e_pad = np.zeros((n_batch, m, max_len))
-    for k, stairs in enumerate(batch_stairs):
+    t_pad = np.full((n_rows, m, max_len), np.inf)
+    e_pad = np.zeros((n_rows, m, max_len))
+    for r, stairs in enumerate(row_stairs):
         for l in range(m):
             t_star, e_star, _ = stairs[l]
-            t_pad[k, l, : len(t_star)] = t_star
-            e_pad[k, l, : len(e_star)] = e_star
+            t_pad[r, l, : len(t_star)] = t_star
+            e_pad[r, l, : len(e_star)] = e_star
 
-    batch_idx = np.arange(n_batch)[:, None]
-    costs = np.empty((n_batch, m, n))
+    row_idx = np.arange(n_rows)[:, None]
+    costs = np.empty((len(rows), m, n))
     for i in range(m):
-        texec = times[:, i, :]  # (B, n)
+        texec = times[:, i, :]  # (R, n)
         total = energies[:, i, :].copy()
-        feasible = np.ones((n_batch, n), dtype=bool)
+        feasible = np.ones((n_rows, n), dtype=bool)
         for l in range(m):
             if l == i:
                 continue
@@ -372,11 +403,11 @@ def _batched_candidate_costs(
             # <= texec (exactly searchsorted 'right'), minus one
             pos = (
                 t_pad[:, l, None, :] <= texec[:, :, None]
-            ).sum(axis=2) - 1  # (B, n)
+            ).sum(axis=2) - 1  # (R, n)
             feasible &= pos >= 0
-            total += e_pad[batch_idx, l, np.maximum(pos, 0)]
-        cost = total + thetas[:, None] * texec
-        cost[~feasible] = np.inf
+            total += e_pad[row_idx, l, np.maximum(pos, 0)]
+        cost = total[rows] + thetas[:, None] * texec[rows]
+        cost[~feasible[rows]] = np.inf
         costs[:, i, :] = cost
     return costs
 

@@ -129,6 +129,10 @@ class SynTSProblem:
         """Theta that weights energy and execution time equally, i.e.
         makes the two terms of Eq. 4.4 equal at the Nominal baseline
         (the convention used for the paper's Fig. 6.18)."""
+        return self._equal_weight_theta
+
+    @cached_property
+    def _equal_weight_theta(self) -> float:
         ev = self.nominal_evaluation()
         return ev.total_energy / ev.texec
 

@@ -42,8 +42,11 @@ def successive_hamming(outputs: np.ndarray) -> np.ndarray:
 
 def hamming_histogram(outputs: np.ndarray) -> np.ndarray:
     """Normalised histogram over distances 0..32 (length 33)."""
-    hd = successive_hamming(outputs)
-    counts = np.bincount(hd, minlength=WORD_BITS + 1).astype(float)
+    return _normalised_histogram(successive_hamming(outputs))
+
+
+def _normalised_histogram(distances: np.ndarray) -> np.ndarray:
+    counts = np.bincount(distances, minlength=WORD_BITS + 1).astype(float)
     return counts / counts.sum()
 
 
@@ -95,10 +98,9 @@ def analyze_valus(
     """Compute Fig. 5.10's histograms and the homogeneity verdict."""
     if len(traces) < 2:
         raise ValueError("need at least two VALU traces to compare")
-    hists = np.stack([hamming_histogram(t.outputs) for t in traces])
-    means = np.array(
-        [successive_hamming(t.outputs).mean() for t in traces]
-    )
+    distances = [successive_hamming(t.outputs) for t in traces]
+    hists = np.stack([_normalised_histogram(hd) for hd in distances])
+    means = np.array([hd.mean() for hd in distances])
     max_tv = 0.0
     for i in range(len(traces)):
         for j in range(i + 1, len(traces)):

@@ -7,6 +7,8 @@ same indices, same floats -- including exact time/energy tie cases
 (duplicated threads, zero-error flats, duplicated TSR levels).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.core.baselines import (
     solve_per_core_ts,
     solve_per_core_ts_batch,
 )
+import repro.core.poly as poly
 from repro.core.poly import (
     _sorted_prefix_tables,
     prune_dominated_tables,
@@ -244,6 +247,116 @@ class TestBaselineBatchSolvers:
             problems, thetas, solve_per_core_ts_batch(problems, thetas)
         ):
             assert_solutions_identical(sol, solve_per_core_ts(problem, theta))
+
+
+#: The Eq. 4.4 weights of the exact-tie cases: 1e6 makes texec
+#: dominate, 0 makes energy alone decide.
+TIE_THETAS = [0.0, 1.0, 5.0, 1e6]
+
+
+def repeated_sweep(rng, duplicate):
+    """A theta sweep over few problem objects, as a Pareto figure
+    submits it: every distinct problem appears at every theta (and
+    once more at a repeated theta), shuffled, across two table shapes
+    with two problems each -- including exact-tie tables."""
+    distinct = [
+        tie_problem(rng, 3, duplicate_threads=duplicate),
+        random_problem(rng, m=2),
+        random_problem(rng, m=3),
+        tie_problem(rng, 2, duplicate_threads=duplicate),
+    ]
+    pairs = [(p, theta) for p in distinct for theta in TIE_THETAS]
+    pairs += [(p, TIE_THETAS[1]) for p in distinct]
+    order = rng.permutation(len(pairs))
+    return [pairs[i][0] for i in order], [pairs[i][1] for i in order]
+
+
+class TestRepeatedProblems:
+    """Batches that repeat the same problem objects at many thetas:
+    the shared per-problem work must not change any solution."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=20_000),
+        duplicate=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_synts_batch_repeats(self, seed, duplicate):
+        rng = np.random.default_rng(seed)
+        problems, thetas = repeated_sweep(rng, duplicate)
+        batch = solve_synts_poly_batch(problems, thetas)
+        for problem, theta, sol in zip(problems, thetas, batch):
+            assert_solutions_identical(sol, solve_synts_poly(problem, theta))
+            assert_solutions_identical(
+                sol, solve_synts_poly_reference(problem, theta)
+            )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=20_000),
+        duplicate=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_no_ts_batch_repeats(self, seed, duplicate):
+        rng = np.random.default_rng(seed)
+        problems, thetas = repeated_sweep(rng, duplicate)
+        for problem, theta, sol in zip(
+            problems, thetas, solve_no_ts_batch(problems, thetas)
+        ):
+            assert_solutions_identical(sol, solve_no_ts(problem, theta))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=20_000),
+        duplicate=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_per_core_ts_batch_repeats(self, seed, duplicate):
+        rng = np.random.default_rng(seed)
+        problems, thetas = repeated_sweep(rng, duplicate)
+        for problem, theta, sol in zip(
+            problems, thetas, solve_per_core_ts_batch(problems, thetas)
+        ):
+            assert_solutions_identical(sol, solve_per_core_ts(problem, theta))
+
+    def test_theta_sweep_does_per_problem_work_once(self, monkeypatch):
+        """A 21-theta sweep over k interval problems prunes k tables
+        and slices k r = 1 problems, not 21 k."""
+        from repro.core import interval_problems
+        from repro.workloads import build_benchmark
+
+        problems = list(
+            interval_problems(build_benchmark("radix"), "decode")
+        )
+        k = len(problems)
+        centre = problems[0].equal_weight_theta()
+        sweep = [float(t) for t in np.linspace(0.0, 2.0 * centre, 21)]
+        batch_problems = [p for _ in sweep for p in problems]
+        batch_thetas = [t for t in sweep for _ in problems]
+
+        calls = Counter()
+        prune = poly.prune_dominated_tables
+        restrict = SynTSProblem.restrict_tsr
+
+        def counted_prune(*args):
+            calls["prune"] += 1
+            return prune(*args)
+
+        def counted_restrict(self, levels):
+            calls["restrict"] += 1
+            return restrict(self, levels)
+
+        monkeypatch.setattr(poly, "prune_dominated_tables", counted_prune)
+        monkeypatch.setattr(SynTSProblem, "restrict_tsr", counted_restrict)
+        solve_synts_poly_batch(batch_problems, batch_thetas)
+        assert calls == {"prune": k}
+        calls.clear()
+        solve_no_ts_batch(batch_problems, batch_thetas)
+        assert calls == {"prune": k, "restrict": k}
+
+    def test_equal_weight_theta_is_memoised_exactly(self, tiny_problem):
+        nominal = tiny_problem.nominal_evaluation()
+        expected = nominal.total_energy / nominal.texec
+        assert tiny_problem.equal_weight_theta() == expected
+        assert tiny_problem.equal_weight_theta() == expected
+        assert "_equal_weight_theta" in vars(tiny_problem)
 
 
 class TestFullPlatform:

@@ -94,6 +94,26 @@ class TestHamming:
         with pytest.raises(ValueError):
             total_variation(h1, np.array([1.0]))
 
+    def test_analysis_matches_per_trace_functions(self):
+        """analyze_valus computes each stream's distances once; its
+        histograms and means equal the per-trace public functions."""
+        from repro.gpgpu.radeon import VALUTrace
+
+        rng = np.random.default_rng(2)
+        traces = [
+            VALUTrace(i, rng.integers(0, 2**31, 300).astype(np.uint32))
+            for i in range(3)
+        ]
+        analysis = analyze_valus(traces)
+        for lane, trace in enumerate(traces):
+            np.testing.assert_array_equal(
+                analysis.histograms[lane], hamming_histogram(trace.outputs)
+            )
+            assert (
+                analysis.mean_distance[lane]
+                == successive_hamming(trace.outputs).mean()
+            )
+
     def test_too_short_stream_rejected(self):
         with pytest.raises(ValueError):
             successive_hamming(np.array([1], dtype=np.uint32))
