@@ -41,9 +41,24 @@ Every regeneration goes through the experiment engine:
 CLI, process-pool workers and remote workers all run at start-up, so
 user schemes/workloads resolve identically everywhere (see
 ``repro.engine.bootstrap``).
+
+Importing this module caps OpenBLAS at one thread unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+is already set.  repro makes no BLAS call, yet numpy's and scipy's
+bundled OpenBLAS each start a busy-waiting thread at import.  The cap
+is set before anything can import numpy and is inherited by worker
+processes; a plain ``import repro`` leaves the environment alone.
 """
 
 from __future__ import annotations
+
+import os
+
+if not any(
+    v in os.environ
+    for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import sys

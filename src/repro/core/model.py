@@ -20,6 +20,7 @@ absolute scale cancels in every reported (normalised) result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -133,11 +134,17 @@ class PlatformConfig:
         """Highest voltage, no speculation -- the Nominal baseline."""
         return OperatingPoint(voltage=self.voltages[0], tsr=1.0)
 
+    @cached_property
+    def point_grid(self) -> Tuple[Tuple[OperatingPoint, ...], ...]:
+        """``point_grid[j][k]`` is (V_j, R_k), built once per config."""
+        return tuple(
+            tuple(OperatingPoint(v, r) for r in self.tsr_levels)
+            for v in self.voltages
+        )
+
     def operating_points(self):
         """All (voltage, tsr) combinations, index order (j, k)."""
-        return [
-            OperatingPoint(v, r) for v in self.voltages for r in self.tsr_levels
-        ]
+        return [p for row in self.point_grid for p in row]
 
     def restrict_tsr(self, levels: Sequence[float]) -> "PlatformConfig":
         """A copy restricted to the given TSR levels (used by No-TS)."""

@@ -104,14 +104,13 @@ class SynTSProblem:
     # helpers
     # ------------------------------------------------------------------
     def point(self, j: int, k: int) -> OperatingPoint:
-        return OperatingPoint(
-            voltage=self.config.voltages[j], tsr=self.config.tsr_levels[k]
-        )
+        return self.config.point_grid[j][k]
 
     def assignment_from_indices(
         self, indices: Sequence[Tuple[int, int]]
     ) -> Assignment:
-        return Assignment(points=tuple(self.point(j, k) for j, k in indices))
+        grid = self.config.point_grid
+        return Assignment(points=tuple(grid[j][k] for j, k in indices))
 
     def evaluate_indices(self, indices: Sequence[Tuple[int, int]]) -> Evaluation:
         t, e = self.time_table, self.energy_table

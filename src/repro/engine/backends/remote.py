@@ -11,9 +11,10 @@ because workers evaluate the very same pure ``compute_batch`` path.
 Worker-side engine events (per-cell ``cell_computed`` and friends)
 are forwarded into the local event stream tagged with the worker's
 address, so ``--progress`` and ``--log-json`` cover remote work the
-same way they cover local work.  Events for a shard are buffered until
-the shard's result frame arrives: a shard that fails over to another
-worker never double-reports its cells.
+same way they cover local work.  A worker returns a shard's events
+inside its result frame, and the client forwards them only then: a
+shard that fails over to another worker never double-reports its
+cells.
 
 The protocol is **cache-aware**: a worker started with
 ``--cache-dir`` keeps its own result store, and dispatch to such a
@@ -38,14 +39,14 @@ reconnect), and a worker missing one fails the run with an actionable
 error (pointing at ``REPRO_BOOTSTRAP`` and the worker ``--bootstrap``
 flag) *before* any compute is wasted.
 
-Wire protocol (version 2): each frame is a 4-byte big-endian length
+Wire protocol (version 3): each frame is a 4-byte big-endian length
 followed by that many bytes of UTF-8 canonical JSON
 (:func:`repro.serialization.canonical_json` -- sorted keys, numpy
 scalars coerced), written with one ``sendall``; both ends set
 ``TCP_NODELAY`` (see :func:`set_nodelay`).  Requests are ``{"op":
-...}`` objects; responses carry ``"ok"``; ``run_batches`` responses
-are preceded by zero or more ``{"op": "event"}`` frames streamed
-during evaluation.  Batches travel
+...}`` objects; responses carry ``"ok"``; every request gets exactly
+one response frame, and a ``run_batches`` result lists the shard's
+engine events under ``"events"``.  Batches travel
 as ``{"keys": [...], "specs": [[index, payload], ...]}`` -- ``specs``
 is sparse, omitting cells the worker promised to serve from its store.
 Workers configured with a shared-secret token (``--token`` /
@@ -98,7 +99,9 @@ __all__ = [
 #: incompatibly; both ends refuse mismatched peers at handshake.
 #: Version 2: sparse delta batch encoding, ``query_keys``, worker-side
 #: stores (``cached`` result field) and the HMAC auth handshake.
-PROTOCOL_VERSION = 2
+#: Version 3: a shard's events travel in its result frame (``events``)
+#: instead of one ``event`` frame each.
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct(">I")
 
@@ -128,12 +131,12 @@ class FrameTooLargeError(RemoteProtocolError):
 def set_nodelay(sock: socket.socket) -> None:
     """Turn off Nagle's algorithm on a protocol socket (both ends).
 
-    A worker answers ``run_batches`` with several small frames (event
-    frames, then the result), each one ``sendall``.  With Nagle on,
-    every frame after the first waits for the ACK of the previous one,
-    and the reading side delays that ACK (~40 ms on Linux) -- a fixed
-    stall per shard whatever its size.  Frames are already written
-    whole, so sending segments immediately changes no framing.
+    With Nagle on, a small segment waits for the ACK of the data
+    sent before it, and the reading side delays that ACK (~40 ms on
+    Linux): a fixed stall whenever a write follows unacknowledged data,
+    such as the short tail segment of a large frame.  Frames are
+    already written whole, so sending segments immediately changes no
+    framing.
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -416,31 +419,22 @@ class _WorkerLink:
                 pass
             self._sock = None
 
-    def request(
-        self, payload: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-        """One request/response round trip.
+    def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """One request/response round trip; returns the response frame.
 
-        Returns ``(response, events)`` where ``events`` are the
-        ``op: event`` frames streamed before the response.  Socket
-        trouble raises ``OSError``/``RemoteProtocolError`` -- the
-        caller decides whether that is a lost worker.
+        Socket trouble raises ``OSError``/``RemoteProtocolError`` --
+        the caller decides whether that is a lost worker.
         """
         if self._sock is None:
             raise RemoteProtocolError(f"worker {self.label} not connected")
         send_frame(self._sock, payload)
-        events: List[Dict[str, Any]] = []
-        while True:
-            frame = recv_frame(self._sock)
-            if frame is None:
-                raise RemoteProtocolError(
-                    f"worker {self.label} closed the connection "
-                    f"mid-request ({payload.get('op')})"
-                )
-            if frame.get("op") == "event":
-                events.append(frame)
-                continue
-            return frame, events
+        frame = recv_frame(self._sock)
+        if frame is None:
+            raise RemoteProtocolError(
+                f"worker {self.label} closed the connection "
+                f"mid-request ({payload.get('op')})"
+            )
+        return frame
 
 
 def shard_of_batch(batch: CellBatch, n_shards: int) -> int:
@@ -625,7 +619,7 @@ class RemoteBackend(ExecutorBackend):
         shard: int,
         members: Sequence[int],
         batches: Sequence[CellBatch],
-    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    ) -> Dict[str, Any]:
         """One shard round trip, delta-aware.
 
         Against a worker advertising a result store (``caching`` in
@@ -642,10 +636,10 @@ class RemoteBackend(ExecutorBackend):
         hits: FrozenSet[str] = frozenset()
         if self.delta and link.hello.get("caching"):
             keys = [key for i in members for key in batches[i].keys]
-            reply, _ = link.request({"op": "query_keys", "keys": keys})
+            reply = link.request({"op": "query_keys", "keys": keys})
             if reply.get("ok"):
                 hits = frozenset(reply.get("hits", ())) & frozenset(keys)
-        reply, events = link.request(
+        reply = link.request(
             {
                 "op": "run_batches",
                 "shard": shard,
@@ -655,14 +649,14 @@ class RemoteBackend(ExecutorBackend):
             }
         )
         if not reply.get("ok") and reply.get("kind") == "cache_miss" and hits:
-            reply, events = link.request(
+            reply = link.request(
                 {
                     "op": "run_batches",
                     "shard": shard,
                     "batches": [_encode_batch(batches[i]) for i in members],
                 }
             )
-        return reply, events
+        return reply
 
     def run_batches(
         self,
@@ -722,7 +716,7 @@ class RemoteBackend(ExecutorBackend):
                 )
                 start = time.perf_counter()
                 try:
-                    reply, events = self._request_shard(
+                    reply = self._request_shard(
                         link, shard, members, batches
                     )
                     if reply.get("ok"):
@@ -755,12 +749,12 @@ class RemoteBackend(ExecutorBackend):
                     if key in spec_by_key
                 ]
                 with emit_lock:
-                    # forward the worker's buffered events only now --
-                    # a shard that failed over never double-reports
-                    for frame in events:
-                        data = dict(frame.get("data") or {})
+                    # forward the worker's events only now -- a shard
+                    # that failed over never double-reports
+                    for event in reply.get("events", ()):
+                        data = dict(event.get("data") or {})
                         data.setdefault("worker", link.label)
-                        emit(frame.get("kind", "worker_event"), **data)
+                        emit(event.get("kind", "worker_event"), **data)
                     # cells the worker served from its own store: no
                     # compute happened anywhere, so they surface as
                     # cache hits, tagged with where the hit landed

@@ -25,7 +25,8 @@ The worker announces readiness by printing one line to stdout::
 which is how :func:`start_loopback_workers` (tests, benchmarks, the
 CI smoke) discovers ephemeral ports (``--serve 127.0.0.1:0``).
 Request logs go to stderr; engine events produced while computing a
-shard are streamed back to the requesting client, not printed.
+shard are returned to the requesting client in the shard's result
+frame, not printed.
 
 Ops served (see :mod:`repro.engine.backends.remote` for framing):
 ``hello`` (version/schema handshake + registry snapshot + caching /
@@ -33,7 +34,7 @@ auth advertisement), ``auth`` (HMAC proof), ``registries`` (live
 registry names; diagnostic -- clients validate against the hello
 reply), ``query_keys``
 (worker-store hits for a key list), ``run_batches`` (evaluate a
-shard; streams ``event`` frames, then a ``result`` frame), ``ping``
+shard; one ``result`` frame carrying its ``events``), ``ping``
 and ``shutdown``.
 """
 
@@ -116,7 +117,7 @@ def _handle_run_batches(
     sock: socket.socket,
     store: Optional[ResultStore],
 ) -> None:
-    """Evaluate one shard, streaming events then the result frame.
+    """Evaluate one shard and answer with one result frame.
 
     Cells present in the worker's store are served from it (reported
     under ``"cached"`` in the result frame) and only the rest are
@@ -196,8 +197,10 @@ def _handle_run_batches(
         )
         return
 
+    events: List[Dict[str, Any]] = []
+
     def emit(kind: str, **data: Any) -> None:
-        send_frame(sock, {"op": "event", "kind": kind, "data": data})
+        events.append({"kind": kind, "data": data})
 
     try:
         results = SerialBackend().run_batches(compute_batches, emit)
@@ -261,6 +264,7 @@ def _handle_run_batches(
                 "shard": request.get("shard"),
                 "batches": payloads,
                 "cached": cached_keys,
+                "events": events,
             },
         )
     except FrameTooLargeError as exc:

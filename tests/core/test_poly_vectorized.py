@@ -248,6 +248,28 @@ class TestBaselineBatchSolvers:
         ):
             assert_solutions_identical(sol, solve_per_core_ts(problem, theta))
 
+    def test_no_ts_batch_keeps_each_thetas_critical_thread(self):
+        """Two thetas whose No TS winners share indices but not the
+        critical thread: the shared (problem, indices) expansion must
+        still carry each theta's own critical thread."""
+        threads = tuple(
+            ThreadParams(n_instructions=n, cpi_base=c, err=ZeroErrorFunction())
+            for n, c in [
+                (260, 1.5411666640331463),
+                (1280, 1.4317639698930318),
+                (3936, 1.4959052613471095),
+                (3394, 1.301157762280389),
+                (3936, 1.4959052613471095),
+            ]
+        )
+        problem = SynTSProblem(config=small_config(3, 3), threads=threads)
+        thetas = [float(t) for t in np.geomspace(1e-4, 1e4, 41)[21:23]]
+        batch = solve_no_ts_batch([problem, problem], thetas)
+        assert batch[0].indices == batch[1].indices
+        assert batch[0].critical_thread != batch[1].critical_thread
+        for theta, sol in zip(thetas, batch):
+            assert_solutions_identical(sol, solve_no_ts(problem, theta))
+
 
 #: The Eq. 4.4 weights of the exact-tie cases: 1e6 makes texec
 #: dominate, 0 makes energy alone decide.

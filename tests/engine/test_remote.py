@@ -278,14 +278,14 @@ class TestFailover:
         original = backend._request_shard
 
         def damaged(link, shard, members, batches):
-            reply, events = original(link, shard, members, batches)
+            reply = original(link, shard, members, batches)
             if damage == "no_batches":
                 del reply["batches"]
             elif damage == "short_group":
                 reply["batches"][-1] = reply["batches"][-1][:-1]
             else:
                 reply["batches"] = reply["batches"][:-1]
-            return reply, events
+            return reply
 
         backend._request_shard = damaged
         with ExperimentEngine(backend=backend) as eng:
@@ -603,13 +603,13 @@ class TestDeltaProtocol:
         link = _WorkerLink(address, connect_timeout=10)
         link.connect()
         try:
-            reply, _ = link.request({"op": "query_keys", "keys": keys})
+            reply = link.request({"op": "query_keys", "keys": keys})
             assert reply["ok"] and reply["hits"] == []
             with ExperimentEngine(
                 backend="remote", remote_workers=caching_worker
             ) as eng:
                 eng.run_cells(specs)
-            reply, _ = link.request({"op": "query_keys", "keys": keys})
+            reply = link.request({"op": "query_keys", "keys": keys})
             assert sorted(reply["hits"]) == sorted(keys)
         finally:
             link.close()
@@ -629,7 +629,7 @@ class TestDeltaProtocol:
         link = _WorkerLink(address, connect_timeout=10)
         link.connect()
         try:
-            reply, _ = link.request(
+            reply = link.request(
                 {
                     "op": "run_batches",
                     "shard": 0,
@@ -641,7 +641,7 @@ class TestDeltaProtocol:
             # the requester still gets its computed result...
             assert reply["ok"] and reply["batches"][0][0]["spec"]
             # ...but nothing was stored, under either key
-            reply, _ = link.request(
+            reply = link.request(
                 {"op": "query_keys", "keys": [bogus, spec.key()]}
             )
             assert reply["hits"] == []
@@ -676,7 +676,7 @@ class TestDeltaProtocol:
                     "op": "query_keys",
                     "keys": [k for i in members for k in batches[i].keys],
                 }
-            )[0]
+            )
             assert hits_probe["hits"], "worker store should be warm"
             JsonDirStore(tmp_path / "wstore").clear()
             return original(link, shard, members, batches)

@@ -68,10 +68,28 @@ LAZY_PACKAGES = (
 _DUMP_MODULES = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter with ``src`` on the path."""
+#: OpenBLAS's thread-count variables, in the order it reads them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: Prints the BLAS thread-count variables as JSON.
+_DUMP_BLAS_ENV = (
+    "\nimport json, os\n"
+    "print(json.dumps({v: os.environ.get(v) for v in %r}))\n" % (BLAS_THREAD_VARS,)
+)
+
+
+def _python(code: str, blas_env=None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path.
+
+    ``blas_env``, when given, replaces every BLAS thread-count variable
+    of the inherited environment (the test session may have set one).
+    """
     env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
     env.pop("REPRO_BOOTSTRAP", None)
+    if blas_env is not None:
+        for var in BLAS_THREAD_VARS:
+            env.pop(var, None)
+        env.update(blas_env)
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -122,6 +140,40 @@ def test_cold_table_5_1_loads_no_numpy():
     assert "max relative error : 7.8%" in out
     assert "repro.circuit.spice" in modules
     assert _forbidden(modules, ("numpy*", "scipy*")) == []
+
+
+def _blas_env_after(code: str, blas_env):
+    return json.loads(_python(code + _DUMP_BLAS_ENV, blas_env).stdout)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs Linux /proc/self/task"
+)
+def test_cli_starts_no_blas_threads():
+    """numpy's and scipy's OpenBLAS each start a thread at import
+    unless the CLI module capped them first."""
+    out = _python(
+        "import os, repro.__main__, numpy, scipy.special\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+        + _DUMP_BLAS_ENV,
+        blas_env={},
+    ).stdout
+    threads, env = out.splitlines()
+    assert int(threads) == 1
+    assert json.loads(env)["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_cli_keeps_a_preset_blas_thread_count(var):
+    expected = {v: None for v in BLAS_THREAD_VARS}
+    expected[var] = "2"
+    assert _blas_env_after("import repro.__main__", {var: "2"}) == expected
+
+
+def test_library_import_leaves_blas_threads_alone():
+    assert _blas_env_after("import repro", {}) == {
+        v: None for v in BLAS_THREAD_VARS
+    }
 
 
 def test_warm_rerun_skips_driver_dependencies(tmp_path):
