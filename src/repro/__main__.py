@@ -28,14 +28,15 @@ Every regeneration goes through the experiment engine:
   backend's worker processes (``python -m repro worker``);
   ``--token`` (or ``REPRO_WORKER_TOKEN``) is the workers' shared
   auth secret;
-* ``--cache-dir DIR`` persists every cell and figure to a
-  content-addressed on-disk result store, so repeated runs -- and
-  figures sharing sub-problems -- skip the recomputation;
+* ``--cache-dir DIR`` persists every figure to a content-addressed
+  on-disk result store, so a repeated run skips the recomputation
+  (cells are shared between figures within one run only);
   ``--store {memory,jsondir,tiered}`` picks the store layering
   (default: tiered memory+disk when a cache dir is given);
 * ``--progress`` streams human-readable engine progress to stderr;
   ``--log-json`` streams one JSON event per line instead;
-* ``--stats`` prints store hit/miss accounting (per tier) to stderr.
+* ``--stats`` prints store hit/miss accounting (per tier) and the
+  cells computed and reused to stderr.
 
 ``REPRO_BOOTSTRAP=module:function`` names registration hooks that the
 CLI, process-pool workers and remote workers all run at start-up, so
@@ -113,7 +114,8 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
     engine_opts.add_argument(
         "--cache-dir",
         default=argparse.SUPPRESS,
-        help="persist results to an on-disk content-addressed store",
+        help="persist experiment results to an on-disk "
+        "content-addressed store",
     )
     engine_opts.add_argument(
         "--store",
@@ -432,6 +434,15 @@ def main(argv=None) -> int:
         engine.subscribe(ProgressPrinter(sys.stderr))
     if getattr(args, "log_json", False):
         engine.subscribe(JsonLinesPrinter(sys.stderr))
+    reused = 0
+
+    def _count_reused(event) -> None:
+        nonlocal reused
+        if event.kind == "batch_started":
+            reused += event.get("n_cached", 0)
+
+    if stats:
+        engine.subscribe(_count_reused)
     with engine_session(engine=engine):
         try:
             code = _dispatch(args, EXPERIMENTS, ABLATIONS)
@@ -443,8 +454,12 @@ def main(argv=None) -> int:
         if stats:
             print(
                 f"cache: {engine.stats.as_dict()} "
-                f"cells computed: {engine.cells_computed} "
                 f"(jobs={engine.jobs}, backend={engine.backend.describe()})",
+                file=sys.stderr,
+            )
+            print(
+                f"cells: computed {engine.cells_computed}, "
+                f"reused {reused} in this session",
                 file=sys.stderr,
             )
             for tier in engine.store_stats():

@@ -147,15 +147,24 @@ class PlatformConfig:
         return [p for row in self.point_grid for p in row]
 
     def restrict_tsr(self, levels: Sequence[float]) -> "PlatformConfig":
-        """A copy restricted to the given TSR levels (used by No-TS)."""
-        return PlatformConfig(
-            voltages=self.voltages,
-            tnom_table=dict(self.tnom_table),
-            tsr_levels=tuple(levels),
-            c_penalty=self.c_penalty,
-            alpha=self.alpha,
-            leakage=self.leakage,
-        )
+        """A copy restricted to the given TSR levels (used by No-TS).
+
+        Built once per config and levels tuple, like ``point_grid``:
+        the problems of a stage share one config, so they share one
+        r = 1 slice config too.
+        """
+        levels = tuple(levels)
+        memo = self.__dict__.setdefault("_restricted", {})
+        if levels not in memo:
+            memo[levels] = PlatformConfig(
+                voltages=self.voltages,
+                tnom_table=dict(self.tnom_table),
+                tsr_levels=levels,
+                c_penalty=self.c_penalty,
+                alpha=self.alpha,
+                leakage=self.leakage,
+            )
+        return memo[levels]
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,13 @@ The paper's evaluation regenerates ~14 tables/figures, each sweeping
 decomposes those sweeps into pure, picklable *cells*
 (:mod:`~repro.engine.cells`), executes them on a pluggable executor
 backend -- serial, process pool, or remote workers on other machines
-(:mod:`~repro.engine.backends`) -- and memoises every result under content-hash keys in a pluggable,
-tiered result store (:mod:`~repro.engine.store`,
-:mod:`~repro.serialization`) -- in memory within
-a session, on disk across sessions (``--cache-dir`` / ``--store``),
-and on cache-keeping remote workers across clients (the delta
-protocol of :mod:`~repro.engine.backends.remote`).  Progress is
-observable as a structured event stream
-(:mod:`~repro.engine.events`).
+(:mod:`~repro.engine.backends`) -- and memoises results under
+content-hash keys (:mod:`~repro.serialization`): cells in memory for
+the session, whole experiments in a tiered result store
+(:mod:`~repro.engine.store`; on disk with ``--cache-dir``), and cells
+on cache-keeping remote workers (the delta protocol of
+:mod:`~repro.engine.backends.remote`).  Progress is observable as a
+structured event stream (:mod:`~repro.engine.events`).
 
 Guarantees:
 

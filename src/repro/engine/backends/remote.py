@@ -23,9 +23,9 @@ shard's cell keys (``query_keys``), the worker answers with the keys
 it already holds, and the client ships only the missing cells' specs.
 Cells the worker serves from its store arrive in the same result
 frame as computed ones (listed under ``"cached"``), are reported as
-``cell_cached`` events tagged with the worker's address, and are
-written back into the client's own store tiers by the engine -- so a
-second client, or a rerun after a crash, pays only the key exchange.
+``cell_cached`` events tagged with the worker's address, and join
+the client engine's session memo -- so a second client, or a rerun
+after a crash, pays only the key exchange for its cells.
 
 Failure semantics: a worker that cannot be reached, or that dies
 mid-shard, is reported with a ``worker_lost`` event and its shards are

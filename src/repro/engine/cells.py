@@ -120,9 +120,9 @@ class CellSpec:
         scheme the cell names (profile constants, stage shapes, solver
         identity), not just their names: re-registering a name with
         different parameters yields different keys, so stale cached
-        results are structurally unreachable -- within a session and
-        across a shared ``--cache-dir``.  The registry digests enter
-        as their memoised canonical-JSON strings (recomputed only when
+        results are structurally unreachable -- in the session memo
+        and in worker stores.  The registry digests enter as their
+        memoised canonical-JSON strings (recomputed only when
         an entry is re-registered), so keying a cell costs one small
         payload walk, not a recursive profile serialisation.
         """

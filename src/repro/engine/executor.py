@@ -4,16 +4,15 @@
 CLI and the benchmark harness go through:
 
 * ``run_cells(specs)`` -- evaluate experiment cells, deduplicated and
-  store-backed, on a pluggable :class:`ExecutorBackend` (serial,
-  process pool, content-keyed shards over either, or remote
-  workers).  Every backend produces bit-identical
-  :class:`~repro.engine.cells.CellResult` lists because cells are pure
-  functions of their specs.
+  memoised for the session, on a pluggable :class:`ExecutorBackend`
+  (serial, process pool, or remote workers).  Every backend produces
+  bit-identical :class:`~repro.engine.cells.CellResult` lists because
+  cells are pure functions of their specs.
 * ``experiment(key_parts, thunk)`` -- whole-figure memoisation: the
   thunk's :class:`~repro.experiments.common.ExperimentResult` (or dict
-  of them) is cached under a content key, in memory and -- when the
-  engine has a ``cache_dir`` -- on disk, so a warm rerun of e.g.
-  ``table_5_1`` skips the transient circuit simulation entirely.
+  of them) is the only payload the store keeps, in memory and -- with
+  a ``cache_dir`` -- on disk, so a warm rerun of e.g. ``table_5_1``
+  skips the transient circuit simulation entirely.
 
 Progress is observable: subscribe a callback (or the CLI's
 ``--progress`` / ``--log-json`` printers) and the engine emits
@@ -32,7 +31,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union,
 )
 
-from repro.serialization import content_key
+from repro.serialization import content_key, sanitize
 
 from .backends import ExecutorBackend, make_backend
 from .events import EngineEvent, EventCallback
@@ -88,7 +87,7 @@ class ExperimentEngine:
         exactly that size (oversubscribing a small machine is
         allowed -- results are identical either way).
     cache_dir:
-        On-disk directory for the persistent store tier.
+        On-disk directory for the persistent tier (experiments only).
     store:
         A :class:`~repro.engine.store.ResultStore` instance, or a
         registered store name (``memory`` / ``jsondir`` / ``tiered``,
@@ -167,6 +166,9 @@ class ExperimentEngine:
         self._chained_on_corrupt = _chained
         self.store.on_corrupt = _chained
         self._subscribers: List[EventCallback] = []
+        # session-only cell memo: recomputing a cell costs less than
+        # creating its disk entry, so the store holds experiments only
+        self._cells: Dict[str, Dict[str, Any]] = {}
         self.cells_computed = 0
         self.experiments_computed = 0
 
@@ -175,7 +177,7 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> StoreStats:
-        """Aggregate hit/miss accounting of this engine's result store."""
+        """Hit/miss accounting of the result store (experiment lookups)."""
         return self.store.stats
 
     def store_stats(self) -> List[Dict[str, Any]]:
@@ -232,8 +234,8 @@ class ExperimentEngine:
     def run_cells(self, specs: Sequence[CellSpec]) -> List[CellResult]:
         """Evaluate cells; the returned list is aligned with ``specs``.
 
-        Duplicate specs are computed once.  Stored cells (from this
-        session or a shared ``cache_dir``) are never recomputed.
+        Duplicate specs are computed once; cells computed earlier in
+        this session come from the engine's memo (never persisted).
         Scheduling cannot affect values -- cells are pure -- so every
         backend agrees with the serial reference bit-for-bit.
         """
@@ -247,7 +249,7 @@ class ExperimentEngine:
         for spec, key in zip(specs, keys):
             if key in results:
                 continue
-            payload = self.store.get(key)
+            payload = self._cells.get(key)
             if payload is not None:
                 results[key] = CellResult.from_payload(payload)
                 cached.append(spec)
@@ -278,9 +280,8 @@ class ExperimentEngine:
             # dispatch in (benchmark, stage, scheme, overrides) batches:
             # problem construction, theta resolution and any vectorized
             # scheme solve amortise over each batch, and pool backends
-            # ship one batch per task instead of one cell.  Per-cell
-            # cache keys and result alignment are untouched -- batches
-            # are reassembled through the same key-indexed mapping.
+            # ship one batch per task instead of one cell; results are
+            # reassembled through the same key-indexed mapping.
             batches = group_cells(pending, keys=pending_keys)
             # a cache-keeping remote worker serves some dispatched
             # cells from its own store and reports them as cell_cached
@@ -305,7 +306,7 @@ class ExperimentEngine:
                 )
             for batch, cells in zip(batches, returned):
                 for key, cell in zip(batch.keys, cells):
-                    self.store.put(key, cell.to_payload())
+                    self._cells[key] = sanitize(cell.to_payload())
                     results[key] = cell
             n_computed = len(pending) - worker_cached
             self.cells_computed += n_computed
@@ -315,7 +316,6 @@ class ExperimentEngine:
                 n_worker_cached=worker_cached,
                 seconds=round(time.perf_counter() - start, 6),
             )
-            self._emit("store_stats", tiers=self.store_stats())
 
         return [results[key] for key in keys]
 
@@ -341,4 +341,5 @@ class ExperimentEngine:
         self.experiments_computed += 1
         self.store.put(key, _encode_value(value))
         self._emit("experiment_computed", experiment=label)
+        self._emit("store_stats", tiers=self.store_stats())
         return value

@@ -50,15 +50,12 @@ def _beta_sf(x, a, b):
     ``scipy.stats.beta.sf`` computes for in-support ``x`` (bit
     identical), minus the distribution machinery's ~8x per-call
     overhead and minus the ~0.5 s ``scipy.stats`` import on the cold
-    path (``scipy.special`` is much lighter).  Deferred import: warm
-    cache-only sessions never evaluate an error function.
+    path (``scipy.special`` is much lighter; ``betaincc`` needs scipy
+    1.11).  Deferred import: warm cache-only sessions never evaluate
+    an error function.
     """
-    try:
-        from scipy.special import betaincc
-    except ImportError:  # scipy < 1.11
-        from scipy.stats import beta as beta_dist
+    from scipy.special import betaincc
 
-        return beta_dist.sf(x, a, b)
     return betaincc(a, b, x)
 
 

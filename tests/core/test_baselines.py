@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    PlatformConfig,
+    SynTSProblem,
     solve_no_ts,
     solve_nominal,
     solve_per_core_ts,
     solve_synts_poly,
 )
+from repro.core.baselines import solve_no_ts_batch
 
-from .conftest import random_problem
+from .conftest import random_problem, small_config
 
 
 class TestNominal:
@@ -55,6 +58,37 @@ class TestNoTS:
             solve_synts_poly(problem, theta).cost
             <= solve_no_ts(problem, theta).cost + 1e-9
         )
+
+
+    def test_batch_builds_one_r1_config_per_shared_config(
+        self, monkeypatch
+    ):
+        """k problems on one config share a single r = 1 slice config,
+        and the memo leaves every solution bit-identical."""
+        rng = np.random.default_rng(4)
+        first = random_problem(rng)
+        problems = [first] + [
+            SynTSProblem(config=first.config, threads=random_problem(rng).threads)
+            for _ in range(3)
+        ]
+        thetas = [0.5, 1.0, 2.0, 4.0]
+        built = []
+        init = PlatformConfig.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("tsr_levels"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlatformConfig, "__init__", counting_init)
+        batch = solve_no_ts_batch(problems, thetas)
+        assert built == [(1.0,)]
+        monkeypatch.undo()
+        for problem, theta, sol in zip(problems, thetas, batch):
+            # a fresh config: its own, unshared r = 1 slice
+            alone = SynTSProblem(config=small_config(), threads=problem.threads)
+            single = solve_no_ts(alone, theta)
+            assert sol.indices == single.indices
+            assert sol.cost == single.cost
 
 
 class TestPerCoreTS:

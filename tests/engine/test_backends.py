@@ -17,6 +17,8 @@ from repro.engine.backends import null_emit, register_backend
 from repro.engine.backends.remote import shard_of_batch
 from repro.engine.cells import CellBatch
 
+from .conftest import cells_experiment, store_entries
+
 
 def _specs():
     return list(
@@ -186,20 +188,20 @@ class TestEngineCacheDetachment:
         cache.on_corrupt = original
         spec = _specs()[0]
         first = ExperimentEngine(store=cache)
-        first.run_cells([spec])
+        cells_experiment(first, [spec])
         first_log = first.subscribe(EventLog())
         first.close()
         assert cache.on_corrupt is original  # caller's callback restored
 
         cache.tiers[0].clear()  # force the disk path on the next lookup
-        path = tmp_path / spec.key()[:2] / f"{spec.key()}.json"
+        (path,) = store_entries(tmp_path)
         path.write_text("{broken")
         second = ExperimentEngine(store=cache)
         second_log = second.subscribe(EventLog())
-        second.run_cells([spec])
+        cells_experiment(second, [spec])
         assert first_log.of_kind("cache_corrupt") == []  # no ghosts
         assert len(second_log.of_kind("cache_corrupt")) == 1  # live one does
-        assert seen == [spec.key()]  # original callback survived
+        assert seen == [path.stem]  # original callback survived
 
 
 class TestProcessBackendRegistryVisibility:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.engine import ResultCache, content_key, sanitize
 
+from .conftest import cells_experiment, store_entries
+
 
 class TestStats:
     def test_miss_then_hit(self):
@@ -109,8 +111,8 @@ class TestDisk:
         from repro.engine import CellSpec, EventLog, ExperimentEngine
 
         spec = CellSpec("radix", "decode", "nominal")
-        ExperimentEngine(cache_dir=tmp_path).run_cells([spec])
-        path = tmp_path / spec.key()[:2] / f"{spec.key()}.json"
+        cells_experiment(ExperimentEngine(cache_dir=tmp_path), [spec])
+        (path,) = store_entries(tmp_path)
         path.write_text("{broken")
 
         seen = []
@@ -118,8 +120,8 @@ class TestDisk:
         cache.on_corrupt = lambda k, p, e: seen.append(k)
         eng = ExperimentEngine(store=cache)
         events = eng.subscribe(EventLog())
-        eng.run_cells([spec])
-        assert seen == [spec.key()]  # caller's callback still fires
+        cells_experiment(eng, [spec])
+        assert seen == [path.stem]  # caller's callback still fires
         assert len(events.of_kind("cache_corrupt")) == 1
 
     def test_missing_entry_is_not_corrupt(self, tmp_path):
@@ -133,22 +135,23 @@ class TestDisk:
 
         spec = CellSpec("radix", "decode", "nominal")
         cold = ExperimentEngine(cache_dir=tmp_path)
-        (expected,) = cold.run_cells([spec])
-        path = tmp_path / spec.key()[:2] / f"{spec.key()}.json"
+        expected = cells_experiment(cold, [spec])
+        (path,) = store_entries(tmp_path)
         path.write_text(path.read_text()[:20])  # truncate mid-payload
 
         warm = ExperimentEngine(cache_dir=tmp_path)
         events = warm.subscribe(EventLog())
-        (healed,) = warm.run_cells([spec])
+        healed = cells_experiment(warm, [spec])
         assert healed == expected
         assert warm.cells_computed == 1
         assert warm.stats.corrupt == 1
         corrupt_events = events.of_kind("cache_corrupt")
-        assert corrupt_events and corrupt_events[0].get("key") == spec.key()
+        assert corrupt_events and corrupt_events[0].get("key") == path.stem
         # the entry is readable again
         third = ExperimentEngine(cache_dir=tmp_path)
-        third.run_cells([spec])
+        assert cells_experiment(third, [spec]) == expected
         assert third.cells_computed == 0
+        assert third.stats.corrupt == 0
 
 
 class TestKeys:

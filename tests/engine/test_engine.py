@@ -8,6 +8,7 @@ from repro.engine import (
     CellBatch,
     CellResult,
     CellSpec,
+    EventLog,
     ExperimentEngine,
     benchmark_specs,
     cell_seed,
@@ -18,6 +19,8 @@ from repro.engine import (
     totalize,
 )
 from repro.experiments.common import ExperimentResult
+
+from .conftest import cells_experiment, store_entries
 
 
 def _cell(spec):
@@ -102,15 +105,19 @@ class TestCells:
 class TestRunCells:
     def test_cache_hit_miss_accounting(self):
         eng = ExperimentEngine()
+        log = eng.subscribe(EventLog())
         specs = _specs()
         first = eng.run_cells(specs)
         assert eng.cells_computed == len(specs)
-        assert eng.stats.misses == len(specs)
 
         second = eng.run_cells(specs)
         assert second == first
         assert eng.cells_computed == len(specs)  # nothing recomputed
-        assert eng.stats.hits == len(specs)
+        started = log.of_kind("batch_started")
+        assert [e.get("n_cached") for e in started] == [0, len(specs)]
+        assert len(log.of_kind("cell_cached")) == len(specs)
+        # the session memo serves cells; the result store never sees one
+        assert eng.stats.lookups == 0 and eng.stats.puts == 0
 
     def test_duplicates_computed_once(self):
         eng = ExperimentEngine()
@@ -120,16 +127,38 @@ class TestRunCells:
         assert results[0] == results[1] == results[2]
 
     def test_disk_cache_shared_across_engines(self, tmp_path):
+        """A shared cache_dir serves the whole experiment: the warm
+        engine computes no cell."""
         specs = _specs()
         cold = ExperimentEngine(cache_dir=tmp_path)
-        a = cold.run_cells(specs)
+        a = cells_experiment(cold, specs)
         assert cold.cells_computed == len(specs)
 
         warm = ExperimentEngine(cache_dir=tmp_path)
-        b = warm.run_cells(specs)
+        b = cells_experiment(warm, specs)
         assert warm.cells_computed == 0
-        assert warm.store.tiers[1].stats.hits == len(specs)  # jsondir
+        assert warm.store.tiers[1].stats.hits == 1  # jsondir
         assert a == b
+
+    def test_run_cells_writes_no_file(self, tmp_path):
+        """Cells stay in the session: a cache_dir gains nothing from
+        run_cells alone."""
+        with ExperimentEngine(cache_dir=tmp_path) as eng:
+            eng.run_cells(_specs())
+            assert eng.cells_computed == len(_specs())
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_cold_experiment_leaves_one_entry(self, tmp_path):
+        """A cold figure that computes many cells persists exactly one
+        entry, its experiment result."""
+        from repro.experiments import EXPERIMENTS
+
+        with ExperimentEngine(cache_dir=tmp_path) as eng:
+            EXPERIMENTS["headline"](engine=eng)
+            assert eng.cells_computed > 0
+            assert eng.experiments_computed == 1
+        (entry,) = store_entries(tmp_path)
+        assert '"kind":"result"' in entry.read_text()
 
     def test_totals_shape(self):
         eng = ExperimentEngine()

@@ -14,6 +14,8 @@ from repro.engine import (
     benchmark_specs,
 )
 
+from .conftest import cells_experiment, store_entries
+
 #: Events carrying per-cell coordinates, compared across backends.
 CELL_EVENT_KINDS = ("cell_cached", "cell_computed")
 
@@ -100,14 +102,13 @@ class TestCacheCorruptFidelity:
         self, backend, tmp_path, loopback_workers
     ):
         spec = _specs()[0]
-        key = spec.key()
         cache_dir = tmp_path / backend
         # a warm cache with one corrupt entry
         seed = ExperimentEngine(cache_dir=str(cache_dir))
-        seed.run_cells([spec])
+        cells_experiment(seed, [spec])
         seed.close()
-        path = cache_dir / key[:2] / f"{key}.json"
-        assert path.exists()
+        (path,) = store_entries(cache_dir)
+        key = path.stem
         path.write_text("{not json")
 
         kwargs = (
@@ -119,7 +120,7 @@ class TestCacheCorruptFidelity:
             backend=backend, cache_dir=str(cache_dir), **kwargs
         )
         log = engine.subscribe(EventLog())
-        engine.run_cells([spec])
+        cells_experiment(engine, [spec])
         engine.close()
         corrupt = log.of_kind("cache_corrupt")
         assert len(corrupt) == 1

@@ -31,6 +31,8 @@ from repro.engine import (
     store_names,
 )
 
+from .conftest import cells_experiment, store_entries
+
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -284,14 +286,14 @@ class TestEngineStoreOption:
         with ExperimentEngine(
             store="tiered", cache_dir=str(tmp_path)
         ) as eng:
-            (first,) = eng.run_cells([spec])
+            first = cells_experiment(eng, [spec])
             tiers = eng.store_stats()
         assert [t["store"] for t in tiers][0] == "memory"
         # a second engine over the same directory reads it back
         with ExperimentEngine(
             store="jsondir", cache_dir=str(tmp_path)
         ) as eng:
-            (again,) = eng.run_cells([spec])
+            again = cells_experiment(eng, [spec])
             assert eng.cells_computed == 0
         assert again == first
 
@@ -308,7 +310,7 @@ class TestEngineStoreOption:
 
         with ExperimentEngine(store="memory") as eng:
             log = eng.subscribe(EventLog())
-            eng.run_cells([CellSpec("radix", "decode", "nominal")])
+            cells_experiment(eng, [CellSpec("radix", "decode", "nominal")])
         events = log.of_kind("store_stats")
         assert events
         tiers = events[-1].get("tiers")
@@ -443,20 +445,20 @@ class TestFaultPaths:
         with ExperimentEngine(
             store="tiered", cache_dir=str(tmp_path)
         ) as eng:
-            (expected,) = eng.run_cells([spec])
-        path = tmp_path / spec.key()[:2] / f"{spec.key()}.json"
+            expected = cells_experiment(eng, [spec])
+        (path,) = store_entries(tmp_path)
         path.write_text(path.read_text()[:15])
 
         with ExperimentEngine(
             store="tiered", cache_dir=str(tmp_path)
         ) as eng:
             log = eng.subscribe(EventLog())
-            (healed,) = eng.run_cells([spec])
+            healed = cells_experiment(eng, [spec])
             assert healed == expected
             assert eng.cells_computed == 1
         assert len(log.of_kind("cache_corrupt")) == 1
         with ExperimentEngine(
             store="tiered", cache_dir=str(tmp_path)
         ) as eng:
-            eng.run_cells([spec])
+            cells_experiment(eng, [spec])
             assert eng.cells_computed == 0

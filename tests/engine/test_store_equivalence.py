@@ -4,8 +4,10 @@ The parallel-equivalence suite pins every *backend* to the serial
 reference; this suite pins every *store* configuration -- memory-only,
 tiered disk, disk-only, worker-side stores and the delta dispatch --
 over the full fig_6_18 cell set (the superset of headline's cells).
-It also asserts the caching economics the tiers exist for: a
-warm-client rerun dispatches nothing, and a warm-worker rerun with a
+The client store holds experiment results, so client-side checks run
+the cells as one experiment.  It also asserts the caching economics
+the tiers exist for: a warm-client rerun dispatches nothing, and a
+warm-worker rerun with a
 cold client computes nothing anywhere -- zero ``cell_computed``
 events, every cell served as a worker-tagged ``cell_cached``.
 """
@@ -21,6 +23,13 @@ from repro.engine.backends.remote import RemoteBackend
 from repro.engine.worker import start_loopback_workers, stop_workers
 from repro.experiments import fig_6_18
 from repro.experiments.common import STAGES
+
+from .conftest import cells_experiment
+
+
+def _rows(cells):
+    """``cells_experiment`` rows for a list of cell results."""
+    return [[cell.energy, cell.time] for cell in cells]
 
 
 def _figure_cell_set():
@@ -62,6 +71,10 @@ class TestLocalStoreConfigurations:
         )
         with ExperimentEngine(store=store, **kwargs) as eng:
             assert eng.run_cells(specs) == reference
+            # computed, then served back from the store
+            assert cells_experiment(eng, specs) == _rows(reference)
+            assert cells_experiment(eng, specs) == _rows(reference)
+            assert eng.stats.hits == 1
 
     def test_result_cache_facade_matches(self, serial_reference, tmp_path):
         specs, reference = serial_reference
@@ -69,27 +82,30 @@ class TestLocalStoreConfigurations:
             store=ResultCache(cache_dir=tmp_path)
         ) as eng:
             assert eng.run_cells(specs) == reference
+            assert cells_experiment(eng, specs) == _rows(reference)
+            assert cells_experiment(eng, specs) == _rows(reference)
+            assert eng.stats.hits == 1
 
     def test_warm_client_rerun_is_pure_cache(
         self, serial_reference, tmp_path
     ):
-        """A second session over the same tiered dir recomputes
-        nothing: identical values, zero cells computed."""
+        """A second session over the same tiered dir serves the
+        experiment from disk: identical values, zero cells computed,
+        no cell even looked up."""
         specs, reference = serial_reference
         with ExperimentEngine(
             store="tiered", cache_dir=str(tmp_path)
         ) as eng:
-            eng.run_cells(specs)
+            assert cells_experiment(eng, specs) == _rows(reference)
         with ExperimentEngine(
             store="tiered", cache_dir=str(tmp_path)
         ) as eng:
             log = eng.subscribe(EventLog())
-            assert eng.run_cells(specs) == reference
+            assert cells_experiment(eng, specs) == _rows(reference)
             assert eng.cells_computed == 0
         assert log.of_kind("cell_computed") == []
-        assert len(log.of_kind("cell_cached")) == len(
-            {spec.key() for spec in specs}
-        )
+        assert log.of_kind("batch_started") == []
+        assert len(log.of_kind("experiment_cached")) == 1
 
 
 class TestWorkerSideStore:
@@ -135,9 +151,9 @@ class TestWorkerSideStore:
     def test_worker_results_written_back_into_client_tiers(
         self, serial_reference, caching_workers, tmp_path
     ):
-        """Worker-served payloads land in the client's own store: a
-        follow-up engine over the client's cache dir recomputes and
-        dispatches nothing."""
+        """An experiment assembled from worker-served cells lands in
+        the client's own store: a follow-up engine over the client's
+        cache dir recomputes and dispatches nothing."""
         specs, reference = serial_reference
         with ExperimentEngine(
             backend="remote",
@@ -145,14 +161,15 @@ class TestWorkerSideStore:
             store="tiered",
             cache_dir=str(tmp_path),
         ) as eng:
-            assert eng.run_cells(specs) == reference
+            assert cells_experiment(eng, specs) == _rows(reference)
         with ExperimentEngine(
             store="tiered", cache_dir=str(tmp_path)
         ) as eng:
             log = eng.subscribe(EventLog())
-            assert eng.run_cells(specs) == reference
+            assert cells_experiment(eng, specs) == _rows(reference)
             assert eng.cells_computed == 0
         assert log.of_kind("shard_started") == []
+        assert log.of_kind("batch_started") == []
 
     def test_delta_disabled_still_bit_identical(
         self, serial_reference, caching_workers

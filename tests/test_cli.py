@@ -121,6 +121,37 @@ class TestEngineCLI:
         captured = capsys.readouterr()
         assert "cache:" in captured.err
 
+    def test_stats_reports_cells_computed_and_reused(self, tmp_path, capsys):
+        """`run all` reuses cells across figures within the session
+        (headline's are fig_6_18's); --stats counts both kinds, and the
+        cache dir keeps only experiment results, so a rerun computes
+        and reuses no cell."""
+        import json
+
+        cache = tmp_path / "cache"
+        args = ["run", "all", "--cache-dir", str(cache), "--stats"]
+        assert main([*args, "--log-json"]) == 0
+        err = capsys.readouterr().err
+        events = [json.loads(ln) for ln in err.splitlines() if ln[:1] == "{"]
+        kinds = [event["event"] for event in events]
+        computed = kinds.count("cell_computed")
+        reused = sum(
+            event["n_cached"]
+            for event in events
+            if event["event"] == "batch_started"
+        )
+        assert computed > 0 and reused > 0
+        assert (
+            f"cells: computed {computed}, reused {reused} in this session"
+            in err
+        )
+        entries = list(cache.glob("??/*.json"))
+        assert len(entries) == kinds.count("experiment_computed")
+
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "cells: computed 0, reused 0 in this session" in err
+
     def test_negative_jobs_rejected(self, capsys):
         assert main(["run", "fig_4_7", "--jobs", "-8"]) == 2
         assert "jobs must be non-negative" in capsys.readouterr().err

@@ -6,7 +6,9 @@ caching economics the store subsystem promises, via ``--log-json``
 event counts:
 
 1. **Warm client** -- two runs against one shared ``--cache-dir``:
-   the first computes cells, the second computes *zero*.
+   the first computes cells and leaves exactly one entry per computed
+   experiment (cells are never persisted), the second computes
+   *zero*.
 2. **Warm workers** -- two runs against two loopback ``repro worker
    --cache-dir`` processes, each run with a *fresh* client cache:
    the first computes cells (on the workers), the second computes
@@ -92,12 +94,32 @@ def main(argv=None) -> int:
         warm = _run_cli([args.experiment, "--cache-dir", shared], env)
         cold_computed = _count(cold, "cell_computed")
         warm_computed = _count(warm, "cell_computed")
+        experiments = _count(cold, "experiment_computed")
+        entries = sorted(Path(shared).glob("??/*.json"))
+        cell_entries = [
+            path
+            for path in entries
+            if json.loads(path.read_text()).get("kind")
+            not in ("result", "mapping")
+        ]
         print(
-            f"warm-client: cold run computed {cold_computed} cells, "
+            f"warm-client: cold run computed {cold_computed} cells and "
+            f"{experiments} experiments into {len(entries)} entries, "
             f"warm run computed {warm_computed}"
         )
         if cold_computed == 0:
             failures.append("cold client run computed no cells")
+        if len(entries) != experiments:
+            failures.append(
+                f"cold client run left {len(entries)} entries for "
+                f"{experiments} computed experiments (expected equal)"
+            )
+        if cell_entries:
+            failures.append(
+                f"cold client run persisted {len(cell_entries)} "
+                "non-experiment entries, e.g. "
+                f"{cell_entries[0].name}"
+            )
         if warm_computed != 0:
             failures.append(
                 f"warm client run recomputed {warm_computed} cells "
