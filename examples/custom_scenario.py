@@ -1,4 +1,4 @@
-"""Scenario growth without code forks: registries + backends + events.
+"""Scenario growth without code forks: registries + the engine + events.
 
 Registers a deterministic synthetic workload (8 threads, 3x
 heterogeneity spread, a hotter decode stage) and a custom comparison
@@ -62,7 +62,7 @@ def main():
         )
     )
 
-    # the serial backend (not a process pool) so the runtime
+    # the serial backend (not remote workers) so the runtime
     # registrations above are visible
     engine = ExperimentEngine(backend="serial")
     log = engine.subscribe(EventLog())

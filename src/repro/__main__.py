@@ -7,27 +7,23 @@ Usage::
     python -m repro --list-benchmarks    # workload registry only
     python -m repro run fig_6_18         # regenerate one artifact
     python -m repro fig_6_18             # shorthand for 'run fig_6_18'
-    python -m repro run all --jobs 8     # parallel regeneration
-    python -m repro headline --jobs 4 --backend process --progress
+    python -m repro run all              # every figure and table
+    python -m repro headline --progress  # stream engine progress
     python -m repro table_5_1 --cache-dir .repro-cache   # warm reruns
     python -m repro ablation heterogeneity
     python -m repro worker --serve 0.0.0.0:7700          # remote worker
-    python -m repro worker --serve 0.0.0.0:7700 --cache-dir /var/repro \
-        --token SECRET                                   # cached + authed
-    python -m repro fig_6_18 --backend remote --workers host1:7700,host2:7700
+    python -m repro worker --serve 0.0.0.0:7700 --token SECRET  # authed
+    python -m repro fig_6_18 --workers host1:7700,host2:7700
     python -m repro cache info --cache-dir .repro-cache  # store maintenance
     python -m repro cache prune --older-than 7d --cache-dir .repro-cache
 
 Every regeneration goes through the experiment engine:
 
-* ``--jobs N`` fans the experiment's cells out over N workers
-  (results are bit-identical to the serial run);
-* ``--backend {serial,process,remote}`` picks the
-  executor backend (default: process pool when ``--jobs > 1``, else
-  serial); ``--workers HOST:PORT[,...]`` names the remote
-  backend's worker processes (``python -m repro worker``);
-  ``--token`` (or ``REPRO_WORKER_TOKEN``) is the workers' shared
-  auth secret;
+* cells run serially in this process by default;
+  ``--workers HOST:PORT[,...]`` ships them to remote worker
+  processes (``python -m repro worker``) instead, with results
+  bit-identical to the serial run; ``--token`` (or
+  ``REPRO_WORKER_TOKEN``) is the workers' shared auth secret;
 * ``--cache-dir DIR`` persists every figure to a content-addressed
   on-disk result store, so a repeated run skips the recomputation
   (cells are shared between figures within one run only);
@@ -35,19 +31,20 @@ Every regeneration goes through the experiment engine:
   (default: tiered memory+disk when a cache dir is given);
 * ``--progress`` streams human-readable engine progress to stderr;
   ``--log-json`` streams one JSON event per line instead;
-* ``--stats`` prints store hit/miss accounting (per tier) and the
-  cells computed and reused to stderr.
+* ``--stats`` prints store hit/miss accounting (per tier), the
+  backend (``serial`` or ``remote[N]``) and the cells computed and
+  reused to stderr.
 
 ``REPRO_BOOTSTRAP=module:function`` names registration hooks that the
-CLI, process-pool workers and remote workers all run at start-up, so
-user schemes/workloads resolve identically everywhere (see
+CLI and remote workers both run at start-up, so user
+schemes/workloads resolve identically everywhere (see
 ``repro.engine.bootstrap``).
 
 Importing this module caps OpenBLAS at one thread unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
 is already set.  repro makes no BLAS call, yet numpy's and scipy's
 bundled OpenBLAS each start a busy-waiting thread at import.  The cap
-is set before anything can import numpy and is inherited by worker
+is set before anything can import numpy and is inherited by child
 processes; a plain ``import repro`` leaves the environment alone.
 """
 
@@ -76,7 +73,6 @@ def _print_result(result) -> None:
 
 
 def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
-    from repro.engine.backends import backend_names
     from repro.engine.store import store_names
 
     # engine options are accepted both before and after the subcommand.
@@ -85,31 +81,18 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
     # the main parser already wrote into the namespace.
     engine_opts = argparse.ArgumentParser(add_help=False)
     engine_opts.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="workers for experiment cells (default: serial)",
-    )
-    engine_opts.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=argparse.SUPPRESS,
-        help="executor backend (default: process when --jobs > 1)",
-    )
-    engine_opts.add_argument(
         "--workers",
         metavar="HOST:PORT[,HOST:PORT...]",
         default=argparse.SUPPRESS,
-        help="remote worker addresses for --backend remote "
-        "(each a 'python -m repro worker --serve' process)",
+        help="compute cells on these remote workers (each a 'python -m "
+        "repro worker --serve' process) instead of in this process",
     )
     engine_opts.add_argument(
         "--token",
         default=argparse.SUPPRESS,
         metavar="SECRET",
-        help="shared auth secret for --backend remote workers started "
-        "with --token (default: the REPRO_WORKER_TOKEN env var)",
+        help="shared auth secret for --workers started with --token "
+        "(default: the REPRO_WORKER_TOKEN env var)",
     )
     engine_opts.add_argument(
         "--cache-dir",
@@ -187,8 +170,8 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         "runs the registry bootstrap (REPRO_BOOTSTRAP, then --bootstrap), "
         "prints 'repro worker: "
         "listening on HOST:PORT' to stdout once ready, then serves "
-        "content-keyed shards from '--backend remote' clients until "
-        "killed. Results are bit-identical to a local serial run.",
+        "content-keyed shards from '--workers' clients until killed. "
+        "Results are bit-identical to a local serial run.",
     )
     worker_p.add_argument(
         "--serve",
@@ -205,24 +188,9 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         "REPRO_BOOTSTRAP (repeatable; a bare MODULE means importing "
         "it registers)",
     )
-    # SUPPRESS, like the engine_opts parents: these names also exist
-    # on the main parser, and a plain default would clobber a value
-    # given before the subcommand (`repro --token S worker ...`)
-    worker_p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=argparse.SUPPRESS,
-        help="keep a worker-side result store in DIR: shards computed "
-        "before (for any client) are served from it, and clients "
-        "dispatch with the spec-saving delta protocol",
-    )
-    worker_p.add_argument(
-        "--store",
-        choices=store_names(),
-        default=argparse.SUPPRESS,
-        help="worker store layering (default: tiered memory+disk "
-        "when --cache-dir is given)",
-    )
+    # SUPPRESS, like the engine_opts parents: the name also exists on
+    # the main parser, and a plain default would clobber a value given
+    # before the subcommand (`repro --token S worker ...`)
     worker_p.add_argument(
         "--token",
         metavar="SECRET",
@@ -238,8 +206,8 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         "summarises entry counts and bytes per tier, 'prune "
         "--older-than AGE' drops entries older than e.g. 7d/12h/30m, "
         "'clear' removes every entry. The store defaults to the "
-        "on-disk jsondir layer of --cache-dir; --store picks any "
-        "registered store.",
+        "on-disk jsondir layer of --cache-dir; --store picks another "
+        "store.",
     )
     cache_p.add_argument(
         "action",
@@ -292,19 +260,11 @@ def _parse_duration(text: str) -> float:
 
 
 #: Engine flags that consume the next token (``--flag value`` form).
-_VALUE_FLAGS = (
-    "--jobs",
-    "-j",
-    "--cache-dir",
-    "--backend",
-    "--workers",
-    "--store",
-    "--token",
-)
+_VALUE_FLAGS = ("--cache-dir", "--workers", "--store", "--token")
 
 
 def _normalize_argv(argv, experiments) -> list:
-    """Allow ``python -m repro fig_6_18 --jobs 4`` as run shorthand."""
+    """Allow ``python -m repro fig_6_18 --stats`` as run shorthand."""
     argv = list(argv)
     skip_value = False
     for i, token in enumerate(argv):
@@ -376,8 +336,8 @@ def main(argv=None) -> int:
 
     if args.command != "worker":
         # the client side of the bootstrap hook: listings, cell specs
-        # and validation all see the same registry picture the pool /
-        # remote workers will (the worker path bootstraps itself, with
+        # and validation all see the same registry picture the remote
+        # workers will (the worker path bootstraps itself, with
         # its --bootstrap extras)
         from repro.engine.bootstrap import run_bootstrap
 
@@ -411,21 +371,13 @@ def main(argv=None) -> int:
     if args.command == "cache":
         return _cache_command(args)
 
-    jobs = getattr(args, "jobs", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    backend = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    store = getattr(args, "store", None)
-    token = getattr(args, "token", None)
     stats = getattr(args, "stats", False)
     try:
         engine = ExperimentEngine(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            backend=backend,
-            remote_workers=workers,
-            store=store,
-            worker_token=token,
+            cache_dir=getattr(args, "cache_dir", None),
+            remote_workers=getattr(args, "workers", None),
+            store=getattr(args, "store", None),
+            worker_token=getattr(args, "token", None),
         )
     except (KeyError, ValueError, OSError, RuntimeError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
@@ -447,14 +399,14 @@ def main(argv=None) -> int:
         try:
             code = _dispatch(args, EXPERIMENTS, ABLATIONS)
         except RuntimeError as exc:
-            # e.g. a process-pool worker failing a registry lookup:
-            # an actionable one-liner beats a pickled traceback
+            # e.g. remote workers missing a registration: an
+            # actionable one-liner beats a traceback
             print(f"repro: {exc}", file=sys.stderr)
             code = 2
         if stats:
             print(
                 f"cache: {engine.stats.as_dict()} "
-                f"(jobs={engine.jobs}, backend={engine.backend.describe()})",
+                f"(backend={engine.backend.describe()})",
                 file=sys.stderr,
             )
             print(
@@ -471,6 +423,22 @@ def main(argv=None) -> int:
 def _serve_worker(args) -> int:
     """Run the ``repro worker`` subcommand until shut down."""
     from repro.engine.worker import serve
+
+    # experiment-run options given before the subcommand would be
+    # silently ignored: a worker keeps no store and runs no experiment
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name in ("workers", "cache_dir", "store", "stats", "progress",
+                     "log_json")
+        if hasattr(args, name)
+    ]
+    if ignored:
+        print(
+            f"repro worker: {', '.join(ignored)} configure experiment "
+            "runs, not a worker (a worker keeps no result store)",
+            file=sys.stderr,
+        )
+        return 2
 
     host, _, port_text = args.serve.rpartition(":")
     try:
@@ -491,13 +459,10 @@ def _serve_worker(args) -> int:
             host,
             port,
             bootstrap=args.bootstrap,
-            cache_dir=getattr(args, "cache_dir", None),
-            store=getattr(args, "store", None),
             token=getattr(args, "token", None),
         )
     except (RuntimeError, OSError, ValueError, KeyError) as exc:
-        # e.g. a failing bootstrap hook, a store needing a directory,
-        # or the port already bound
+        # e.g. a failing bootstrap hook or the port already bound
         print(f"repro worker: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

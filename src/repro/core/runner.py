@@ -155,7 +155,7 @@ def run_benchmark_cells(
     :func:`run_online_benchmark` for *named* SPLASH-2 benchmarks at
     the equal-weight (or an explicit ``theta=``) objective: interval
     cells are deduplicated against the session cache and run on the
-    engine's worker pool.  Returns
+    engine's backend.  Returns
     :class:`repro.engine.cells.BenchmarkTotals`.
     """
     # imported lazily: repro.core must stay importable without the

@@ -22,11 +22,10 @@ scheme meant editing the engine.  A :class:`Scheme` entry instead
 The default :data:`SCHEME_REGISTRY` is seeded with the paper's four
 offline schemes and the online controller -- ``online`` is just
 another entry, not a code path.  New comparison schemes are a
-:func:`register_scheme` call away; for the process backend, register
-at import time of a module the workers also import (runtime
-registrations reach forked workers only when made before the pool
-starts, never reach spawned ones, and the serial backend sees them
-always).
+:func:`register_scheme` call away; the serial backend sees runtime
+registrations always, while remote workers need the
+``REPRO_BOOTSTRAP`` hook or a registration at import time of a
+module they also import.
 """
 
 from __future__ import annotations

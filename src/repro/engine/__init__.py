@@ -2,20 +2,19 @@
 
 The paper's evaluation regenerates ~14 tables/figures, each sweeping
 (benchmark x stage x scheme x interval) sub-problems.  This package
-decomposes those sweeps into pure, picklable *cells*
-(:mod:`~repro.engine.cells`), executes them on a pluggable executor
-backend -- serial, process pool, or remote workers on other machines
-(:mod:`~repro.engine.backends`) -- and memoises results under
-content-hash keys (:mod:`~repro.serialization`): cells in memory for
-the session, whole experiments in a tiered result store
-(:mod:`~repro.engine.store`; on disk with ``--cache-dir``), and cells
-on cache-keeping remote workers (the delta protocol of
-:mod:`~repro.engine.backends.remote`).  Progress is observable as a
-structured event stream (:mod:`~repro.engine.events`).
+decomposes those sweeps into pure *cells*
+(:mod:`~repro.engine.cells`), executes them on one of two executor
+backends -- serial in-process, or remote workers on this or other
+machines (:mod:`~repro.engine.backends`) -- and memoises results
+under content-hash keys (:mod:`~repro.serialization`): cells in
+memory for the session, whole experiments in a tiered result store
+(:mod:`~repro.engine.store`; on disk with ``--cache-dir``).  Progress
+is observable as a structured event stream
+(:mod:`~repro.engine.events`).
 
 Guarantees:
 
-* every backend produces bit-identical results to the serial
+* the remote backend produces bit-identical results to the serial
   reference (cells are pure functions of their specs; stochastic
   cells derive their RNG stream from the spec's content hash);
 * a cell shared by several figures is computed exactly once per
@@ -33,9 +32,8 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".backends": (
-            "ExecutorBackend", "ProcessBackend", "RemoteBackend",
-            "SerialBackend",
-            "backend_names", "make_backend", "register_backend",
+            "ExecutorBackend", "RemoteBackend", "SerialBackend",
+            "backend_names", "make_backend",
         ),
         ".bootstrap": ("run_bootstrap",),
         ".cache": ("ResultCache",),
@@ -52,7 +50,7 @@ __getattr__, __dir__ = lazy_exports(
         ".session": ("engine_session", "get_engine", "set_engine"),
         ".store": (
             "JsonDirStore", "MemoryStore", "ResultStore", "StoreStats",
-            "TieredStore", "make_store", "register_store", "store_names",
+            "TieredStore", "make_store", "store_names",
         ),
     },
 )
@@ -69,7 +67,6 @@ __all__ = [
     "JsonDirStore",
     "JsonLinesPrinter",
     "MemoryStore",
-    "ProcessBackend",
     "ProgressPrinter",
     "RemoteBackend",
     "ResultCache",
@@ -89,8 +86,6 @@ __all__ = [
     "group_cells",
     "make_backend",
     "make_store",
-    "register_backend",
-    "register_store",
     "run_bootstrap",
     "sanitize",
     "set_engine",

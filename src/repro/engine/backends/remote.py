@@ -16,39 +16,34 @@ inside its result frame, and the client forwards them only then: a
 shard that fails over to another worker never double-reports its
 cells.
 
-The protocol is **cache-aware**: a worker started with
-``--cache-dir`` keeps its own result store, and dispatch to such a
-worker is a two-phase *delta protocol* -- the client first sends the
-shard's cell keys (``query_keys``), the worker answers with the keys
-it already holds, and the client ships only the missing cells' specs.
-Cells the worker serves from its store arrive in the same result
-frame as computed ones (listed under ``"cached"``), are reported as
-``cell_cached`` events tagged with the worker's address, and join
-the client engine's session memo -- so a second client, or a rerun
-after a crash, pays only the key exchange for its cells.
+Workers keep no result store: every cell they receive they compute.
+Reuse lives on the client, in the engine's session memo and its
+result store.
 
-Failure semantics: a worker that cannot be reached, or that dies
-mid-shard, is reported with a ``worker_lost`` event and its shards are
-re-dispatched to the surviving workers (results are unaffected --
-cells are pure).  Only when *no* worker remains does the backend raise
-``RuntimeError``.  Registry visibility is validated up front: before
-any shard ships, the pending cells' scheme/workload names are checked
-against the names each live worker listed in its hello reply (a
-worker registers only at start-up, and the hello is refreshed on every
-reconnect), and a worker missing one fails the run with an actionable
-error (pointing at ``REPRO_BOOTSTRAP`` and the worker ``--bootstrap``
-flag) *before* any compute is wasted.
+Failure semantics: a worker that cannot be reached, that dies
+mid-shard, or that answers with a malformed reply is reported with a
+``worker_lost`` event and its shards are re-dispatched to the
+surviving workers (results are unaffected -- cells are pure).  Only
+when *no* worker remains does the backend raise ``RuntimeError``.
+Registry visibility is validated up front: before any shard ships,
+the pending cells' scheme/workload names are checked against the
+names each live worker listed in its hello reply (a worker registers
+only at start-up, and the hello is refreshed on every reconnect), and
+a worker missing one fails the run with an actionable error (pointing
+at ``REPRO_BOOTSTRAP`` and the worker ``--bootstrap`` flag) *before*
+any compute is wasted.
 
-Wire protocol (version 3): each frame is a 4-byte big-endian length
+Wire protocol (version 4): each frame is a 4-byte big-endian length
 followed by that many bytes of UTF-8 canonical JSON
 (:func:`repro.serialization.canonical_json` -- sorted keys, numpy
 scalars coerced), written with one ``sendall``; both ends set
 ``TCP_NODELAY`` (see :func:`set_nodelay`).  Requests are ``{"op":
 ...}`` objects; responses carry ``"ok"``; every request gets exactly
 one response frame, and a ``run_batches`` result lists the shard's
-engine events under ``"events"``.  Batches travel
-as ``{"keys": [...], "specs": [[index, payload], ...]}`` -- ``specs``
-is sparse, omitting cells the worker promised to serve from its store.
+engine events under ``"events"``.  The ops are ``hello``, ``auth``,
+``run_batches``, ``ping`` and ``shutdown``.  A batch travels as a
+plain list of spec payloads, and its results come back as a list of
+cell payloads in the same order.
 Workers configured with a shared-secret token (``--token`` /
 ``REPRO_WORKER_TOKEN``) advertise ``auth_required`` plus a per-
 connection nonce in the hello response; the client must answer with
@@ -68,17 +63,12 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.cells import CellBatch, CellResult, CellSpec
+from repro.engine.cells import CellBatch, CellResult
 from repro.serialization import SCHEMA_VERSION, canonical_json
 
-from .base import (
-    EmitFn,
-    ExecutorBackend,
-    needed_registry_names,
-    null_emit,
-)
+from .base import EmitFn, ExecutorBackend, null_emit
 
 __all__ = [
     "FrameTooLargeError",
@@ -97,11 +87,11 @@ __all__ = [
 
 #: Bump when the frame layout or message vocabulary changes
 #: incompatibly; both ends refuse mismatched peers at handshake.
-#: Version 2: sparse delta batch encoding, ``query_keys``, worker-side
-#: stores (``cached`` result field) and the HMAC auth handshake.
-#: Version 3: a shard's events travel in its result frame (``events``)
-#: instead of one ``event`` frame each.
-PROTOCOL_VERSION = 3
+#: Version 2: the HMAC auth handshake.  Version 3: a shard's events
+#: travel in its result frame (``events``).  Version 4: no worker-side
+#: stores -- a batch is a plain list of spec payloads, and the
+#: store-lookup and registry-listing ops are gone.
+PROTOCOL_VERSION = 4
 
 _HEADER = struct.Struct(">I")
 
@@ -258,60 +248,6 @@ def auth_mac(token: str, nonce: str) -> str:
     ).hexdigest()
 
 
-def _with_keys(batch: CellBatch) -> CellBatch:
-    """The batch with content keys materialised (hashed if absent)."""
-    if batch.keys is not None:
-        return batch
-    return CellBatch(
-        specs=batch.specs, keys=tuple(spec.key() for spec in batch.specs)
-    )
-
-
-def _encode_batch(
-    batch: CellBatch, skip: FrozenSet[str] = frozenset()
-) -> Dict[str, Any]:
-    """Wire image of a :class:`CellBatch` (keys + sparse specs).
-
-    ``skip`` lists keys the worker promised to serve from its own
-    store (the delta protocol's hits); their specs are omitted from
-    the frame -- the worker resolves them by key.  ``batch.keys`` must
-    be materialised (see :func:`_with_keys`).
-    """
-    assert batch.keys is not None
-    return {
-        "keys": list(batch.keys),
-        "specs": [
-            [i, spec.to_payload()]
-            for i, (spec, key) in enumerate(zip(batch.specs, batch.keys))
-            if key not in skip
-        ],
-    }
-
-
-def _decode_delta_batch(
-    payload: Dict[str, Any],
-) -> Tuple[List[str], Dict[int, CellSpec]]:
-    """Rebuild ``(keys, {position: spec})`` from a batch wire image.
-
-    ``specs`` is sparse: positions absent from it must be served from
-    the worker's store by key.  Raises ``ValueError``/``KeyError``
-    when a spec names a scheme this process has not registered
-    (``CellSpec`` validates on construction) -- the worker converts
-    that into a ``registry`` error frame.
-    """
-    keys = [str(k) for k in payload["keys"]]
-    sparse: Dict[int, CellSpec] = {}
-    for index, spec_payload in payload.get("specs", ()):
-        position = int(index)
-        if not (0 <= position < len(keys)):
-            raise ValueError(
-                f"spec index {position} out of range for a "
-                f"{len(keys)}-cell batch"
-            )
-        sparse[position] = CellSpec.from_payload(spec_payload)
-    return keys, sparse
-
-
 class _WorkerLink:
     """One client connection to one remote worker."""
 
@@ -454,8 +390,9 @@ def shard_of_batch(batch: CellBatch, n_shards: int) -> int:
 def _result_groups(reply: Dict[str, Any], sizes: List[int]) -> List[List[CellResult]]:
     """A ``run_batches`` reply's cells: one group of ``sizes[i]`` per batch.
 
-    Any other shape raises :class:`RemoteProtocolError`, so the shard
-    fails over like any other broken exchange.
+    Any other shape, or a cell payload that does not decode, raises
+    :class:`RemoteProtocolError`, so the shard fails over like any
+    other broken exchange.
     """
     groups = reply.get("batches")
     if not isinstance(groups, list) or sizes != [
@@ -464,7 +401,34 @@ def _result_groups(reply: Dict[str, Any], sizes: List[int]) -> List[List[CellRes
         raise RemoteProtocolError(
             f"malformed run_batches reply: expected cells per batch {sizes}"
         )
-    return [[CellResult.from_payload(p) for p in group] for group in groups]
+    try:
+        return [[CellResult.from_payload(p) for p in group] for group in groups]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RemoteProtocolError(
+            f"malformed run_batches reply: undecodable cell ({exc!r})"
+        ) from exc
+
+
+def _reply_events(
+    reply: Dict[str, Any], worker: str
+) -> List[Tuple[str, Dict[str, Any]]]:
+    """A ``run_batches`` reply's events as ``(kind, data)``, tagged ``worker``.
+
+    An event that does not decode raises :class:`RemoteProtocolError`,
+    as an undecodable cell does in :func:`_result_groups`.
+    """
+    try:
+        return [
+            (
+                str(event.get("kind", "worker_event")),
+                {"worker": worker, **(event.get("data") or {})},
+            )
+            for event in reply.get("events", ())
+        ]
+    except (AttributeError, TypeError) as exc:
+        raise RemoteProtocolError(
+            f"malformed run_batches reply: undecodable event ({exc!r})"
+        ) from exc
 
 
 class RemoteBackend(ExecutorBackend):
@@ -485,11 +449,6 @@ class RemoteBackend(ExecutorBackend):
         ``REPRO_WORKER_TOKEN``).  Sent as an HMAC proof over the
         worker's handshake nonce; never transmitted in the clear.
         ``None`` connects only to workers that do not require auth.
-    delta:
-        Whether to use the two-phase delta dispatch against workers
-        that advertise a result store (default).  ``False`` always
-        ships full specs -- a diagnostic escape hatch; results are
-        identical either way.
     """
 
     name = "remote"
@@ -499,7 +458,6 @@ class RemoteBackend(ExecutorBackend):
         workers: Union[str, Sequence],
         connect_timeout: float = 10.0,
         token: Optional[str] = None,
-        delta: bool = True,
     ) -> None:
         # dedupe while preserving order: a repeated address would make
         # two drain threads share one socket and corrupt the framing
@@ -508,7 +466,6 @@ class RemoteBackend(ExecutorBackend):
         )
         self.connect_timeout = float(connect_timeout)
         self.token = token
-        self.delta = bool(delta)
         self._links: Dict[Tuple[str, int], _WorkerLink] = {
             address: _WorkerLink(address, self.connect_timeout, token)
             for address in self.addresses
@@ -587,7 +544,8 @@ class RemoteBackend(ExecutorBackend):
         hello is refreshed on every (re)connect, so no round trip is
         needed; a worker that died since is caught by shard failover.
         """
-        needed_schemes, needed_benchmarks = needed_registry_names(batches)
+        needed_schemes = {s.scheme for b in batches for s in b.specs}
+        needed_benchmarks = {s.benchmark for b in batches for s in b.specs}
         problems: List[str] = []
         for link in links:
             missing_schemes = needed_schemes - set(
@@ -620,43 +578,21 @@ class RemoteBackend(ExecutorBackend):
         members: Sequence[int],
         batches: Sequence[CellBatch],
     ) -> Dict[str, Any]:
-        """One shard round trip, delta-aware.
+        """One shard round trip: every member batch as its spec payloads.
 
-        Against a worker advertising a result store (``caching`` in
-        its hello), dispatch is two-phase: ``query_keys`` with every
-        cell key in the shard first, then a ``run_batches`` frame
-        whose spec list omits the worker's hits.  If the worker lost
-        a promised hit between the phases (a concurrent ``repro
-        cache prune``/``clear``), it answers with a ``cache_miss``
-        error and the shard is re-sent once with full specs --
-        correctness never depends on the worker's store.  Socket
-        trouble raises ``OSError``/``RemoteProtocolError`` for the
-        caller's failover handling.
+        Socket trouble raises ``OSError``/``RemoteProtocolError`` for
+        the caller's failover handling.
         """
-        hits: FrozenSet[str] = frozenset()
-        if self.delta and link.hello.get("caching"):
-            keys = [key for i in members for key in batches[i].keys]
-            reply = link.request({"op": "query_keys", "keys": keys})
-            if reply.get("ok"):
-                hits = frozenset(reply.get("hits", ())) & frozenset(keys)
-        reply = link.request(
+        return link.request(
             {
                 "op": "run_batches",
                 "shard": shard,
                 "batches": [
-                    _encode_batch(batches[i], skip=hits) for i in members
+                    [spec.to_payload() for spec in batches[i].specs]
+                    for i in members
                 ],
             }
         )
-        if not reply.get("ok") and reply.get("kind") == "cache_miss" and hits:
-            reply = link.request(
-                {
-                    "op": "run_batches",
-                    "shard": shard,
-                    "batches": [_encode_batch(batches[i]) for i in members],
-                }
-            )
-        return reply
 
     def run_batches(
         self,
@@ -669,19 +605,9 @@ class RemoteBackend(ExecutorBackend):
         :func:`shard_of_batch` over the
         *configured* worker count; shard -> worker placement is a
         work-queue (surviving workers drain shards of lost ones).
-        Against workers advertising a result store, each shard ships
-        as the two-phase delta protocol (see :meth:`_request_shard`);
-        worker-store hits surface as ``cell_cached`` events tagged
-        with the worker's address.
         """
         if not batches:
             return []
-        batches = [_with_keys(batch) for batch in batches]
-        spec_by_key: Dict[str, CellSpec] = {
-            key: spec
-            for batch in batches
-            for spec, key in zip(batch.specs, batch.keys)
-        }
         emit_lock = threading.Lock()
 
         def locked_emit(kind: str, **data: Any) -> None:
@@ -723,6 +649,7 @@ class RemoteBackend(ExecutorBackend):
                         cells = _result_groups(
                             reply, [len(batches[i]) for i in members]
                         )
+                        events = _reply_events(reply, link.label)
                 except FrameTooLargeError as exc:
                     # deterministic for this payload: retrying on
                     # another worker would fail identically
@@ -743,42 +670,29 @@ class RemoteBackend(ExecutorBackend):
                         )
                     )
                     return
-                cached = [
-                    key
-                    for key in reply.get("cached", ())
-                    if key in spec_by_key
-                ]
                 with emit_lock:
                     # forward the worker's events only now -- a shard
                     # that failed over never double-reports
-                    for event in reply.get("events", ()):
-                        data = dict(event.get("data") or {})
-                        data.setdefault("worker", link.label)
-                        emit(event.get("kind", "worker_event"), **data)
-                    # cells the worker served from its own store: no
-                    # compute happened anywhere, so they surface as
-                    # cache hits, tagged with where the hit landed
-                    for key in cached:
-                        spec = spec_by_key[key]
-                        emit(
-                            "cell_cached",
-                            benchmark=spec.benchmark,
-                            stage=spec.stage,
-                            scheme=spec.scheme,
-                            interval=spec.interval,
-                            worker=link.label,
-                        )
+                    for kind, data in events:
+                        emit(kind, **data)
                     emit(
                         "shard_finished",
                         shard=shard,
                         n_shards=n_shards,
                         n_cells=n_cells,
-                        n_cached=len(cached),
                         worker=link.label,
                         seconds=round(time.perf_counter() - start, 6),
                     )
                     for index, group in zip(members, cells):
                         out[index] = group
+
+        def guarded_drain(link: _WorkerLink) -> None:
+            # any other fault ends the run with its own error, never
+            # with this thread dead and its shard's results unset
+            try:
+                drain(link)
+            except Exception as exc:
+                failures.append(exc)
 
         while True:
             active = [link for link in links if link.connected]
@@ -791,7 +705,7 @@ class RemoteBackend(ExecutorBackend):
                 )
             threads = [
                 threading.Thread(
-                    target=drain, args=(link,), daemon=True
+                    target=guarded_drain, args=(link,), daemon=True
                 )
                 for link in active
             ]

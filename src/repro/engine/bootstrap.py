@@ -1,10 +1,9 @@
 """Worker registry bootstrap: import-time registrations, everywhere.
 
 Runtime scheme/workload registrations live in the registering process.
-That is fine for the serial backend, but process-pool
-workers and remote workers re-import the code (or fork before the
-registration happened) and resolve cells against *their own* copy of
-the registries.  The distribution-safe pattern has always been
+That is fine for the serial backend, but remote workers import the
+code afresh and resolve cells against *their own* copy of the
+registries.  The distribution-safe pattern has always been
 "register at import time of a module the workers also import" -- this
 module is the hook that makes that pattern executable:
 
@@ -13,13 +12,13 @@ module is the hook that makes that pattern executable:
   user code every worker runs before serving cells;
 * :func:`run_bootstrap` executes those specs (plus a worker's
   ``--bootstrap`` flags), exactly once per spec per process, and is
-  called by the process-pool worker initialiser, by
-  ``python -m repro worker`` at start-up, and by the CLI itself (so
-  the submitting side sees the same registry picture its workers do).
+  called by ``python -m repro worker`` at start-up and by the CLI
+  itself (so the submitting side sees the same registry picture its
+  workers do).
 
 Bootstrap functions should register with ``replace=True`` so a hook
-that runs twice (e.g. in the submitting process *and* a forked
-worker that inherited the registration) stays idempotent.
+that runs where the registration already exists (e.g. a test process
+that registered by hand) stays idempotent.
 """
 
 from __future__ import annotations
@@ -37,12 +36,11 @@ __all__ = [
 ]
 
 #: Environment variable naming bootstrap hooks (``module:function``,
-#: comma-separated).  Inherited by forked/spawned pool workers and
-#: read by ``python -m repro worker`` at start-up.
+#: comma-separated).  Read by the CLI and by ``python -m repro worker``
+#: at start-up.
 BOOTSTRAP_ENV = "REPRO_BOOTSTRAP"
 
-#: The remedy worker-side registry-miss errors point at (shared by
-#: the process and remote backends so the guidance cannot drift).
+#: The remedy the remote backend's registry-miss error points at.
 BOOTSTRAP_REMEDY = (
     "set REPRO_BOOTSTRAP=module:function so every worker runs the "
     "same registrations as the client"
@@ -123,8 +121,8 @@ def run_bootstrap(extra: Optional[Sequence[str]] = None) -> List[str]:
 
     Executes, in order: ``REPRO_BOOTSTRAP`` specs, then ``extra``
     specs (see :func:`bootstrap_specs`).  Each hook runs at most once
-    per process (a second :func:`run_bootstrap` call, or a fork that
-    already inherited the registrations, is a no-op for it).  Returns
+    per process (a second :func:`run_bootstrap` call is a no-op for
+    it).  Returns
     the specs of hooks that actually ran.  A failing hook raises
     ``RuntimeError`` naming the spec -- a worker that cannot see the
     registrations it was promised must not serve cells.

@@ -5,8 +5,8 @@ Every evaluation-figure computation decomposes into *cells*: one
 pinned to an explicit ``theta`` (Pareto sweeps) or carrying online
 knobs (seed, sampling budget) and platform overrides (ablations).
 
-A :class:`CellSpec` is pure data -- picklable for the process pool and
-canonically JSON-serialisable for content-hash cache keys -- and
+A :class:`CellSpec` is pure data -- canonically JSON-serialisable for
+content-hash cache keys and for the remote wire -- and
 :func:`compute_batch` is a module-level pure function of its cells,
 so a cell computes to the same :class:`CellResult` in any process, in
 any batch, in any order.  That property is what lets the executor
@@ -120,11 +120,11 @@ class CellSpec:
         scheme the cell names (profile constants, stage shapes, solver
         identity), not just their names: re-registering a name with
         different parameters yields different keys, so stale cached
-        results are structurally unreachable -- in the session memo
-        and in worker stores.  The registry digests enter as their
-        memoised canonical-JSON strings (recomputed only when
-        an entry is re-registered), so keying a cell costs one small
-        payload walk, not a recursive profile serialisation.
+        results are structurally unreachable in the session memo.
+        The registry digests enter as their memoised canonical-JSON
+        strings (recomputed only when an entry is re-registered), so
+        keying a cell costs one small payload walk, not a recursive
+        profile serialisation.
         """
         return content_key(
             "cell",
@@ -302,11 +302,11 @@ class CellBatch:
     The batch is the engine's dispatch unit: problem construction and
     theta resolution happen once for the whole group, the scheme's
     batch evaluator (when declared) solves every interval in one
-    vectorized pass, and a process pool ships one batch per task
-    instead of one cell.  ``specs`` keeps the cells' original relative
-    order; ``keys``, when present, carries their content-hash cache
-    keys (aligned with ``specs``) so key-consuming backends need not
-    rehash.
+    vectorized pass, and the remote backend ships whole batches
+    instead of single cells.  ``specs`` keeps the cells' original
+    relative order; ``keys``, when present, carries their content-hash
+    cache keys (aligned with ``specs``) so the engine and the shard
+    partition need not rehash.
     """
 
     specs: Tuple[CellSpec, ...]

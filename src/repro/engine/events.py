@@ -43,9 +43,9 @@ class EngineEvent:
 
     ``kind`` is a stable string (``batch_started``, ``cell_cached``,
     ``cell_computed``, ``shard_started``, ``shard_finished``,
-    ``backend_fallback``, ``worker_lost``, ``cache_corrupt``,
-    ``experiment_cached``, ``experiment_computed``,
-    ``batch_finished``); ``data`` is a flat, JSON-friendly mapping of
+    ``worker_lost``, ``cache_corrupt``, ``experiment_cached``,
+    ``experiment_computed``, ``store_stats``, ``batch_finished``);
+    ``data`` is a flat, JSON-friendly mapping of
     the observation's facts.  Events produced on a remote worker are
     forwarded into the client's stream with a ``worker`` field naming
     the ``host:port`` they came from.

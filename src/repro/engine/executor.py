@@ -4,10 +4,10 @@
 CLI and the benchmark harness go through:
 
 * ``run_cells(specs)`` -- evaluate experiment cells, deduplicated and
-  memoised for the session, on a pluggable :class:`ExecutorBackend`
-  (serial, process pool, or remote workers).  Every backend produces
-  bit-identical :class:`~repro.engine.cells.CellResult` lists because
-  cells are pure functions of their specs.
+  memoised for the session, on an :class:`ExecutorBackend` (serial,
+  or remote workers).  Both produce bit-identical
+  :class:`~repro.engine.cells.CellResult` lists because cells are
+  pure functions of their specs.
 * ``experiment(key_parts, thunk)`` -- whole-figure memoisation: the
   thunk's :class:`~repro.experiments.common.ExperimentResult` (or dict
   of them) is the only payload the store keeps, in memory and -- with
@@ -81,35 +81,32 @@ class ExperimentEngine:
 
     Parameters
     ----------
-    jobs:
-        Worker count for pool-based backends.  ``None``, ``0`` or
-        ``1`` select the serial path; larger values run a pool of
-        exactly that size (oversubscribing a small machine is
-        allowed -- results are identical either way).
     cache_dir:
         On-disk directory for the persistent tier (experiments only).
     store:
         A :class:`~repro.engine.store.ResultStore` instance, or a
-        registered store name (``memory`` / ``jsondir`` / ``tiered``,
-        the CLI's ``--store``).  A name is built through
+        store name (``memory`` / ``jsondir`` / ``tiered``, the CLI's
+        ``--store``).  A name is built through
         :func:`~repro.engine.store.make_store` with ``cache_dir``
         forwarded.  Default: ``tiered`` (memory + disk) when
         ``cache_dir`` is set, else ``memory``.
     backend:
-        An :class:`ExecutorBackend` instance, or a registered backend
-        name (``serial`` / ``process`` / ``remote``).
-        Default: ``remote`` when ``remote_workers`` is given,
-        ``process`` when ``jobs > 1``, else ``serial``.
+        An :class:`ExecutorBackend` instance (tests substitute fakes
+        this way), or a backend name (``serial`` / ``remote``).
+        Default: ``remote`` when ``remote_workers`` is given (even
+        empty, which is then refused), else ``serial``.
     remote_workers:
         Remote worker addresses for the ``remote`` backend -- the
         CLI's ``host1:port,host2:port`` string or a sequence of
         ``host:port`` entries (each a ``python -m repro worker
         --serve`` process).
+    worker_token:
+        The remote workers' shared auth secret (the CLI's
+        ``--token``; default: ``REPRO_WORKER_TOKEN``).
     """
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         backend: Union[ExecutorBackend, str, None] = None,
         remote_workers: Optional[Union[str, Sequence[str]]] = None,
@@ -124,22 +121,11 @@ class ExperimentEngine:
             raise ValueError(
                 "pass either a prebuilt store or cache_dir, not both"
             )
-        if jobs is not None and int(jobs) < 0:
-            raise ValueError(f"jobs must be non-negative, got {jobs}")
-        self.jobs = max(1, int(jobs or 1))
         if isinstance(backend, ExecutorBackend):
             self.backend = backend
         else:
-            name = backend or (
-                "remote"
-                if remote_workers
-                else "process"
-                if self.jobs > 1
-                else "serial"
-            )
             self.backend = make_backend(
-                name,
-                workers=self.jobs,
+                backend or ("serial" if remote_workers is None else "remote"),
                 remote_workers=remote_workers,
                 worker_token=worker_token,
             )
@@ -279,23 +265,12 @@ class ExperimentEngine:
             start = time.perf_counter()
             # dispatch in (benchmark, stage, scheme, overrides) batches:
             # problem construction, theta resolution and any vectorized
-            # scheme solve amortise over each batch, and pool backends
-            # ship one batch per task instead of one cell; results are
-            # reassembled through the same key-indexed mapping.
+            # scheme solve amortise over each batch, and the remote
+            # backend ships whole batches instead of single cells;
+            # results are reassembled through the same key-indexed
+            # mapping.
             batches = group_cells(pending, keys=pending_keys)
-            # a cache-keeping remote worker serves some dispatched
-            # cells from its own store and reports them as cell_cached
-            # (worker-tagged) instead of cell_computed; tally those so
-            # the computed counters describe actual evaluations
-            worker_cached = 0
-
-            def dispatch_emit(kind: str, **data: Any) -> None:
-                nonlocal worker_cached
-                if kind == "cell_cached":
-                    worker_cached += 1
-                self._emit(kind, **data)
-
-            returned = self.backend.run_batches(batches, dispatch_emit)
+            returned = self.backend.run_batches(batches, self._emit)
             # zip would truncate silently and leave ``None`` results
             if [len(cells) for cells in returned] != [len(b) for b in batches]:
                 raise RuntimeError(
@@ -308,12 +283,10 @@ class ExperimentEngine:
                 for key, cell in zip(batch.keys, cells):
                     self._cells[key] = sanitize(cell.to_payload())
                     results[key] = cell
-            n_computed = len(pending) - worker_cached
-            self.cells_computed += n_computed
+            self.cells_computed += len(pending)
             self._emit(
                 "batch_finished",
-                n_computed=n_computed,
-                n_worker_cached=worker_cached,
+                n_computed=len(pending),
                 seconds=round(time.perf_counter() - start, 6),
             )
 

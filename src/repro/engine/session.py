@@ -36,7 +36,6 @@ def set_engine(engine: Optional[ExperimentEngine]) -> None:
 
 @contextmanager
 def engine_session(
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     engine: Optional[ExperimentEngine] = None,
     backend: Optional[str] = None,
@@ -47,13 +46,12 @@ def engine_session(
     """Scope a configured (or prebuilt) engine as the session default.
 
     The previous engine is restored on exit; the scoped engine's
-    worker pool (or remote connections) is shut down.  ``store``
-    names a registered result store (the CLI's ``--store``);
-    ``worker_token`` is the remote backend's shared-secret auth token.
+    remote connections are closed.  ``store`` names a result store
+    (the CLI's ``--store``); ``worker_token`` is the remote backend's
+    shared-secret auth token.
     """
     if engine is None:
         engine = ExperimentEngine(
-            jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,
             remote_workers=remote_workers,
@@ -63,7 +61,6 @@ def engine_session(
     elif any(
         opt is not None
         for opt in (
-            jobs,
             cache_dir,
             backend,
             remote_workers,

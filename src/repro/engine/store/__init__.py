@@ -1,8 +1,7 @@
-"""Pluggable result stores for the experiment engine.
+"""Result stores for the experiment engine.
 
-Three stores ship in-tree, selected by name through
-:func:`make_store` (the CLI's ``--store`` option and the worker's
-``--cache-dir`` go through it):
+Three stores ship, selected by name through :func:`make_store` (the
+CLI's ``--store`` option goes through it):
 
 * ``memory``  -- volatile dict store; the default with no cache dir.
 * ``jsondir`` -- the on-disk JSON-directory format (atomic writes,
@@ -10,23 +9,13 @@ Three stores ship in-tree, selected by name through
 * ``tiered``  -- read-through/write-back memory + jsondir; the
   default whenever a cache dir is configured.
 
-:func:`register_store` keeps the set open: an out-of-tree backend
-(sqlite, object store, shared NFS) is a registration, not an engine
-change -- see ``docs/extending.md`` for the walkthrough.  Factories
-declare keyword-only parameters for the options they need
-(``cache_dir`` today); :func:`make_store` forwards matching options
-and rejects unknown ones.
+The table is fixed: ``cache_dir`` is the only option, and a store
+that does not take it rejects it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
-
-from repro.engine._registry import (
-    register_factory,
-    resolve_factory,
-    validate_factory_options,
-)
+from typing import Optional, Tuple
 
 from .base import CorruptCallback, ResultStore, StoreEntry, StoreStats
 from .jsondir import JsonDirStore
@@ -43,20 +32,11 @@ __all__ = [
     "TieredStore",
     "default_store_name",
     "make_store",
-    "register_store",
     "store_names",
 ]
 
-#: Store factory signature: keyword-only options (``cache_dir``) a
-#: factory declares are forwarded by :func:`make_store`.
-StoreFactory = Callable[..., ResultStore]
 
-
-def _make_memory() -> ResultStore:
-    return MemoryStore()
-
-
-def _make_jsondir(*, cache_dir: Optional[str] = None) -> ResultStore:
+def _make_jsondir(cache_dir: Optional[str] = None) -> ResultStore:
     if not cache_dir:
         raise ValueError(
             "the jsondir store needs a directory: pass --cache-dir DIR"
@@ -64,7 +44,7 @@ def _make_jsondir(*, cache_dir: Optional[str] = None) -> ResultStore:
     return JsonDirStore(cache_dir)
 
 
-def _make_tiered(*, cache_dir: Optional[str] = None) -> ResultStore:
+def _make_tiered(cache_dir: Optional[str] = None) -> ResultStore:
     if not cache_dir:
         raise ValueError(
             "the tiered store needs a directory for its persistent "
@@ -73,23 +53,17 @@ def _make_tiered(*, cache_dir: Optional[str] = None) -> ResultStore:
     return TieredStore([MemoryStore(), JsonDirStore(cache_dir)])
 
 
-_FACTORIES: Dict[str, StoreFactory] = {
-    "memory": _make_memory,
-    "jsondir": _make_jsondir,
-    "tiered": _make_tiered,
+#: Store name -> (factory, the options it takes).
+_STORES = {
+    "memory": (MemoryStore, frozenset()),
+    "jsondir": (_make_jsondir, frozenset({"cache_dir"})),
+    "tiered": (_make_tiered, frozenset({"cache_dir"})),
 }
-
-
-def register_store(
-    name: str, factory: StoreFactory, *, replace: bool = False
-) -> None:
-    """Add an out-of-tree store factory to :func:`make_store`."""
-    register_factory(_FACTORIES, "store", name, factory, replace)
 
 
 def store_names() -> Tuple[str, ...]:
     """Names :func:`make_store` accepts."""
-    return tuple(_FACTORIES)
+    return tuple(_STORES)
 
 
 def default_store_name(cache_dir: Optional[str] = None) -> str:
@@ -98,14 +72,19 @@ def default_store_name(cache_dir: Optional[str] = None) -> str:
 
 
 def make_store(name: str, **options) -> ResultStore:
-    """Build a store by registry name.
+    """Build a store by name.
 
-    ``options`` (e.g. ``cache_dir``) are forwarded to factories that
-    declare a matching keyword-only parameter; passing an option the
-    chosen store does not accept is an error, not a silent no-op.
+    ``options`` that are ``None`` are dropped; any other option the
+    chosen store does not take raises ``ValueError``.
     """
-    factory = resolve_factory(
-        _FACTORIES, "store", name, "repro.engine.store.register_store(...)"
-    )
-    options = validate_factory_options("store", name, factory, options)
+    try:
+        factory, accepted = _STORES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown store {name!r}; stores: {sorted(_STORES)}"
+        ) from None
+    options = {k: v for k, v in options.items() if v is not None}
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise ValueError(f"store {name!r} does not accept option(s) {unknown}")
     return factory(**options)

@@ -1,13 +1,12 @@
-"""The result-store seam: pluggable, tiered payload storage.
+"""The result-store seam: tiered payload storage.
 
 A :class:`ResultStore` answers exactly one question: *given a
 content-hash key, keep or produce its JSON payload* -- the engine's
 dedup, batching and event plumbing never care where a payload lives.
-Three stores ship in-tree (:class:`~repro.engine.store.memory.MemoryStore`,
+Three stores ship (:class:`~repro.engine.store.memory.MemoryStore`,
 :class:`~repro.engine.store.jsondir.JsonDirStore`,
-:class:`~repro.engine.store.tiered.TieredStore`) and the registry in
-:mod:`repro.engine.store` keeps the set open for out-of-tree backends
-(sqlite, object stores, shared NFS) without touching the executor.
+:class:`~repro.engine.store.tiered.TieredStore`), named in the fixed
+table of :mod:`repro.engine.store`.
 
 Contract highlights:
 
@@ -84,7 +83,7 @@ class StoreEntry:
 
 
 class ResultStore(ABC):
-    """Keyed payload store: the engine's pluggable caching seam.
+    """Keyed payload store: the engine's caching seam.
 
     Subclasses implement :meth:`_get` / :meth:`_put` /
     :meth:`__contains__`; the public :meth:`get` / :meth:`put` wrap
@@ -92,7 +91,7 @@ class ResultStore(ABC):
     backend behaves identically at the seam.
     """
 
-    #: Stable registry name (``memory``, ``jsondir``, ``tiered``, ...).
+    #: Stable table name (``memory``, ``jsondir`` or ``tiered``).
     name: str = "abstract"
 
     def __init__(self) -> None:

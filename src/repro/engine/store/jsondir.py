@@ -8,9 +8,8 @@ compatibility is covered by the store test suite).
 
 Writes are **atomic** (``tempfile.mkstemp`` in the entry's directory
 plus ``os.replace``): a killed writer can leave stray ``*.tmp`` files
-but never a torn ``.json`` entry, so a parallel run's workers, a
-``repro worker --cache-dir`` serving several clients and a concurrent
-second session can all share one directory.  Corrupt or truncated
+but never a torn ``.json`` entry, so concurrent sessions can share
+one directory.  Corrupt or truncated
 entries (interrupted pre-atomic writers, bit rot on shared storage)
 are treated as misses: counted, reported through ``on_corrupt``,
 recomputed and atomically replaced -- never raised out of a warm

@@ -9,14 +9,11 @@ killed.  Evaluation goes through the very same pure
 :class:`~repro.engine.backends.serial.SerialBackend`), so remote
 results are bit-identical to serial by construction.
 
-A worker started with ``--cache-dir`` keeps its **own result store**
-(a tiered memory+disk stack): shard cells it has computed before --
-for any client -- are served from the store instead of recomputed,
-and clients dispatch to it with the two-phase *delta protocol*
-(``query_keys`` first, then only the missing cells' specs).  A worker
-started with ``--token`` (or ``REPRO_WORKER_TOKEN``) requires every
-connection to prove knowledge of the shared secret via an HMAC over a
-per-connection nonce before any payload op is served.
+A worker keeps no result store: it computes every cell it receives,
+and reuse stays with the client.  A worker started with ``--token``
+(or ``REPRO_WORKER_TOKEN``) requires every connection to prove
+knowledge of the shared secret via an HMAC over a per-connection
+nonce before any payload op is served.
 
 The worker announces readiness by printing one line to stdout::
 
@@ -28,14 +25,11 @@ Request logs go to stderr; engine events produced while computing a
 shard are returned to the requesting client in the shard's result
 frame, not printed.
 
-Ops served (see :mod:`repro.engine.backends.remote` for framing):
-``hello`` (version/schema handshake + registry snapshot + caching /
-auth advertisement), ``auth`` (HMAC proof), ``registries`` (live
-registry names; diagnostic -- clients validate against the hello
-reply), ``query_keys``
-(worker-store hits for a key list), ``run_batches`` (evaluate a
-shard; one ``result`` frame carrying its ``events``), ``ping``
-and ``shutdown``.
+Ops served (protocol 4; see :mod:`repro.engine.backends.remote` for
+framing): ``hello`` (version/schema handshake, registry snapshot and
+auth advertisement), ``auth`` (HMAC proof), ``run_batches`` (evaluate
+a shard; one ``result`` frame carrying its ``events``), ``ping`` and
+``shutdown``.  Any other op gets an ``unknown op`` error frame.
 """
 
 from __future__ import annotations
@@ -59,14 +53,12 @@ from .backends.remote import (
     PROTOCOL_VERSION,
     FrameTooLargeError,
     RemoteProtocolError,
-    _decode_delta_batch,
     auth_mac,
     recv_frame,
     send_frame,
     set_nodelay,
 )
 from .bootstrap import run_bootstrap
-from .store import ResultStore, make_store
 
 __all__ = ["serve", "start_loopback_workers", "stop_workers"]
 
@@ -83,7 +75,7 @@ def _registry_names() -> Tuple[List[str], List[str]]:
     return list(SCHEME_REGISTRY.names()), list(WORKLOAD_REGISTRY.names())
 
 
-def _hello_response(caching: bool) -> Dict[str, Any]:
+def _hello_response() -> Dict[str, Any]:
     from repro import __version__
 
     schemes, benchmarks = _registry_names()
@@ -93,47 +85,25 @@ def _hello_response(caching: bool) -> Dict[str, Any]:
         "protocol": PROTOCOL_VERSION,
         "schema": SCHEMA_VERSION,
         "version": __version__,
-        "caching": bool(caching),
         "schemes": schemes,
         "benchmarks": benchmarks,
     }
 
 
-def _handle_query_keys(
-    request: Dict[str, Any],
-    sock: socket.socket,
-    store: Optional[ResultStore],
-) -> None:
-    """Answer phase one of the delta protocol: which keys we hold."""
-    keys = request.get("keys", ())
-    hits: List[str] = []
-    if store is not None:
-        hits = [str(key) for key in keys if str(key) in store]
-    send_frame(sock, {"ok": True, "op": "key_hits", "hits": hits})
-
-
-def _handle_run_batches(
-    request: Dict[str, Any],
-    sock: socket.socket,
-    store: Optional[ResultStore],
-) -> None:
+def _handle_run_batches(request: Dict[str, Any], sock: socket.socket) -> None:
     """Evaluate one shard and answer with one result frame.
 
-    Cells present in the worker's store are served from it (reported
-    under ``"cached"`` in the result frame) and only the rest are
-    computed -- through the same pure ``compute_batch`` path, so the
-    assembled shard is bit-identical to a storeless evaluation.
-    Computed payloads are written back into the store for the next
-    client.  A key the client omitted the spec for (a delta-protocol
-    promise) that the store no longer holds yields a ``cache_miss``
-    error frame; the client re-sends the shard with full specs.
+    Each batch arrives as a list of spec payloads and is computed
+    through the same pure ``compute_batch`` path as a local serial
+    run; its cell payloads go back in the same order.
     """
     from .backends.serial import SerialBackend
-    from .cells import CellBatch
+    from .cells import CellBatch, CellSpec
 
     try:
-        decoded = [
-            _decode_delta_batch(b) for b in request.get("batches", ())
+        batches = [
+            CellBatch(specs=tuple(CellSpec.from_payload(p) for p in batch))
+            for batch in request.get("batches", ())
         ]
     except (KeyError, ValueError, TypeError) as exc:
         send_frame(
@@ -152,58 +122,13 @@ def _handle_run_batches(
         )
         return
 
-    # resolve each cell against the store; collect what must compute
-    payloads: List[List[Optional[Dict[str, Any]]]] = []
-    cached_keys: List[str] = []
-    missing_promised: List[str] = []
-    compute_batches: List[CellBatch] = []
-    compute_origins: List[Tuple[int, List[int]]] = []
-    for bi, (keys, sparse) in enumerate(decoded):
-        group: List[Optional[Dict[str, Any]]] = [None] * len(keys)
-        positions: List[int] = []
-        specs = []
-        spec_keys = []
-        for pos, key in enumerate(keys):
-            payload = store.get(key) if store is not None else None
-            if payload is not None:
-                group[pos] = payload
-                cached_keys.append(key)
-            elif pos in sparse:
-                positions.append(pos)
-                specs.append(sparse[pos])
-                spec_keys.append(key)
-            else:
-                missing_promised.append(key)
-        payloads.append(group)
-        if specs:
-            compute_batches.append(
-                CellBatch(specs=tuple(specs), keys=tuple(spec_keys))
-            )
-            compute_origins.append((bi, positions))
-    if missing_promised:
-        send_frame(
-            sock,
-            {
-                "ok": False,
-                "op": "error",
-                "kind": "cache_miss",
-                "error": (
-                    f"{len(missing_promised)} promised cache entries "
-                    "vanished from the worker store (concurrent prune/"
-                    "clear?); re-send the shard with full specs"
-                ),
-                "missing": missing_promised[:16],
-            },
-        )
-        return
-
     events: List[Dict[str, Any]] = []
 
     def emit(kind: str, **data: Any) -> None:
         events.append({"kind": kind, "data": data})
 
     try:
-        results = SerialBackend().run_batches(compute_batches, emit)
+        results = SerialBackend().run_batches(batches, emit)
     except KeyError as exc:
         send_frame(
             sock,
@@ -231,30 +156,6 @@ def _handle_run_batches(
             },
         )
         return
-    mismatched = 0
-    for (bi, positions), batch, cells in zip(
-        compute_origins, compute_batches, results
-    ):
-        for pos, key, spec, cell in zip(
-            positions, batch.keys, batch.specs, cells
-        ):
-            payload = cell.to_payload()
-            if store is not None:
-                # the key is client-supplied: verify it really is the
-                # spec's content key before persisting, or one
-                # misbehaving client could poison the shared store for
-                # every other client (the requester still gets its
-                # result -- only the store write is refused)
-                if spec.key() == key:
-                    store.put(key, payload)
-                else:
-                    mismatched += 1
-            payloads[bi][pos] = payload
-    if mismatched:
-        _log(
-            f"refused to store {mismatched} computed cells: the "
-            "client-sent keys do not match the specs' content keys"
-        )
     try:
         send_frame(
             sock,
@@ -262,8 +163,9 @@ def _handle_run_batches(
                 "ok": True,
                 "op": "result",
                 "shard": request.get("shard"),
-                "batches": payloads,
-                "cached": cached_keys,
+                "batches": [
+                    [cell.to_payload() for cell in cells] for cells in results
+                ],
                 "events": events,
             },
         )
@@ -284,14 +186,12 @@ def _handle_run_batches(
 class _WorkerServer(socketserver.ThreadingTCPServer):
     """One thread per client connection; requests serial per client.
 
-    ``store`` (the worker's own result store, or ``None``) and
-    ``token`` (the shared auth secret, or ``None``) are attached by
+    ``token`` (the shared auth secret, or ``None``) is attached by
     :func:`serve` and read by every connection handler.
     """
 
     allow_reuse_address = True
     daemon_threads = True
-    store: Optional[ResultStore] = None
     token: Optional[str] = None
 
 
@@ -303,7 +203,6 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         _log(f"client connected: {peer}")
         sock = self.request
         set_nodelay(sock)
-        store: Optional[ResultStore] = getattr(self.server, "store", None)
         token: Optional[str] = getattr(self.server, "token", None)
         # with a token configured, every connection must prove it
         # knows the secret (HMAC over this connection's nonce) before
@@ -331,7 +230,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                     return
                 op = request.get("op")
                 if op == "hello":
-                    response = _hello_response(caching=store is not None)
+                    response = _hello_response()
                     if token is not None:
                         nonce = secrets.token_hex(32)
                         response["auth_required"] = True
@@ -394,26 +293,13 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                         },
                     )
                     return
-                elif op == "registries":
-                    schemes, benchmarks = _registry_names()
-                    send_frame(
-                        sock,
-                        {
-                            "ok": True,
-                            "op": "registries",
-                            "schemes": schemes,
-                            "benchmarks": benchmarks,
-                        },
-                    )
-                elif op == "query_keys":
-                    _handle_query_keys(request, sock, store)
                 elif op == "run_batches":
                     n = len(request.get("batches", ()))
                     _log(
                         f"shard {request.get('shard')} from {peer}: "
                         f"{n} batches"
                     )
-                    _handle_run_batches(request, sock, store)
+                    _handle_run_batches(request, sock)
                 elif op == "ping":
                     send_frame(sock, {"ok": True, "op": "pong"})
                 elif op == "shutdown":
@@ -439,8 +325,6 @@ def serve(
     port: int,
     bootstrap: Sequence[str] = (),
     ready_stream: Optional[TextIO] = None,
-    cache_dir: Optional[str] = None,
-    store: Optional[str] = None,
     token: Optional[str] = None,
 ) -> None:
     """Run a worker until shut down (the ``repro worker`` subcommand).
@@ -449,25 +333,18 @@ def serve(
     hooks, prints the readiness line (with the actual port) to
     ``ready_stream``/stdout, and serves requests forever.
 
-    ``cache_dir`` enables the worker's own result store (a ``tiered``
-    memory+disk stack by default; ``store`` picks another registered
-    store) and with it the delta protocol.  ``token`` (falling back
-    to ``REPRO_WORKER_TOKEN``) requires clients to authenticate with
-    the shared secret before any payload op.
+    ``token`` (falling back to ``REPRO_WORKER_TOKEN``) requires
+    clients to authenticate with the shared secret before any payload
+    op.
     """
     ran = run_bootstrap(extra=bootstrap)
     if ran:
         _log(f"bootstrap: ran {', '.join(ran)}")
-    worker_store: Optional[ResultStore] = None
-    if cache_dir or store:
-        worker_store = make_store(store or "tiered", cache_dir=cache_dir)
-        _log(f"result store: {worker_store.describe()}")
     if token is None:
         token = os.environ.get("REPRO_WORKER_TOKEN") or None
     if token is not None:
         _log("auth: shared-secret token required")
     server = _WorkerServer((host, port), _WorkerHandler)
-    server.store = worker_store
     server.token = token
     bound_host, bound_port = server.server_address[:2]
     stream = ready_stream if ready_stream is not None else sys.stdout
@@ -504,8 +381,8 @@ def start_loopback_workers(
     subprocess with ``PYTHONPATH`` set so it imports the same ``repro``
     package as the caller (plus ``extra_paths``, e.g. a test package
     providing a bootstrap module).  ``extra_args`` are appended to
-    every worker's command line (e.g. ``["--cache-dir", dir]`` for
-    worker-side caching, ``["--token", secret]`` for auth).  Returns
+    every worker's command line (e.g. ``["--token", secret]`` for
+    auth).  Returns
     ``(processes, addresses)`` with addresses in ``host:port`` form,
     parsed from each worker's readiness line.  Call
     :func:`stop_workers` when done.

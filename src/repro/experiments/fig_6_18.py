@@ -10,8 +10,9 @@ the figure's two observations:
    per-core TS by up to ~25 % EDP.
 
 All (benchmark, stage, scheme, interval) cells go through the
-experiment engine: they run in parallel under ``--jobs`` and the
-offline cells are shared with ``headline`` through the session cache.
+experiment engine: they run on remote workers under ``--workers``,
+and the offline cells are shared with ``headline`` through the
+session cache.
 """
 
 from __future__ import annotations

@@ -17,10 +17,9 @@ set open:
   ``python -m repro headline`` with no driver changes.
 
 Registrations live in the registering process: the serial backend
-always sees them, while process-pool worker visibility depends
-on the start method (fork inherits pre-pool registrations, spawn
-re-imports and sees none) -- register at import time for portable
-process-backend runs.
+always sees them, while remote workers see only what they register
+at start-up -- use the ``REPRO_BOOTSTRAP`` hook, or register at
+import time of a module the workers also import.
 
 The registry also exposes :func:`workload_fingerprint`, mixed into
 experiment-level cache keys so memoised figures are invalidated when

@@ -1,9 +1,9 @@
 """Registration hook used by the ``REPRO_BOOTSTRAP`` tests.
 
 Referenced as ``tests.engine.bootstrap_reg:register`` by the remote
-and process-pool bootstrap tests: workers run it at start-up (via the
-environment hook), the test process runs it directly, and both sides
-then resolve the same synthetic workload.
+bootstrap tests: workers run it at start-up (via the environment
+hook), the test process runs it directly, and both sides then resolve
+the same synthetic workload.
 """
 
 from repro.workloads import register_synthetic

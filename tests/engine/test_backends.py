@@ -6,14 +6,13 @@ from repro.engine import (
     CellSpec,
     EventLog,
     ExperimentEngine,
-    ProcessBackend,
+    RemoteBackend,
     SerialBackend,
     backend_names,
     benchmark_specs,
-    group_cells,
     make_backend,
 )
-from repro.engine.backends import null_emit, register_backend
+from repro.engine.backends import null_emit
 from repro.engine.backends.remote import shard_of_batch
 from repro.engine.cells import CellBatch
 
@@ -29,44 +28,45 @@ def _specs():
 
 class TestFactory:
     def test_in_tree_backends_registered(self):
-        assert {"serial", "process", "remote"} <= set(
-            backend_names()
-        )
+        """The table is fixed: one local backend, one remote path."""
+        assert backend_names() == ("serial", "remote")
 
     def test_make_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process", workers=3), ProcessBackend)
+        remote = make_backend("remote", remote_workers="h:7700")
+        assert isinstance(remote, RemoteBackend)
+        remote.close()
 
     def test_unknown_backend_error_is_actionable(self):
         with pytest.raises(KeyError) as err:
             make_backend("quantum")
         message = str(err.value)
         assert "quantum" in message
-        assert "serial" in message
-        assert "register_backend" in message
-
-    def test_duplicate_backend_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda workers: SerialBackend())
+        assert "serial" in message and "remote" in message
 
     def test_engine_accepts_backend_instance(self):
         backend = SerialBackend()
         eng = ExperimentEngine(backend=backend)
         assert eng.backend is backend
 
-    def test_engine_default_backend_tracks_jobs(self):
+    def test_engine_default_backend_is_serial(self):
         assert isinstance(ExperimentEngine().backend, SerialBackend)
-        eng = ExperimentEngine(jobs=2)
-        assert isinstance(eng.backend, ProcessBackend)
-        eng.close()
 
     def test_explicit_single_worker_is_honoured(self):
-        """--jobs 1 --backend process must not be bumped to 2 workers."""
-        assert make_backend("process", workers=1).workers == 1
+        """One worker address is one shard; a repeated address is
+        still one worker (two drain threads must never share a
+        socket)."""
+        for workers in ("h:7700", "h:7700,h:7700"):
+            backend = make_backend("remote", remote_workers=workers)
+            assert backend.describe() == "remote[1]"
+            backend.close()
 
     def test_invalid_worker_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessBackend(workers=0)
+        for workers in ("", [], " , "):
+            with pytest.raises(ValueError, match="--workers"):
+                make_backend("remote", remote_workers=workers)
+            with pytest.raises(ValueError, match="at least one"):
+                RemoteBackend(workers)
 
 
 class TestSharding:
@@ -202,60 +202,3 @@ class TestEngineCacheDetachment:
         assert first_log.of_kind("cache_corrupt") == []  # no ghosts
         assert len(second_log.of_kind("cache_corrupt")) == 1  # live one does
         assert seen == [path.stem]  # original callback survived
-
-
-class TestProcessBackendRegistryVisibility:
-    def test_late_registration_fails_actionably_before_dispatch(self):
-        """A workload registered after the worker pool exists is
-        invisible to the workers (always under spawn; under fork, for
-        anything registered post-fork).  The up-front registry probe
-        must surface that as an actionable RuntimeError *before* any
-        cell ships -- naming the bootstrap hook remedy -- not as a raw
-        pickled KeyError traceback mid-run.  Two cell groups force
-        real pool dispatch (a single batch is evaluated in-process
-        and would mask the worker-side miss)."""
-        from repro.engine import EventLog
-        from repro.workloads import register_synthetic, unregister_workload
-
-        eng = ExperimentEngine(jobs=2, backend="process")
-        log = eng.subscribe(EventLog())
-        # spin the workers up on built-in cells first (two groups, so
-        # the batched dispatch really creates the pool)
-        eng.run_cells(
-            list(
-                benchmark_specs("radix", "decode", "nominal")
-                + benchmark_specs("fmm", "decode", "nominal")
-            )
-        )
-        n_warmup = len(log.of_kind("cell_computed"))
-        register_synthetic("synth_proc_late", heterogeneity=2.0)
-        try:
-            specs = list(
-                benchmark_specs("synth_proc_late", "decode", "synts")
-                + benchmark_specs("synth_proc_late", "simple_alu", "synts")
-            )
-            with pytest.raises(RuntimeError, match="use the serial backend") as err:
-                eng.run_cells(specs)
-            assert "REPRO_BOOTSTRAP" in str(err.value)
-            # the probe fired before dispatch: no synthetic cell ran
-            assert len(log.of_kind("cell_computed")) == n_warmup
-        finally:
-            eng.close()
-            unregister_workload("synth_proc_late")
-
-    def test_single_batch_runs_in_process(self):
-        """One pending batch skips the pool round-trip entirely -- so
-        even late runtime registrations work for single-group runs."""
-        from repro.workloads import register_synthetic, unregister_workload
-
-        eng = ExperimentEngine(jobs=2, backend="process")
-        eng.run_cells(list(benchmark_specs("radix", "decode", "nominal")))
-        register_synthetic("synth_proc_single", heterogeneity=2.0)
-        try:
-            specs = list(
-                benchmark_specs("synth_proc_single", "decode", "synts")
-            )
-            assert len(eng.run_cells(specs)) == len(specs)
-        finally:
-            eng.close()
-            unregister_workload("synth_proc_single")

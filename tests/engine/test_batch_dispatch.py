@@ -1,11 +1,11 @@
 """Batched cell dispatch: grouping, batch evaluation, and
-parallel equivalence of the batch path on every backend.
+parallel equivalence of the batch path on both backends.
 
 The batch seam may change wall time, never values: ``compute_batch``
 must be bit-identical to evaluating each cell alone through its
 scheme's ``evaluate`` (never its ``batch_solver``), and the engine's
 batched dispatch must stay bit-identical to the serial reference on
-all backends, including partially cached batches.
+both backends, including partially cached batches.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.engine import (
     compute_batch,
     group_cells,
 )
-from repro.engine.backends.process import pool_chunksize
 from repro.engine.cells import _interval_problems
 from repro.experiments import fig_6_18
 from repro.experiments.common import STAGES
@@ -149,10 +148,14 @@ class TestBatchedDispatchEquivalence:
         with ExperimentEngine(backend="serial") as eng:
             return specs, eng.run_cells(specs)
 
-    @pytest.mark.parametrize("backend", ("process",))
-    def test_backend_matches_serial(self, serial_reference, backend):
+    @pytest.mark.parametrize("backend", ("remote",))
+    def test_backend_matches_serial(
+        self, serial_reference, backend, loopback_workers
+    ):
         specs, reference = serial_reference
-        with ExperimentEngine(jobs=4, backend=backend) as eng:
+        with ExperimentEngine(
+            backend=backend, remote_workers=loopback_workers
+        ) as eng:
             assert eng.run_cells(specs) == reference
 
     def test_partially_cached_batches(self, serial_reference):
@@ -181,65 +184,3 @@ class TestBatchedDispatchEquivalence:
         assert ("fmm", "nominal", 2) in labels
         # serial dispatch still carries a (batch-amortised) wall time
         assert all(e.get("seconds") >= 0 for e in computed)
-
-
-class _RecordingPool:
-    """Stands in for the process pool: records the units ``map`` ships
-    and evaluates them in-process."""
-
-    def __init__(self):
-        self.units = []
-
-    def map(self, fn, items, chunksize=1):
-        self.units.extend(items)
-        return map(fn, items)
-
-    def shutdown(self, **kwargs):
-        pass
-
-
-def _shipped_units(batches):
-    """The units a 2-worker ProcessBackend hands its pool for
-    ``batches``, checked against the serial reference."""
-    from repro.engine import ProcessBackend, SerialBackend
-
-    backend = ProcessBackend(workers=2)
-    backend._pool = pool = _RecordingPool()
-    backend._validate_registries = lambda batches: None
-    assert backend.run_batches(batches) == SerialBackend().run_batches(
-        batches
-    )
-    return pool.units
-
-
-class TestPoolDispatchGrain:
-    def test_vectorized_batches_ship_whole(self):
-        batches = group_cells(
-            list(benchmark_specs("radix", "decode", "synts"))
-            + list(benchmark_specs("fmm", "decode", "synts"))
-        )
-        assert _shipped_units(batches) == batches
-
-    def test_no_split_when_batches_already_fill_the_pool(self):
-        """Per-interval batches (online: per-cell RNG) ship whole too:
-        one pool task per batch, never one per cell."""
-        specs = []
-        for benchmark in ("radix", "fmm", "cholesky", "barnes"):
-            specs += list(
-                benchmark_specs(
-                    benchmark, "decode", "online", seed=1, n_samp=5_000
-                )
-            )
-        batches = group_cells(specs)
-        assert _shipped_units(batches) == batches
-
-
-class TestPoolChunksize:
-    def test_quarter_of_even_split(self):
-        assert pool_chunksize(64, 4) == 4
-        assert pool_chunksize(1000, 8) == 31
-
-    def test_never_below_one(self):
-        assert pool_chunksize(3, 4) == 1
-        assert pool_chunksize(0, 4) == 1
-        assert pool_chunksize(5, 1) == 1

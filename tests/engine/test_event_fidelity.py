@@ -1,6 +1,6 @@
 """Event-stream fidelity across backends.
 
-Serial, process and remote runs must emit the *same per-cell event
+Serial and remote runs must emit the *same per-cell event
 multiset* (ordering aside): observability never depends on where a
 cell happened to run.  Backend-specific extras (shards, worker tags,
 ``worker_lost``) ride alongside without disturbing the per-cell view.
@@ -21,7 +21,7 @@ CELL_EVENT_KINDS = ("cell_cached", "cell_computed")
 
 
 def _specs():
-    # two groups, so pool backends really dispatch; online adds a
+    # two groups, so the remote backend really shards; online adds a
     # per-interval (non-vectorized) batch to the mix
     return list(
         benchmark_specs("radix", "decode", "synts")
@@ -58,14 +58,6 @@ def serial_run():
 
 
 class TestPerCellMultiset:
-    def test_process_matches_serial(self, serial_run):
-        reference, serial_log = serial_run
-        results, log = _run_and_log(
-            lambda: ExperimentEngine(jobs=2, backend="process")
-        )
-        assert results == reference
-        assert _cell_multiset(log) == _cell_multiset(serial_log)
-
     def test_remote_matches_serial(self, serial_run, loopback_workers):
         reference, serial_log = serial_run
         results, log = _run_and_log(

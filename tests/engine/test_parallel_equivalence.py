@@ -1,12 +1,12 @@
-"""Every executor backend's output must equal the serial reference,
-bit for bit -- the engine's core guarantee (cells are pure functions
-of their specs, online streams are derived from spec content hashes).
+"""The remote backend's output must equal the serial reference, bit
+for bit -- the engine's core guarantee (cells are pure functions of
+their specs, online streams are derived from spec content hashes).
 
-The backend sweep runs over the full fig_6_18 + headline cell set:
-every (benchmark, stage, scheme, interval) cell of the paper's main
-result figures, offline and online.  The ``remote`` parametrization
-dispatches the same set to two loopback worker subprocesses over the
-real wire protocol."""
+Remote is the one parallel path: every check here dispatches to the
+session's two loopback worker subprocesses over the real wire
+protocol.  The backend sweep runs over the full fig_6_18 + headline
+cell set: every (benchmark, stage, scheme, interval) cell of the
+paper's main result figures, offline and online."""
 
 import json
 from pathlib import Path
@@ -26,14 +26,9 @@ from repro.serialization import canonical_json
 
 GOLDEN_TABLE_5_1 = Path(__file__).resolve().parents[1] / "golden" / "table_5_1.json"
 
-#: Backends swept against the serial reference.  ``process`` runs a
-#: 4-worker pool; ``remote`` ships shards to two loopback worker
-#: subprocesses.
-EQUIVALENCE_BACKENDS = ("process", "remote")
-
-#: The in-process subset (hypothesis sweeps these without paying a
-#: worker-subprocess spin-up per example).
-LOCAL_BACKENDS = ("process",)
+#: Backends swept against the serial reference: ``remote`` ships
+#: shards to two loopback worker subprocesses.
+EQUIVALENCE_BACKENDS = ("remote",)
 
 
 def _figure_cell_set():
@@ -59,29 +54,25 @@ class TestBackendEquivalence:
         self, serial_reference, backend, request
     ):
         specs, reference = serial_reference
-        kwargs = (
-            {"remote_workers": request.getfixturevalue("loopback_workers")}
-            if backend == "remote"
-            else {}
-        )
-        with ExperimentEngine(jobs=4, backend=backend, **kwargs) as eng:
+        workers = request.getfixturevalue("loopback_workers")
+        with ExperimentEngine(backend=backend, remote_workers=workers) as eng:
             results = eng.run_cells(specs)
         assert results == reference
 
 
 class TestExperimentEquivalence:
-    def test_table_5_1_parallel_equals_serial(self):
+    def test_table_5_1_parallel_equals_serial(self, loopback_workers):
         """Table 5.1 submits no cells, so the serial side is its golden
         payload (regenerated serially by ``tools/update_golden.py``)."""
         serial = json.loads(GOLDEN_TABLE_5_1.read_text())["payload"]
-        with engine_session(jobs=4):
+        with engine_session(remote_workers=loopback_workers):
             parallel = table_5_1.run()
         assert json.loads(canonical_json(parallel.to_payload())) == serial
 
-    def test_fig_6_18_parallel_equals_serial(self):
-        with engine_session(jobs=1):
+    def test_fig_6_18_parallel_equals_serial(self, loopback_workers):
+        with engine_session(backend="serial"):
             serial = fig_6_18.run()
-        with engine_session(jobs=4):
+        with engine_session(remote_workers=loopback_workers):
             parallel = fig_6_18.run()
         assert parallel == serial
         assert [tuple(r) for r in parallel.rows] == [
@@ -97,13 +88,12 @@ class TestCellEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        backend=st.sampled_from(LOCAL_BACKENDS),
         benchmark=st.sampled_from(("radix", "fmm", "cholesky")),
         scheme=st.sampled_from(("synts", "per_core_ts", "online")),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_random_cells_any_backend_equals_serial(
-        self, backend, benchmark, scheme, seed
+        self, loopback_workers, benchmark, scheme, seed
     ):
         specs = list(
             benchmark_specs(
@@ -113,5 +103,5 @@ class TestCellEquivalence:
             else benchmark_specs(benchmark, "simple_alu", scheme)
         )
         serial = ExperimentEngine(backend="serial").run_cells(specs)
-        with ExperimentEngine(jobs=2, backend=backend) as eng:
+        with ExperimentEngine(remote_workers=loopback_workers) as eng:
             assert eng.run_cells(specs) == serial

@@ -7,7 +7,6 @@ the up-front registry validation, ``worker_lost`` failover and the
 ``REPRO_BOOTSTRAP`` hook end to end.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -77,14 +76,14 @@ class TestFactory:
         backend.close()
 
     def test_other_backends_reject_remote_workers_option(self):
-        with pytest.raises(ValueError, match="--backend remote"):
-            make_backend("process", remote_workers="h:1")
+        with pytest.raises(ValueError, match="--workers"):
+            make_backend("serial", remote_workers="h:1")
 
     def test_other_backends_reject_token_actionably(self):
-        """`--token` without `--backend remote` must name the flag's
-        remedy, not the internal option name alone."""
-        with pytest.raises(ValueError, match="--backend remote"):
-            make_backend("process", workers=2, worker_token="s3cret")
+        """`--token` without `--workers` must name the flag's remedy,
+        not the internal option name alone."""
+        with pytest.raises(ValueError, match="pass --workers"):
+            make_backend("serial", worker_token="s3cret")
 
     def test_engine_defaults_to_remote_when_workers_given(self):
         eng = ExperimentEngine(remote_workers="host1:7700")
@@ -159,8 +158,8 @@ class TestLoopbackDispatch:
     def test_dispatch_sends_no_registries_request(
         self, loopback_workers, monkeypatch
     ):
-        """Registries are validated from the hello reply: a dispatch
-        costs no extra ``registries`` round trip per worker."""
+        """Registries are validated from the hello reply, and workers
+        keep no store: a dispatch is ``run_batches`` round trips only."""
         from repro.engine.backends.remote import _WorkerLink
 
         ops = []
@@ -175,8 +174,7 @@ class TestLoopbackDispatch:
             backend="remote", remote_workers=loopback_workers
         ) as eng:
             eng.run_cells(_two_group_specs())
-        assert "run_batches" in ops
-        assert "registries" not in ops
+        assert set(ops) == {"run_batches"}
 
 
 class TestWireLatency:
@@ -267,12 +265,15 @@ class TestFailover:
             stop_workers(processes)
 
     @pytest.mark.parametrize(
-        "damage", ("no_batches", "short_group", "short_batch_list")
+        "damage",
+        ("no_batches", "short_group", "short_batch_list", "bad_cell",
+         "bad_event"),
     )
     def test_malformed_reply_ends_the_run(self, loopback_workers, damage):
-        """A reply without ``batches``, or with fewer groups or cells
-        than were sent, is a protocol error: the shard fails over, and
-        with every worker answering that way the run ends in the
+        """A reply without ``batches``, with fewer groups or cells than
+        were sent, or with a cell or event payload that does not
+        decode, is a protocol error: the shard fails over, and with
+        every worker answering that way the run ends in the
         all-workers-lost error instead of returning ``None`` cells."""
         backend = RemoteBackend(loopback_workers)
         original = backend._request_shard
@@ -283,8 +284,12 @@ class TestFailover:
                 del reply["batches"]
             elif damage == "short_group":
                 reply["batches"][-1] = reply["batches"][-1][:-1]
-            else:
+            elif damage == "short_batch_list":
                 reply["batches"] = reply["batches"][:-1]
+            elif damage == "bad_cell":
+                reply["batches"][0][0] = {"energy": "x"}
+            else:
+                reply["events"] = [1]
             return reply
 
         backend._request_shard = damaged
@@ -372,60 +377,6 @@ class TestBootstrapHook:
             stop_workers(processes)
             unregister_workload(bootstrap_reg.SYNTH_NAME)
 
-    def test_synthetic_resolves_on_process_pool(self, monkeypatch):
-        """Same acceptance path for the process pool: the worker
-        initialiser runs the bootstrap, so the up-front registry probe
-        and the dispatch both resolve the synthetic workload."""
-        from repro.workloads import unregister_workload
-
-        from . import bootstrap_reg
-
-        monkeypatch.setenv("REPRO_BOOTSTRAP", BOOTSTRAP_SPEC)
-        bootstrap_reg.register()
-        try:
-            specs = list(
-                benchmark_specs(bootstrap_reg.SYNTH_NAME, "decode", "synts")
-                + benchmark_specs(
-                    bootstrap_reg.SYNTH_NAME, "simple_alu", "synts"
-                )
-            )
-            with ExperimentEngine(backend="serial") as eng:
-                reference = eng.run_cells(specs)
-            with ExperimentEngine(jobs=2, backend="process") as eng:
-                assert eng.run_cells(specs) == reference
-        finally:
-            unregister_workload(bootstrap_reg.SYNTH_NAME)
-
-    def test_spawned_pool_worker_runs_bootstrap(self, monkeypatch):
-        """Under the spawn start method nothing is inherited, so a
-        resolving registry proves the initialiser hook itself."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.engine.backends.process import (
-            _pool_initializer,
-            _worker_registry_names,
-        )
-        from repro.workloads import unregister_workload
-
-        from . import bootstrap_reg
-
-        monkeypatch.setenv("REPRO_BOOTSTRAP", BOOTSTRAP_SPEC)
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_pool_initializer,
-        )
-        try:
-            _, benchmarks = pool.submit(_worker_registry_names).result(
-                timeout=120
-            )
-            assert bootstrap_reg.SYNTH_NAME in benchmarks
-        finally:
-            pool.shutdown(wait=True)
-            if bootstrap_reg.SYNTH_NAME in _workload_names():
-                unregister_workload(bootstrap_reg.SYNTH_NAME)
-
 
 def _workload_names():
     from repro.workloads import workload_names
@@ -433,16 +384,18 @@ def _workload_names():
     return workload_names()
 
 
+@pytest.fixture(scope="module")
+def authed_workers():
+    """One loopback worker started with ``--token sesame``."""
+    processes, addresses = start_loopback_workers(
+        1, extra_args=["--token", "sesame"]
+    )
+    yield addresses
+    stop_workers(processes)
+
+
 class TestAuthToken:
     """Shared-secret worker auth: HMAC over the handshake nonce."""
-
-    @pytest.fixture(scope="class")
-    def authed_workers(self):
-        processes, addresses = start_loopback_workers(
-            1, extra_args=["--token", "sesame"]
-        )
-        yield addresses
-        stop_workers(processes)
 
     def test_matching_token_runs(self, authed_workers):
         specs = list(benchmark_specs("radix", "decode", "synts"))
@@ -500,7 +453,7 @@ class TestAuthToken:
 
         (address,) = parse_worker_addresses(authed_workers)
         with socket.create_connection(address, timeout=10) as sock:
-            send_frame(sock, {"op": "registries"})
+            send_frame(sock, {"op": "run_batches", "batches": []})
             reply = recv_frame(sock)
             assert reply is not None and not reply.get("ok")
             assert reply.get("kind") == "auth"
@@ -555,135 +508,55 @@ class TestAuthToken:
         assert auth_mac("tok", "other") != expected
 
 
-class TestDeltaProtocol:
-    """Worker-side store advertisement and the two-phase dispatch."""
+class TestProtocolV4:
+    """Version 4 serves hello/auth/run_batches/ping/shutdown only."""
 
-    @pytest.fixture()
-    def caching_worker(self, tmp_path):
-        # jsondir (no memory tier) so tests can mutate the store
-        # externally through the shared directory
-        processes, addresses = start_loopback_workers(
-            1,
-            extra_args=[
-                "--store",
-                "jsondir",
-                "--cache-dir",
-                str(tmp_path / "wstore"),
-            ],
-        )
-        yield addresses
-        stop_workers(processes)
-
-    def test_hello_advertises_caching(self, caching_worker, loopback_workers):
-        from repro.engine.backends.remote import (
-            _WorkerLink,
-            parse_worker_addresses,
-        )
-
-        (cached_addr,) = parse_worker_addresses(caching_worker)
-        link = _WorkerLink(cached_addr, connect_timeout=10)
-        link.connect()
-        assert link.hello.get("caching") is True
-        link.close()
-        plain_addr = parse_worker_addresses(loopback_workers)[0]
-        link = _WorkerLink(plain_addr, connect_timeout=10)
-        link.connect()
-        assert link.hello.get("caching") is False
-        link.close()
-
-    def test_query_keys_reports_store_hits(self, caching_worker):
-        from repro.engine.backends.remote import (
-            _WorkerLink,
-            parse_worker_addresses,
-        )
-
-        specs = list(benchmark_specs("radix", "decode", "synts"))
-        keys = [spec.key() for spec in specs]
-        (address,) = parse_worker_addresses(caching_worker)
-        link = _WorkerLink(address, connect_timeout=10)
-        link.connect()
-        try:
-            reply = link.request({"op": "query_keys", "keys": keys})
-            assert reply["ok"] and reply["hits"] == []
-            with ExperimentEngine(
-                backend="remote", remote_workers=caching_worker
-            ) as eng:
-                eng.run_cells(specs)
-            reply = link.request({"op": "query_keys", "keys": keys})
-            assert sorted(reply["hits"]) == sorted(keys)
-        finally:
-            link.close()
-
-    def test_mismatched_client_key_is_not_persisted(self, caching_worker):
-        """The worker refuses to store a computed cell under a
-        client-sent key that is not the spec's content key -- one
-        buggy or hostile client must not poison the shared store."""
-        from repro.engine.backends.remote import (
-            _WorkerLink,
-            parse_worker_addresses,
-        )
-
-        spec = benchmark_specs("radix", "decode", "synts")[0]
-        bogus = "ab" + "0" * 62
-        (address,) = parse_worker_addresses(caching_worker)
-        link = _WorkerLink(address, connect_timeout=10)
-        link.connect()
-        try:
-            reply = link.request(
-                {
-                    "op": "run_batches",
-                    "shard": 0,
-                    "batches": [
-                        {"keys": [bogus], "specs": [[0, spec.to_payload()]]}
-                    ],
-                }
-            )
-            # the requester still gets its computed result...
-            assert reply["ok"] and reply["batches"][0][0]["spec"]
-            # ...but nothing was stored, under either key
-            reply = link.request(
-                {"op": "query_keys", "keys": [bogus, spec.key()]}
-            )
-            assert reply["hits"] == []
-        finally:
-            link.close()
-
-    def test_promised_hit_vanishing_falls_back_to_full_specs(
-        self, caching_worker, tmp_path
+    def test_older_client_is_refused_at_connect(
+        self, loopback_workers, monkeypatch
     ):
-        """Clearing the worker store between the phases triggers the
-        cache_miss fallback; the run still succeeds bit-identically."""
-        from repro.engine.backends.remote import RemoteBackend
+        from repro.engine.backends import remote
+        from repro.engine.backends.remote import (
+            RemoteProtocolError,
+            _WorkerLink,
+        )
 
-        specs = list(benchmark_specs("radix", "decode", "synts"))
-        with ExperimentEngine(backend="serial") as eng:
-            reference = eng.run_cells(specs)
-        with ExperimentEngine(
-            backend="remote", remote_workers=caching_worker
-        ) as eng:
-            eng.run_cells(specs)  # warm the worker store
+        monkeypatch.setattr(remote, "PROTOCOL_VERSION", 3)
+        link = _WorkerLink(
+            parse_worker_addresses(loopback_workers)[0], connect_timeout=10
+        )
+        with pytest.raises(
+            RemoteProtocolError,
+            match="speaks protocol 4, this client speaks 3; upgrade the "
+            "older side",
+        ):
+            link.connect()
+        assert not link.connected
 
-        backend = RemoteBackend(caching_worker)
-        original = backend._request_shard
+    def test_removed_ops_are_unknown(self, authed_workers):
+        """On an authenticated connection, version 3's worker-store and
+        diagnostic ops get ``unknown op`` error frames, and the
+        connection stays usable."""
+        import socket
 
-        def clear_between_phases(link, shard, members, batches):
-            # simulate a concurrent `repro cache clear` on the worker
-            # by wiping its store between query_keys and run_batches
-            from repro.engine.store import JsonDirStore
+        from repro.engine.backends.remote import (
+            auth_mac,
+            recv_frame,
+            send_frame,
+        )
 
-            hits_probe = link.request(
-                {
-                    "op": "query_keys",
-                    "keys": [k for i in members for k in batches[i].keys],
-                }
-            )
-            assert hits_probe["hits"], "worker store should be warm"
-            JsonDirStore(tmp_path / "wstore").clear()
-            return original(link, shard, members, batches)
-
-        backend._request_shard = clear_between_phases
-        with ExperimentEngine(backend=backend) as eng:
-            assert eng.run_cells(specs) == reference
+        (address,) = parse_worker_addresses(authed_workers)
+        with socket.create_connection(address, timeout=10) as sock:
+            send_frame(sock, {"op": "hello"})
+            nonce = recv_frame(sock)["nonce"]
+            send_frame(sock, {"op": "auth", "mac": auth_mac("sesame", nonce)})
+            assert recv_frame(sock) == {"ok": True, "op": "auth"}
+            for op in ("query_keys", "registries"):
+                send_frame(sock, {"op": op})
+                reply = recv_frame(sock)
+                assert reply is not None and not reply.get("ok")
+                assert reply.get("error") == f"unknown op {op!r}"
+            send_frame(sock, {"op": "ping"})
+            assert recv_frame(sock) == {"ok": True, "op": "pong"}
 
 
 class TestWorkerCLI:
@@ -695,12 +568,14 @@ class TestWorkerCLI:
         assert err.value.code == 0
         out = capsys.readouterr().out
         assert "--serve" in out and "--bootstrap" in out
-        assert "--cache-dir" in out and "--token" in out
+        assert "--token" in out
+        # workers keep no result store
+        assert "--cache-dir" not in out and "--store" not in out
 
     def test_engine_flags_before_worker_subcommand_survive(self):
-        """`repro --token S --cache-dir D worker ...` must not lose
-        the flags to the subparser's defaults -- a worker the operator
-        believes is token-protected must actually get the token."""
+        """`repro --token S worker ...` must not lose the flag to the
+        subparser's defaults -- a worker the operator believes is
+        token-protected must actually get the token."""
         from repro.__main__ import _build_parser, _normalize_argv
         from repro.experiments import EXPERIMENTS
         from repro.experiments.ablations import ABLATIONS
@@ -708,20 +583,24 @@ class TestWorkerCLI:
         parser = _build_parser(EXPERIMENTS, ABLATIONS)
         args = parser.parse_args(
             _normalize_argv(
-                [
-                    "--token",
-                    "sesame",
-                    "--cache-dir",
-                    "/tmp/w",
-                    "worker",
-                    "--serve",
-                    "127.0.0.1:1",
-                ],
+                ["--token", "sesame", "worker", "--serve", "127.0.0.1:1"],
                 EXPERIMENTS,
             )
         )
         assert getattr(args, "token", None) == "sesame"
-        assert getattr(args, "cache_dir", None) == "/tmp/w"
+
+    def test_run_options_before_worker_subcommand_are_refused(
+        self, capsys
+    ):
+        """`repro --cache-dir D worker ...` once gave the worker a
+        store; a worker keeps none now, so the option is refused
+        instead of silently ignored."""
+        from repro.__main__ import main
+
+        assert main(
+            ["--cache-dir", "/tmp/w", "worker", "--serve", "127.0.0.1:1"]
+        ) == 2
+        assert "--cache-dir" in capsys.readouterr().err
 
     def test_worker_bad_serve_address(self, capsys):
         from repro.__main__ import main
@@ -730,23 +609,26 @@ class TestWorkerCLI:
         assert "HOST:PORT" in capsys.readouterr().err
 
     def test_cli_run_over_loopback_workers(self, capsys, loopback_workers):
-        """`python -m repro fig_4_7 --backend remote --workers ...`."""
+        """`python -m repro fig_4_7 --workers ...` runs remote."""
         from repro.__main__ import main
 
         code = main(
-            [
-                "fig_4_7",
-                "--backend",
-                "remote",
-                "--workers",
-                ",".join(loopback_workers),
-            ]
+            ["fig_4_7", "--workers", ",".join(loopback_workers), "--stats"]
         )
         assert code == 0
-        assert "sampling" in capsys.readouterr().out.lower()
+        captured = capsys.readouterr()
+        assert "sampling" in captured.out.lower()
+        assert "(backend=remote[2])" in captured.err
 
     def test_cli_remote_without_workers_is_actionable(self, capsys):
         from repro.__main__ import main
 
-        assert main(["fig_4_7", "--backend", "remote"]) == 2
+        assert main(["fig_4_7", "--workers", ""]) == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_cli_token_without_workers_is_actionable(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["fig_4_7", "--token", "sesame"]) == 2
+        err = capsys.readouterr().err
+        assert "--token" in err and "--workers" in err

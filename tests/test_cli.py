@@ -87,26 +87,26 @@ class TestEngineCLI:
         out = capsys.readouterr().out
         assert "sampling" in out.lower()
 
-    def test_jobs_flag_after_experiment(self, capsys):
-        assert main(["table_5_1", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "table_5_1" in out
-
     def test_value_flag_before_shorthand_experiment(self, capsys):
-        """`-j 2 table_5_1`: the flag's value must not be mistaken
-        for the experiment token."""
-        assert main(["-j", "2", "table_5_1", "--stats"]) == 0
+        """`--store memory table_5_1`: the flag's value must not be
+        mistaken for the experiment token."""
+        assert main(["--store", "memory", "table_5_1", "--stats"]) == 0
         captured = capsys.readouterr()
         assert "table_5_1" in captured.out
-        assert "jobs=2" in captured.err
+        assert "store tier memory" in captured.err
 
-    def test_jobs_flag_before_subcommand(self, capsys):
+    def test_store_flag_before_subcommand(self, tmp_path, capsys):
         """Pre-subcommand engine flags must actually reach the engine
         (subparser defaults must not clobber them)."""
-        assert main(["--jobs", "2", "--stats", "run", "fig_4_7"]) == 0
+        cache = str(tmp_path / "cache")
+        assert main(
+            ["--store", "jsondir", "--cache-dir", cache, "--stats", "run",
+             "fig_4_7"]
+        ) == 0
         captured = capsys.readouterr()
         assert "sampling" in captured.out.lower()
-        assert "jobs=2" in captured.err
+        assert "store tier jsondir" in captured.err
+        assert "store tier memory" not in captured.err
 
     def test_cache_dir_warm_run_identical(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
@@ -152,25 +152,23 @@ class TestEngineCLI:
         err = capsys.readouterr().err
         assert "cells: computed 0, reused 0 in this session" in err
 
-    def test_negative_jobs_rejected(self, capsys):
-        assert main(["run", "fig_4_7", "--jobs", "-8"]) == 2
-        assert "jobs must be non-negative" in capsys.readouterr().err
-
-    def test_backend_flag(self, capsys):
-        assert main(["fig_4_7", "--backend", "process", "-j", "2", "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert "sampling" in captured.out.lower()
-        assert "backend=process[2]" in captured.err
+    def test_stats_names_the_serial_backend(self, capsys):
+        assert main(["fig_4_7", "--stats"]) == 0
+        assert "(backend=serial)" in capsys.readouterr().err
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):  # argparse: invalid choice
-            main(["run", "fig_4_7", "--backend", "quantum"])
+        """--workers alone selects the remote backend: there is no
+        --backend choice left, known name or not."""
+        for name in ("quantum", "serial"):
+            with pytest.raises(SystemExit):  # argparse: unrecognized
+                main(["run", "fig_4_7", "--backend", name])
 
-    def test_backend_flag_before_shorthand_experiment(self, capsys):
-        """`--backend process fig_4_7`: the flag's value must not be
-        mistaken for the experiment token."""
-        assert main(["--backend", "process", "-j", "2", "fig_4_7"]) == 0
-        assert "sampling" in capsys.readouterr().out.lower()
+    @pytest.mark.parametrize("flag", ("--jobs", "-j"))
+    def test_removed_jobs_flag_rejected(self, flag):
+        """Cells run serially unless --workers names remote workers:
+        the process pool's --jobs is gone."""
+        with pytest.raises(SystemExit):  # argparse: unrecognized
+            main(["run", "fig_4_7", flag, "2"])
 
     def test_progress_flag_streams_to_stderr(self, capsys):
         assert main(["run", "fig_6_17", "--progress"]) == 0

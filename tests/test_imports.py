@@ -35,7 +35,6 @@ CLI_FORBIDDEN = (
     "multiprocessing*",
     "numpy*",
     "scipy*",
-    "repro.engine.backends.process",
     "repro.engine.backends.remote",
     "repro.gpgpu*",
     "repro.overhead*",
