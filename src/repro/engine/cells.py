@@ -164,13 +164,29 @@ class CellResult:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "CellResult":
-        """Rebuild a result from :meth:`to_payload` output."""
+        """Rebuild a result from :meth:`to_payload` output.
+
+        ``theta``, ``energy`` and ``time`` must be real numbers (an
+        ``int`` passes, a ``bool`` does not) and not NaN; anything
+        else raises ``TypeError``/``ValueError``, so a mistyped remote
+        reply fails over instead of reaching a figure.
+        """
         return cls(
             spec=CellSpec.from_payload(payload["spec"]),
-            theta=payload["theta"],
-            energy=payload["energy"],
-            time=payload["time"],
+            theta=_real(payload, "theta"),
+            energy=_real(payload, "energy"),
+            time=_real(payload, "time"),
         )
+
+
+def _real(payload: Dict[str, object], name: str) -> float:
+    """``payload[name]``, checked to be a non-NaN int or float."""
+    value = payload[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"cell {name} must be a number, got {value!r}")
+    if value != value:
+        raise ValueError(f"cell {name} is NaN")
+    return value
 
 
 @dataclass(frozen=True)

@@ -90,12 +90,17 @@ def _hello_response() -> Dict[str, Any]:
     }
 
 
-def _handle_run_batches(request: Dict[str, Any], sock: socket.socket) -> None:
+def _handle_run_batches(
+    request: Dict[str, Any], sock: socket.socket, peer: str
+) -> None:
     """Evaluate one shard and answer with one result frame.
 
     Each batch arrives as a list of spec payloads and is computed
     through the same pure ``compute_batch`` path as a local serial
-    run; its cell payloads go back in the same order.
+    run; its cell payloads go back in the same order.  A shard that
+    does not decode is a ``protocol`` error, not a registry miss: the
+    client checks every scheme and workload name against this
+    worker's hello before it sends.
     """
     from .backends.serial import SerialBackend
     from .cells import CellBatch, CellSpec
@@ -111,16 +116,16 @@ def _handle_run_batches(request: Dict[str, Any], sock: socket.socket) -> None:
             {
                 "ok": False,
                 "op": "error",
-                "kind": "registry",
+                "kind": "protocol",
                 "error": (
-                    f"worker cannot decode the shard: {exc} -- likely a "
-                    "scheme/workload this worker has not registered; "
-                    "set REPRO_BOOTSTRAP or --bootstrap so workers run "
-                    "the same registrations as the client"
+                    f"worker cannot decode the shard: {exc} -- protocol "
+                    f"v{PROTOCOL_VERSION} sends 'batches' as a list of "
+                    "batches, each a non-empty list of spec payloads"
                 ),
             },
         )
         return
+    _log(f"shard {request.get('shard')} from {peer}: {len(batches)} batches")
 
     events: List[Dict[str, Any]] = []
 
@@ -294,12 +299,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                     )
                     return
                 elif op == "run_batches":
-                    n = len(request.get("batches", ()))
-                    _log(
-                        f"shard {request.get('shard')} from {peer}: "
-                        f"{n} batches"
-                    )
-                    _handle_run_batches(request, sock)
+                    _handle_run_batches(request, sock, peer)
                 elif op == "ping":
                     send_frame(sock, {"ok": True, "op": "pong"})
                 elif op == "shutdown":

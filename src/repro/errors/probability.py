@@ -25,6 +25,8 @@ registry (which holds these objects) never loads it.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -43,20 +45,68 @@ __all__ = [
 ]
 
 
+#: Serialises the first :func:`_betaincc` call: remote workers compute
+#: on one thread per connection, and the stub below must never be seen
+#: by a second loader.
+_BETAINCC_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _betaincc():
+    """scipy's compiled ``betaincc`` ufunc, loaded without ``scipy.special``.
+
+    The package's ``__init__`` costs ~0.3 s (more than 80 % of it
+    the array-API shim); the ``_ufuncs`` extension that holds ``betaincc``
+    costs ~6 ms.  An unexecuted stub stands in for the package while
+    the extension loads, and is removed again, so a later real
+    ``import scipy.special`` runs the full ``__init__`` and reuses the
+    loaded extension: ``scipy.special.betaincc`` then *is* this object.
+    Any failure falls back to the public import.
+    """
+    with _BETAINCC_LOCK:
+        if "scipy.special" not in sys.modules:
+            import importlib
+            import importlib.util
+
+            import numpy as np
+            import scipy
+
+            try:
+                stub = importlib.util.module_from_spec(
+                    importlib.util.find_spec("scipy.special")
+                )
+                sys.modules["scipy.special"] = stub
+                try:
+                    ufunc = importlib.import_module("scipy.special._ufuncs").betaincc
+                finally:
+                    if sys.modules.get("scipy.special") is stub:
+                        del sys.modules["scipy.special"]
+                    # vars(), not getattr(): scipy's module __getattr__
+                    # would import the real package
+                    if vars(scipy).get("special") is stub:
+                        del scipy.special
+                if isinstance(ufunc, np.ufunc):
+                    return ufunc
+            except (ImportError, AttributeError):
+                pass
+    from scipy.special import betaincc
+
+    return betaincc
+
+
 def _beta_sf(x, a, b):
     """Survival function of Beta(a, b), evaluated elementwise.
 
-    ``scipy.special.betaincc(a, b, x)`` is exactly what
-    ``scipy.stats.beta.sf`` computes for in-support ``x`` (bit
-    identical), minus the distribution machinery's ~8x per-call
-    overhead and minus the ~0.5 s ``scipy.stats`` import on the cold
-    path (``scipy.special`` is much lighter; ``betaincc`` needs scipy
-    1.11).  Deferred import: warm cache-only sessions never evaluate
-    an error function.
+    ``betaincc(a, b, x)`` is exactly what ``scipy.stats.beta.sf``
+    computes for in-support ``x`` (bit identical), minus the
+    distribution machinery's ~8x per-call overhead and the ~0.5 s
+    ``scipy.stats`` import.  :func:`_betaincc` loads the very ufunc
+    ``scipy.special.betaincc`` names (scipy >= 1.11) from scipy's
+    compiled extension, without the ``scipy.special`` package import.
+    Deferred: warm cache-only sessions never evaluate an error
+    function.
     """
-    from scipy.special import betaincc
-
-    return betaincc(a, b, x)
+    return _betaincc()(a, b, x)
 
 
 @lru_cache(maxsize=4096)

@@ -101,6 +101,32 @@ class TestCells:
         cell = _cell(CellSpec("fmm", "simple_alu", "no_ts"))
         assert CellResult.from_payload(cell.to_payload()) == cell
 
+    def test_result_payload_accepts_ints_and_infinity(self):
+        payload = {
+            "spec": CellSpec("fmm", "decode", "nominal").to_payload(),
+            "theta": 1,
+            "energy": 2.5,
+            "time": float("inf"),
+        }
+        cell = CellResult.from_payload(payload)
+        assert (cell.theta, cell.energy, cell.time) == (1, 2.5, float("inf"))
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("energy", "x", TypeError),
+            ("time", None, TypeError),
+            ("theta", True, TypeError),
+            ("energy", [1.0], TypeError),
+            ("time", float("nan"), ValueError),
+        ],
+    )
+    def test_result_payload_rejects_mistyped_values(self, field, value, error):
+        payload = _cell(CellSpec("fmm", "decode", "nominal")).to_payload()
+        payload[field] = value
+        with pytest.raises(error, match=f"cell {field}"):
+            CellResult.from_payload(payload)
+
 
 class TestRunCells:
     def test_cache_hit_miss_accounting(self):

@@ -267,12 +267,13 @@ class TestFailover:
     @pytest.mark.parametrize(
         "damage",
         ("no_batches", "short_group", "short_batch_list", "bad_cell",
-         "bad_event"),
+         "mistyped_cell", "bad_event"),
     )
     def test_malformed_reply_ends_the_run(self, loopback_workers, damage):
         """A reply without ``batches``, with fewer groups or cells than
         were sent, or with a cell or event payload that does not
-        decode, is a protocol error: the shard fails over, and with
+        decode or holds a mistyped value, is a protocol error: the
+        shard fails over, and with
         every worker answering that way the run ends in the
         all-workers-lost error instead of returning ``None`` cells."""
         backend = RemoteBackend(loopback_workers)
@@ -288,6 +289,8 @@ class TestFailover:
                 reply["batches"] = reply["batches"][:-1]
             elif damage == "bad_cell":
                 reply["batches"][0][0] = {"energy": "x"}
+            elif damage == "mistyped_cell":
+                reply["batches"][0][0]["energy"] = "x"
             else:
                 reply["events"] = [1]
             return reply
@@ -555,6 +558,38 @@ class TestProtocolV4:
                 reply = recv_frame(sock)
                 assert reply is not None and not reply.get("ok")
                 assert reply.get("error") == f"unknown op {op!r}"
+            send_frame(sock, {"op": "ping"})
+            assert recv_frame(sock) == {"ok": True, "op": "pong"}
+
+    @pytest.mark.parametrize(
+        "batches",
+        (
+            [[]],
+            [[{"benchmark": "radix", "stage": "decode", "scheme": "synts",
+               "colour": "red"}]],
+            5,
+        ),
+        ids=("empty_batch", "unknown_spec_field", "not_a_list"),
+    )
+    def test_undecodable_shard_is_a_protocol_error(
+        self, loopback_workers, batches
+    ):
+        """A shard that does not decode is malformed, not a registry
+        miss: the error names the v4 batch shape, not the bootstrap
+        remedy, and the connection stays usable."""
+        import socket
+
+        from repro.engine.backends.remote import recv_frame, send_frame
+
+        address = parse_worker_addresses(loopback_workers)[0]
+        with socket.create_connection(address, timeout=10) as sock:
+            send_frame(sock, {"op": "run_batches", "shard": 0,
+                              "batches": batches})
+            reply = recv_frame(sock)
+            assert reply is not None and not reply.get("ok")
+            assert reply.get("kind") == "protocol"
+            assert "non-empty list of spec payloads" in reply["error"]
+            assert "REPRO_BOOTSTRAP" not in reply["error"]
             send_frame(sock, {"op": "ping"})
             assert recv_frame(sock) == {"ok": True, "op": "pong"}
 

@@ -1,5 +1,11 @@
 """Tests for error-probability function families."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +20,8 @@ from repro.errors.probability import (
 )
 
 RATIOS = np.linspace(0.5, 1.0, 21)
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestBetaTail:
@@ -131,3 +139,163 @@ class TestZero:
         f = ZeroErrorFunction()
         assert f(0.1) == 0.0
         assert np.all(f(RATIOS) == 0.0)
+
+
+def _python(*parts: str) -> str:
+    """Run the dedented ``parts``, in order, in a fresh interpreter;
+    return its stdout.
+
+    The loader's effects live in ``sys.modules``, which the test
+    session has long since filled, so each case starts clean.
+    ``SCIPY_ARRAY_API`` is cleared: with it set, scipy wraps its
+    ufuncs, and ``scipy.special.betaincc`` is no longer the ufunc.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+    env.pop("SCIPY_ARRAY_API", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(map(textwrap.dedent, parts))],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: Prints a digest of ``_beta_sf`` over a dense grid of the four Beta
+#: shapes the SPLASH-2 profiles use plus random shapes in [0.5, 20],
+#: after checking it against the public ``scipy.special.betaincc``,
+#: which it imports only after evaluating.
+_GRID_DIGEST = """
+import hashlib
+import numpy as np
+from repro.errors.probability import _beta_sf
+
+x = np.linspace(0.0, 1.0, 4001)
+shapes = [(5.5, 4.0), (6.2, 4.2), (6.3, 7.0), (2.0, 6.7)]
+shapes += [tuple(s) for s in np.random.default_rng(0).uniform(0.5, 20, (16, 2))]
+outs = [_beta_sf(x, a, b) for a, b in shapes]
+
+import scipy.special
+digest = hashlib.sha256()
+for (a, b), out in zip(shapes, outs):
+    assert np.array_equal(out, scipy.special.betaincc(a, b, x)), (a, b)
+    digest.update(out.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBetainccLoader:
+    """``_betaincc`` loads scipy's ufunc without ``scipy.special``."""
+
+    def test_loaded_ufunc_is_the_public_one(self):
+        _python(
+            """
+            import sys
+            from repro.errors.probability import _betaincc
+            loaded = _betaincc()
+            assert "scipy.special" not in sys.modules
+            import scipy.special
+            assert scipy.special.betaincc is loaded
+            """,
+            _GRID_DIGEST,
+        )
+
+    def test_no_stub_is_left_behind(self):
+        _python(
+            """
+            import sys
+            import scipy
+            from repro.errors.probability import _betaincc
+            _betaincc()
+            assert "scipy.special" not in sys.modules
+            assert "special" not in vars(scipy)
+            assert "scipy.special._ufuncs" in sys.modules
+            import scipy.special
+            assert scipy.special.__file__.endswith("__init__.py")
+            assert scipy.special.gamma(5.0) == 24.0
+            import scipy.stats
+            assert 0.0 < scipy.stats.beta.sf(0.3, 2.0, 3.0) < 1.0
+            """
+        )
+
+    @pytest.mark.parametrize(
+        "patch",
+        (
+            "importlib.import_module = _refuse_ufuncs",
+            "importlib.util.find_spec = lambda name, package=None: None",
+        ),
+        ids=("import_fails", "no_spec"),
+    )
+    def test_fallback_is_bit_identical(self, patch):
+        loaded = _python(
+            """
+            import sys
+            from repro.errors.probability import _betaincc
+            _betaincc()
+            assert "scipy.special" not in sys.modules
+            """,
+            _GRID_DIGEST,
+        )
+        fallback = _python(
+            f"""
+            import importlib, importlib.util, sys
+
+            _import_module = importlib.import_module
+
+            def _refuse_ufuncs(name, package=None):
+                if name == "scipy.special._ufuncs":
+                    raise ImportError("private load refused")
+                return _import_module(name, package)
+
+            {patch}
+            from repro.errors.probability import _betaincc
+            betaincc = _betaincc()
+            assert sys.modules["scipy.special"].__file__.endswith("__init__.py")
+            assert sys.modules["scipy.special"].betaincc is betaincc
+            """,
+            _GRID_DIGEST,
+        )
+        assert fallback == loaded
+
+    def test_concurrent_first_calls_get_one_ufunc(self):
+        """More threads than cores make the first call, with a short
+        switch interval and start times staggered across the ~ms the
+        stub is in place: each gets the one ufunc, none sees the stub,
+        and the stub is gone afterwards."""
+        _python(
+            """
+            import sys, threading, time
+            import numpy, scipy  # so the stub goes in at once
+            from repro.errors.probability import _betaincc
+
+            n = 8
+            barrier = threading.Barrier(n)
+            got = []
+
+            def first_call(delay):
+                barrier.wait()
+                time.sleep(delay)
+                got.append(_betaincc())
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=first_call, args=(i * 1e-3,))
+                    for i in range(n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == n and all(f is got[0] for f in got)
+            assert "scipy.special" not in sys.modules
+            import scipy.special
+            assert scipy.special.betaincc is got[0]
+            """
+        )

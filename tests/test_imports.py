@@ -141,6 +141,25 @@ def test_cold_table_5_1_loads_no_numpy():
     assert _forbidden(modules, ("numpy*", "scipy*")) == []
 
 
+def test_cold_figure_loads_only_the_beta_ufunc():
+    """A cold figure evaluates Beta tails through scipy's compiled
+    ``betaincc`` alone: not the ``scipy.special`` package, whose
+    ``__init__`` pulls in the array-API shim and ``numpy.f2py``."""
+    _, modules = _loaded(
+        "from repro.__main__ import main\nassert main(['run', 'fig_1_2']) == 0\n"
+    )
+    assert {"numpy", "scipy.special._ufuncs"} <= modules
+    assert _forbidden(
+        modules,
+        (
+            "scipy.special",
+            "scipy._lib._array_api*",
+            "scipy._lib.array_api_compat*",
+            "numpy.f2py*",
+        ),
+    ) == []
+
+
 def _blas_env_after(code: str, blas_env):
     return json.loads(_python(code + _DUMP_BLAS_ENV, blas_env).stdout)
 
