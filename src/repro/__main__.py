@@ -320,12 +320,7 @@ def _print_registries(
 
 
 def main(argv=None) -> int:
-    from repro.engine import (
-        ExperimentEngine,
-        JsonLinesPrinter,
-        ProgressPrinter,
-        engine_session,
-    )
+    from repro.engine import ExperimentEngine, engine_session
     from repro.experiments import EXPERIMENTS
     from repro.experiments.ablations import ABLATIONS
 
@@ -382,9 +377,15 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, OSError, RuntimeError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
+    # the event printers load only when asked for: a run without
+    # subscribers never imports repro.engine.events
     if getattr(args, "progress", False):
+        from repro.engine.events import ProgressPrinter
+
         engine.subscribe(ProgressPrinter(sys.stderr))
     if getattr(args, "log_json", False):
+        from repro.engine.events import JsonLinesPrinter
+
         engine.subscribe(JsonLinesPrinter(sys.stderr))
     reused = 0
 

@@ -230,11 +230,13 @@ class SchemeRegistry:
 
     Duplicate registration raises (pass ``replace=True`` to override
     deliberately); unknown lookups name the registered schemes and the
-    registration entry point.
+    registration entry point.  ``version`` counts registrations and
+    removals, so a memo of :meth:`fingerprint` knows when it is stale.
     """
 
     def __init__(self) -> None:
         self._schemes: Dict[str, Scheme] = {}
+        self.version = 0
 
     # -- registration --------------------------------------------------
     def register(self, scheme: Scheme, *, replace: bool = False) -> Scheme:
@@ -248,12 +250,16 @@ class SchemeRegistry:
                 "replace=True to override it deliberately"
             )
         self._schemes[scheme.name] = scheme
+        # bumped after the change, so a memo built from the new
+        # contents is never filed under the old version
+        self.version += 1
         return scheme
 
     def unregister(self, name: str) -> None:
         if name not in self._schemes:
             raise KeyError(self._unknown_message(name))
         del self._schemes[name]
+        self.version += 1
 
     # -- lookup --------------------------------------------------------
     def _unknown_message(self, name: str) -> str:

@@ -34,14 +34,14 @@ from typing import (
 from repro.serialization import content_key, sanitize
 
 from .backends import ExecutorBackend, make_backend
-from .events import EngineEvent, EventCallback
 from .store import ResultStore, StoreStats, default_store_name, make_store
 
 if TYPE_CHECKING:
     from .cells import CellResult, CellSpec
+    from .events import EventCallback
 
-# cells load in run_cells: a rerun served by experiment() hits alone
-# never imports them
+# cells load in run_cells and events in _emit: a rerun served by
+# experiment() hits alone, with no subscriber, never imports them
 
 __all__ = ["ExperimentEngine"]
 
@@ -207,6 +207,8 @@ class ExperimentEngine:
     def _emit(self, kind: str, **data: Any) -> None:
         if not self._subscribers:
             return
+        from .events import EngineEvent
+
         event = EngineEvent(kind, data)
         for callback in self._subscribers:
             callback(event)

@@ -16,13 +16,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.plots import ascii_bars, ascii_scatter
 from repro.analysis.report import Series, format_kv, format_table
-from repro.serialization import sanitize
+from repro.serialization import JsonFragment, canonical_json, sanitize
 
 __all__ = [
     "ExperimentResult",
     "REPORTED_BENCHMARKS",
     "STAGES",
     "cached_experiment",
+    "registries_fragment",
     "reported_benchmarks",
 ]
 
@@ -40,6 +41,39 @@ def reported_benchmarks() -> Tuple[str, ...]:
     from repro.workloads.registry import reported_benchmarks as _reported
 
     return _reported()
+
+
+#: ``((scheme version, workload version), fragment)`` of the last
+#: :func:`registries_fragment` call.
+_registries_memo: Optional[Tuple[Tuple[int, int], JsonFragment]] = None
+
+
+def registries_fragment() -> JsonFragment:
+    """The scheme and workload fingerprints as one pre-encoded key part.
+
+    Every experiment key carries the registered scheme/workload
+    *content*: registering a synthetic workload, adding a scheme, or
+    re-registering a name with different parameters must invalidate
+    memoised figures instead of serving results computed over
+    yesterday's benchmark list.  The canonical JSON of both
+    fingerprints is built once per pair of registry versions and
+    spliced into each key verbatim, so the key is byte-identical to
+    one built from the plain fingerprints.
+    """
+    global _registries_memo
+    from repro.core.schemes import SCHEME_REGISTRY
+    from repro.workloads.registry import WORKLOAD_REGISTRY
+
+    versions = (SCHEME_REGISTRY.version, WORKLOAD_REGISTRY.version)
+    memo = _registries_memo
+    if memo is None or memo[0] != versions:
+        registries = (
+            [list(entry) for entry in SCHEME_REGISTRY.fingerprint()],
+            [[name, digest] for name, digest in WORKLOAD_REGISTRY.fingerprint()],
+        )
+        memo = (versions, JsonFragment(canonical_json(registries)))
+        _registries_memo = memo
+    return memo[1]
 
 
 def cached_experiment(exp_id: str):
@@ -81,19 +115,8 @@ def cached_experiment(exp_id: str):
                 for name, value in bound.arguments.items()
                 if name != "engine"
             )
-            # the registered scheme/workload *content* participates
-            # too: registering a synthetic workload, adding a scheme,
-            # or re-registering a name with different parameters must
-            # invalidate memoised figures instead of serving results
-            # computed over yesterday's benchmark list
-            from repro.core.schemes import scheme_fingerprint
-            from repro.workloads.registry import workload_fingerprint
-
-            registries = (
-                [list(entry) for entry in scheme_fingerprint()],
-                [[name, digest] for name, digest in workload_fingerprint()],
-            )
-            key = (exp_id, fn.__qualname__, arguments, registries)
+            # the registered scheme/workload content participates too
+            key = (exp_id, fn.__qualname__, arguments, registries_fragment())
             if forwards_engine:
                 bound.arguments["engine"] = eng
             return eng.experiment(

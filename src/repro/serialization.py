@@ -6,6 +6,11 @@ sorted keys, no whitespace variance, numpy scalars coerced to plain
 Python numbers.  Two sessions (or two worker processes) that describe
 the same computation therefore derive the same key, which is what
 makes the on-disk cache shareable across figures and runs.
+
+A part that many keys share and that is expensive to encode (the
+registry fingerprints every experiment key carries) can be encoded
+once and passed as a :class:`JsonFragment`: :func:`canonical_json`
+emits its text verbatim, so the key is the one the plain value gives.
 """
 
 from __future__ import annotations
@@ -15,7 +20,13 @@ import json
 import sys
 from typing import Any
 
-__all__ = ["sanitize", "canonical_json", "content_key", "SCHEMA_VERSION"]
+__all__ = [
+    "JsonFragment",
+    "sanitize",
+    "canonical_json",
+    "content_key",
+    "SCHEMA_VERSION",
+]
 
 #: Bump when cached payload layouts change incompatibly; the version
 #: participates in every key, so stale entries are simply never hit.
@@ -35,8 +46,24 @@ def _code_version() -> str:
     return __version__
 
 
+class JsonFragment:
+    """Canonical JSON text that :func:`canonical_json` emits verbatim.
+
+    ``JsonFragment(canonical_json(value))`` in a payload encodes
+    exactly as ``value`` does: with separators ``(",", ":")`` a JSON
+    array is ``"[" + ",".join(items) + "]"`` and an object is built
+    the same way from its sorted members, so splicing a pre-encoded
+    item changes no byte.  The text is trusted, not parsed.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 #: Types :func:`sanitize` returns unchanged (exact types only).
-_PLAIN_TYPES = frozenset({float, int, str, bool, type(None)})
+_PLAIN_TYPES = frozenset({float, int, str, bool, type(None), JsonFragment})
 
 
 def sanitize(obj: Any) -> Any:
@@ -86,11 +113,53 @@ def sanitize(obj: Any) -> Any:
     )
 
 
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON text of a sanitised payload."""
+class _HasFragment(Exception):
+    """A :class:`JsonFragment` reached ``json.dumps``."""
+
+
+def _refuse_fragment(obj: Any) -> Any:
+    # ``json.dumps`` calls this for objects it cannot encode; after
+    # :func:`sanitize` the only such object is a fragment
+    raise _HasFragment
+
+
+def _dumps(obj: Any) -> str:
     return json.dumps(
-        sanitize(obj), sort_keys=True, separators=(",", ":"), allow_nan=True
+        obj,
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=True,
+        default=_refuse_fragment,
     )
+
+
+def _encode(obj: Any) -> str:
+    """Canonical JSON of a sanitised payload, splicing fragments.
+
+    A subtree without a fragment is one C-speed ``json.dumps``; only
+    the lists and dicts on the path to a fragment are joined here.
+    """
+    if type(obj) is JsonFragment:
+        return obj.text
+    try:
+        return _dumps(obj)
+    except _HasFragment:
+        pass
+    if type(obj) is list:
+        return "[" + ",".join(map(_encode, obj)) + "]"
+    return (
+        "{"
+        + ",".join(_dumps(k) + ":" + _encode(obj[k]) for k in sorted(obj))
+        + "}"
+    )
+
+
+def canonical_json(obj: Any) -> str:
+    """Deterministic JSON text of a sanitised payload.
+
+    :class:`JsonFragment` items are emitted verbatim.
+    """
+    return _encode(sanitize(obj))
 
 
 def content_key(*parts: Any) -> str:

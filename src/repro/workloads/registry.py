@@ -32,9 +32,11 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple,
+)
 
-from .model import BarrierInterval, Benchmark, ThreadWorkload
 from .splash2 import (
     HETEROGENEOUS_BENCHMARKS,
     SPLASH2_PROFILES,
@@ -43,6 +45,12 @@ from .splash2 import (
     StageErrorShape,
     thread_error_function,
 )
+
+if TYPE_CHECKING:
+    from .model import Benchmark
+
+# the workload model loads in build_benchmark: keying and listing
+# registered workloads never import it
 
 __all__ = [
     "WorkloadEntry",
@@ -75,7 +83,9 @@ class WorkloadEntry:
         and ad-hoc synthetics default to not).
     stage_shapes:
         Per-stage error-tail shapes; ``None`` uses the paper's
-        :data:`~.splash2.STAGE_SHAPES`.
+        :data:`~.splash2.STAGE_SHAPES`.  The entry keeps a read-only
+        copy, so changing the caller's mapping after registration
+        moves neither the entry's keys nor the benchmarks it builds.
     description:
         One line for ``python -m repro --list-benchmarks``.
     """
@@ -84,6 +94,13 @@ class WorkloadEntry:
     reported: bool = False
     stage_shapes: Optional[Mapping[str, StageErrorShape]] = None
     description: str = ""
+
+    def __post_init__(self):
+        # the digest is memoised, so the shapes must never change
+        if self.stage_shapes is not None:
+            object.__setattr__(
+                self, "stage_shapes", MappingProxyType(dict(self.stage_shapes))
+            )
 
     @property
     def name(self) -> str:
@@ -129,8 +146,9 @@ class WorkloadEntry:
 
         Cell cache keys mix this in for every spec; the recursive
         ``asdict`` walk over the profile is too expensive to redo per
-        cell.  Safe to memoise on the instance: entries are frozen,
-        and re-registering a name installs a *new* entry object.
+        cell.  Safe to memoise on the instance: entries are frozen
+        (their stage shapes are a read-only copy), and re-registering
+        a name installs a *new* entry object.
         """
         from repro.serialization import canonical_json
 
@@ -153,10 +171,15 @@ def _invalidate_problem_memo() -> None:
 
 
 class WorkloadRegistry:
-    """Name -> :class:`WorkloadEntry`, with actionable failure modes."""
+    """Name -> :class:`WorkloadEntry`, with actionable failure modes.
+
+    ``version`` counts registrations and removals, so a memo of
+    :meth:`fingerprint` knows when it is stale.
+    """
 
     def __init__(self) -> None:
         self._entries: Dict[str, WorkloadEntry] = {}
+        self.version = 0
 
     # -- registration --------------------------------------------------
     def register(
@@ -172,6 +195,9 @@ class WorkloadRegistry:
                 "replace=True to override it deliberately"
             )
         self._entries[entry.name] = entry
+        # bumped after the change, so a memo built from the new
+        # contents is never filed under the old version
+        self.version += 1
         _invalidate_problem_memo()
         return entry
 
@@ -179,6 +205,7 @@ class WorkloadRegistry:
         if name not in self._entries:
             raise KeyError(self._unknown_message(name))
         del self._entries[name]
+        self.version += 1
         _invalidate_problem_memo()
 
     # -- lookup --------------------------------------------------------
@@ -395,6 +422,8 @@ def build_benchmark(
     carries one error function per stage, drawn from the entry's own
     stage shapes when it has them.
     """
+    from .model import BarrierInterval, Benchmark, ThreadWorkload
+
     entry = WORKLOAD_REGISTRY.get(name)
     profile = entry.profile
     shapes = entry.shapes()

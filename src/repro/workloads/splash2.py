@@ -26,11 +26,15 @@ multipliers scale the activity factor ``scale_p``, reproducing the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
-from repro.errors.probability import BetaTailErrorFunction, ErrorFunction
+if TYPE_CHECKING:
+    from repro.errors.probability import ErrorFunction
 
-from .model import Benchmark
+    from .model import Benchmark
+
+# the error-function and benchmark classes load in the functions that
+# build them: a warm rerun reads only the profiles (for cache keys)
 
 __all__ = [
     "StageErrorShape",
@@ -122,6 +126,12 @@ class BenchmarkProfile:
     n_intervals: int = 3
 
     def __post_init__(self):
+        # tuples whatever the caller passed: registry digests are
+        # memoised, so a profile must not change after construction
+        for name in (
+            "thread_multipliers", "instructions", "cpi_base", "interval_drift",
+        ):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.thread_multipliers) != len(self.instructions) or len(
             self.instructions
         ) != len(self.cpi_base):
@@ -242,6 +252,8 @@ def thread_error_function(
     ``shapes`` overrides the paper's :data:`STAGE_SHAPES` (registry
     entries with their own per-stage error tails pass theirs).
     """
+    from repro.errors.probability import BetaTailErrorFunction
+
     shape = (shapes if shapes is not None else STAGE_SHAPES)[stage]
     mult = profile.thread_multipliers[thread] * profile.error_scale
     damped = mult**shape.sensitivity

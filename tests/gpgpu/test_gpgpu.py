@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpgpu import (
     GPGPU_KERNELS,
@@ -117,6 +119,29 @@ class TestHamming:
     def test_too_short_stream_rejected(self):
         with pytest.raises(ValueError):
             successive_hamming(np.array([1], dtype=np.uint32))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**32 - 1),
+                st.sampled_from([0, 1, 2**31, 2**32 - 1, 0x55555555]),
+            ),
+            min_size=2,
+            max_size=64,
+        )
+    )
+    def test_table_popcount_matches_unpacked_bits(self, words):
+        """The byte-table popcount equals summing the unpacked bits:
+        same distances, same dtype, so histograms and means match."""
+        x = np.array(words, dtype=np.uint32)
+        diff = np.bitwise_xor(x[1:], x[:-1])
+        expected = np.unpackbits(
+            diff.view(np.uint8).reshape(-1, 4), axis=1
+        ).sum(axis=1)
+        got = successive_hamming(x)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestHomogeneityFinding:

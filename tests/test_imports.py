@@ -49,6 +49,15 @@ CLI_FORBIDDEN = (
     "repro.circuit.ring_oscillator",
 )
 
+#: Code a warm hit and a cold Table 5.1 never call: the workload model
+#: and error functions (built only to compute cells) and the event
+#: classes (built only for a subscriber).
+UNCALLED_ON_HITS = (
+    "repro.workloads.model",
+    "repro.errors.probability",
+    "repro.engine.events",
+)
+
 #: Packages whose ``__all__`` names resolve on first attribute access.
 LAZY_PACKAGES = (
     "repro",
@@ -138,7 +147,7 @@ def test_cold_table_5_1_loads_no_numpy():
     )
     assert "max relative error : 7.8%" in out
     assert "repro.circuit.spice" in modules
-    assert _forbidden(modules, ("numpy*", "scipy*")) == []
+    assert _forbidden(modules, ("numpy*", "scipy*", *UNCALLED_ON_HITS)) == []
 
 
 def test_cold_figure_loads_only_the_beta_ufunc():
@@ -235,9 +244,33 @@ def test_warm_rerun_of_everything_loads_no_numpy(tmp_path):
     )
     cold, cold_modules = _loaded(run_all)
     assert {"numpy", "scipy", "repro.engine.cells"} <= cold_modules
+    assert {"repro.workloads.model", "repro.errors.probability"} <= cold_modules
     warm, warm_modules = _loaded(run_all)
     assert warm == cold
-    assert _forbidden(warm_modules, (*CLI_FORBIDDEN, "repro.engine.cells")) == []
+    assert _forbidden(
+        warm_modules,
+        (*CLI_FORBIDDEN, "repro.engine.cells", *UNCALLED_ON_HITS),
+    ) == []
+
+
+@pytest.mark.parametrize(
+    "flag, line",
+    [
+        ("--progress", "experiment cache hit: sec_6_3"),
+        ("--log-json", '{"event": "experiment_cached", "experiment": "sec_6_3"}'),
+    ],
+)
+def test_warm_hit_still_emits_events_when_asked(tmp_path, flag, line):
+    """Events load only for a subscriber, and then still flow."""
+    code = textwrap.dedent(
+        f"""
+        from repro.__main__ import main
+        run = ["run", "sec_6_3", "--cache-dir", {str(tmp_path)!r}]
+        for extra in ([], [{flag!r}]):
+            assert main([*run, *extra]) == 0
+        """
+    )
+    assert line in _python(code).stderr
 
 
 def _submodules(package):

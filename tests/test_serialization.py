@@ -1,4 +1,5 @@
-"""``sanitize``'s exact-type fast path changes no payload."""
+"""``sanitize``'s exact-type fast path and ``canonical_json``'s
+fragment splicing change no payload."""
 
 import json
 from enum import IntEnum
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serialization import canonical_json, sanitize
+from repro.serialization import JsonFragment, canonical_json, content_key, sanitize
 
 
 def _reference_sanitize(obj: Any) -> Any:
@@ -96,3 +97,25 @@ def test_subclasses_are_coerced():
 def test_rich_objects_still_rejected():
     with pytest.raises(TypeError):
         sanitize({"ok": [1, 2.0], "bad": (object(),)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_payloads, st.booleans()), max_size=5))
+def test_fragments_encode_like_their_values(items):
+    """A value pre-encoded as a ``JsonFragment`` yields the same text
+    and key as the value itself, in lists, tuples and dict values."""
+    plain = [payload for payload, _ in items]
+    spliced = [
+        JsonFragment(canonical_json(payload)) if splice else payload
+        for payload, splice in items
+    ]
+    assert canonical_json(spliced) == canonical_json(plain)
+    assert canonical_json(
+        {"z": tuple(spliced), "a": [1, {"m": spliced}]}
+    ) == canonical_json({"z": tuple(plain), "a": [1, {"m": plain}]})
+    assert content_key("k", spliced) == content_key("k", plain)
+
+
+def test_fragment_text_is_emitted_verbatim():
+    assert canonical_json([1, JsonFragment('{"b":[2]}'), "x"]) == '[1,{"b":[2]},"x"]'
+    assert canonical_json(JsonFragment("[]")) == "[]"

@@ -115,6 +115,60 @@ class TestRegistrationDiscipline:
         assert WORKLOAD_REGISTRY.fingerprint() != fingerprint
         assert probe(engine=KeyEngine()) != key
 
+    def test_stage_shapes_are_copied_at_registration(self, fresh_names):
+        """Changing the caller's shapes dict after registration moves
+        neither the cell key nor the built benchmark (regression: the
+        entry held the dict by reference but memoised its digest)."""
+        from dataclasses import replace
+
+        from repro.engine import CellSpec
+        from repro.workloads import STAGE_SHAPES
+
+        shapes = dict(STAGE_SHAPES)
+        entry = register_workload(
+            replace(SPLASH2_PROFILES["radix"], name="radix_x"),
+            stage_shapes=shapes,
+        )
+        spec = CellSpec("radix_x", "decode", "synts")
+        key = spec.key()
+        tail = build_benchmark("radix_x").intervals[0].threads[0]
+        a = tail.error_functions["decode"].a
+        shapes["decode"] = replace(shapes["decode"], a=11.0)
+        del shapes["complex_alu"]
+        assert spec.key() == key
+        rebuilt = build_benchmark("radix_x")
+        assert rebuilt.intervals[0].threads[0].error_functions["decode"].a == a == 5.5
+        assert set(rebuilt.intervals[0].threads[0].error_functions) == set(STAGE_SHAPES)
+        assert entry.digest()["stage_shapes"]["decode"]["a"] == 5.5
+        with pytest.raises(TypeError):
+            entry.stage_shapes["decode"] = shapes["decode"]
+
+    def test_profile_sequences_are_copied_at_construction(self, fresh_names):
+        """A profile built from lists keeps tuples: changing the list
+        later moves neither the cell key nor the built benchmark."""
+        from repro.engine import CellSpec
+        from repro.workloads import BenchmarkProfile
+
+        multipliers = [4.0, 2.0, 1.5, 1.0]
+        register_workload(
+            BenchmarkProfile(
+                name="listed_x",
+                thread_multipliers=multipliers,
+                error_scale=1.0,
+                instructions=[500_000] * 4,
+                cpi_base=[1.2] * 4,
+            )
+        )
+        spec = CellSpec("listed_x", "decode", "synts")
+        key = spec.key()
+        built = build_benchmark("listed_x").intervals[0].threads[0]
+        multipliers[0] = 9.0
+        assert spec.key() == key
+        rebuilt = build_benchmark("listed_x").intervals[0].threads[0]
+        assert rebuilt.error_functions == built.error_functions
+        profile = get_workload("listed_x").profile
+        assert profile.thread_multipliers == (4.0, 2.0, 1.5, 1.0)
+
     def test_reregistration_never_serves_stale_cells(self, fresh_names):
         """Same name, different parameters -> different cell cache
         keys, so a shared engine/cache can never return yesterday's
