@@ -62,9 +62,9 @@ def main():
         )
     )
 
-    # the serial backend (not remote workers) so the runtime
-    # registrations above are visible
-    engine = ExperimentEngine(backend="serial")
+    # no worker addresses: cells run serially in this process, so the
+    # runtime registrations above are visible
+    engine = ExperimentEngine()
     log = engine.subscribe(EventLog())
 
     print(f"{'scheme':<14}{'energy':>14}{'time':>12}{'EDP':>16}")

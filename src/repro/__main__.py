@@ -3,8 +3,6 @@
 Usage::
 
     python -m repro list                 # experiments, schemes, workloads
-    python -m repro --list-schemes       # scheme registry only
-    python -m repro --list-benchmarks    # workload registry only
     python -m repro run fig_6_18         # regenerate one artifact
     python -m repro fig_6_18             # shorthand for 'run fig_6_18'
     python -m repro run all              # every figure and table
@@ -26,9 +24,8 @@ Every regeneration goes through the experiment engine:
   ``REPRO_WORKER_TOKEN``) is the workers' shared auth secret;
 * ``--cache-dir DIR`` persists every figure to a content-addressed
   on-disk result store, so a repeated run skips the recomputation
-  (cells are shared between figures within one run only);
-  ``--store {memory,jsondir,tiered}`` picks the store layering
-  (default: tiered memory+disk when a cache dir is given);
+  (cells are shared between figures within one run only); the
+  store is memory alone without a cache dir, memory + disk with one;
 * ``--progress`` streams human-readable engine progress to stderr;
   ``--log-json`` streams one JSON event per line instead;
 * ``--stats`` prints store hit/miss accounting (per tier), the
@@ -73,8 +70,6 @@ def _print_result(result) -> None:
 
 
 def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
-    from repro.engine.store import store_names
-
     # engine options are accepted both before and after the subcommand.
     # SUPPRESS defaults are load-bearing: the subparser shares these
     # actions via parents, and a plain default would clobber a value
@@ -101,13 +96,6 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         "content-addressed store",
     )
     engine_opts.add_argument(
-        "--store",
-        choices=store_names(),
-        default=argparse.SUPPRESS,
-        help="result-store layering (default: tiered memory+disk when "
-        "--cache-dir is given, else memory)",
-    )
-    engine_opts.add_argument(
         "--stats",
         action="store_true",
         default=argparse.SUPPRESS,
@@ -130,22 +118,6 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         description="SynTS reproduction: regenerate the paper's tables "
         "and figures",
         parents=[engine_opts],
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="print every registry (experiments, ablations, schemes, "
-        "workloads) and exit",
-    )
-    parser.add_argument(
-        "--list-schemes",
-        action="store_true",
-        help="print the scheme registry and exit",
-    )
-    parser.add_argument(
-        "--list-benchmarks",
-        action="store_true",
-        help="print the workload registry and exit",
     )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser(
@@ -201,13 +173,12 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
     )
     cache_p = sub.add_parser(
         "cache",
-        help="inspect or maintain a result store (info/prune/clear)",
-        description="Operate on a configured result store: 'info' "
-        "summarises entry counts and bytes per tier, 'prune "
-        "--older-than AGE' drops entries older than e.g. 7d/12h/30m, "
-        "'clear' removes every entry. The store defaults to the "
-        "on-disk jsondir layer of --cache-dir; --store picks another "
-        "store.",
+        help="inspect or maintain the on-disk result store "
+        "(info/prune/clear)",
+        description="Operate on the on-disk store under --cache-dir: "
+        "'info' summarises entry count and bytes, 'prune --older-than "
+        "AGE' drops entries older than e.g. 7d/12h/30m, 'clear' removes "
+        "every entry.",
     )
     cache_p.add_argument(
         "action",
@@ -218,13 +189,7 @@ def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         default=argparse.SUPPRESS,
-        help="store directory (required for disk-backed stores)",
-    )
-    cache_p.add_argument(
-        "--store",
-        choices=store_names(),
-        default=argparse.SUPPRESS,
-        help="store to operate on (default: jsondir over --cache-dir)",
+        help="store directory (required)",
     )
     cache_p.add_argument(
         "--older-than",
@@ -260,7 +225,7 @@ def _parse_duration(text: str) -> float:
 
 
 #: Engine flags that consume the next token (``--flag value`` form).
-_VALUE_FLAGS = ("--cache-dir", "--workers", "--store", "--token")
+_VALUE_FLAGS = ("--cache-dir", "--workers", "--token")
 
 
 def _normalize_argv(argv, experiments) -> list:
@@ -283,40 +248,35 @@ def _normalize_argv(argv, experiments) -> list:
     return argv
 
 
-def _print_registries(
-    experiments, ablations, schemes: bool = True, workloads: bool = True
-) -> None:
+def _print_registries(experiments, ablations) -> None:
     from repro.core.schemes import SCHEME_REGISTRY
     from repro.workloads.registry import WORKLOAD_REGISTRY
 
-    if experiments is not None:
-        print("experiments:")
-        for name in experiments:
-            print(f"  {name}")
-        print("ablations:")
-        for name in ablations:
-            print(f"  {name}")
-    if schemes:
-        print("schemes:")
-        for scheme in SCHEME_REGISTRY:
-            tags = []
-            if scheme.needs_rng:
-                tags.append("rng")
-            if not scheme.uses_theta:
-                tags.append("theta-free")
-            suffix = f" [{', '.join(tags)}]" if tags else ""
-            print(f"  {scheme.name}{suffix}  {scheme.description}")
-    if workloads:
-        print("benchmarks:")
-        for entry in WORKLOAD_REGISTRY:
-            profile = entry.profile
-            flag = "reported" if entry.reported else "excluded"
-            print(
-                f"  {entry.name}  [{flag}]  {profile.n_threads} threads, "
-                f"{profile.n_intervals} intervals, "
-                f"heterogeneity {profile.heterogeneity:.2f}x"
-                f"  {entry.description}"
-            )
+    print("experiments:")
+    for name in experiments:
+        print(f"  {name}")
+    print("ablations:")
+    for name in ablations:
+        print(f"  {name}")
+    print("schemes:")
+    for scheme in SCHEME_REGISTRY:
+        tags = []
+        if scheme.needs_rng:
+            tags.append("rng")
+        if not scheme.uses_theta:
+            tags.append("theta-free")
+        suffix = f" [{', '.join(tags)}]" if tags else ""
+        print(f"  {scheme.name}{suffix}  {scheme.description}")
+    print("benchmarks:")
+    for entry in WORKLOAD_REGISTRY:
+        profile = entry.profile
+        flag = "reported" if entry.reported else "excluded"
+        print(
+            f"  {entry.name}  [{flag}]  {profile.n_threads} threads, "
+            f"{profile.n_intervals} intervals, "
+            f"heterogeneity {profile.heterogeneity:.2f}x"
+            f"  {entry.description}"
+        )
 
 
 def main(argv=None) -> int:
@@ -342,20 +302,6 @@ def main(argv=None) -> int:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
 
-    if args.list or args.list_schemes or args.list_benchmarks:
-        if args.command is not None:
-            # refusing beats silently skipping the requested run
-            parser.error(
-                "--list/--list-schemes/--list-benchmarks cannot be "
-                "combined with a command"
-            )
-        _print_registries(
-            EXPERIMENTS if args.list else None,
-            ABLATIONS if args.list else None,
-            schemes=args.list or args.list_schemes,
-            workloads=args.list or args.list_benchmarks,
-        )
-        return 0
     if args.command is None:
         parser.error("a command is required (try 'list')")
     if args.command == "list":
@@ -371,10 +317,9 @@ def main(argv=None) -> int:
         engine = ExperimentEngine(
             cache_dir=getattr(args, "cache_dir", None),
             remote_workers=getattr(args, "workers", None),
-            store=getattr(args, "store", None),
             worker_token=getattr(args, "token", None),
         )
-    except (KeyError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
     # the event printers load only when asked for: a run without
@@ -429,8 +374,7 @@ def _serve_worker(args) -> int:
     # silently ignored: a worker keeps no store and runs no experiment
     ignored = [
         "--" + name.replace("_", "-")
-        for name in ("workers", "cache_dir", "store", "stats", "progress",
-                     "log_json")
+        for name in ("workers", "cache_dir", "stats", "progress", "log_json")
         if hasattr(args, name)
     ]
     if ignored:
@@ -473,23 +417,24 @@ def _serve_worker(args) -> int:
 
 def _cache_command(args) -> int:
     """Run the ``repro cache`` subcommand (info / prune / clear)."""
-    from repro.engine.store import make_store
+    from repro.engine.store import JsonDirStore
 
     cache_dir = getattr(args, "cache_dir", None)
-    name = getattr(args, "store", None) or "jsondir"
+    if not cache_dir:
+        print(
+            "repro cache: the on-disk store needs a directory: pass "
+            "--cache-dir DIR",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        store = make_store(name, cache_dir=cache_dir)
-    except (KeyError, ValueError) as exc:
+        store = JsonDirStore(cache_dir)
+    except ValueError as exc:
         print(f"repro cache: {exc}", file=sys.stderr)
         return 2
     if args.action == "info":
         info = store.info()
         print(f"store: {info.pop('store')}")
-        for tier in info.pop("tiers", ()):
-            print(
-                f"  tier {tier['store']}: {tier['entries']} entries, "
-                f"{tier['bytes']} bytes"
-            )
         for field, value in info.items():
             print(f"{field}: {value}")
         return 0

@@ -1,6 +1,6 @@
 """Architectural substrate: Razor pipelines, instruction traces, a
 barrier-synchronised multi-core simulator, and the instruction-level
-online controller (the repo's gem5 stand-in; see DESIGN.md Sec. 2)."""
+online controller (the repo's gem5 stand-in)."""
 
 from repro._lazy import lazy_exports
 

@@ -1,8 +1,8 @@
 """Circuit-level substrate: gate library, netlists, STA, logic
 simulation, voltage/delay physics and pipe-stage synthesis.
 
-This package replaces the paper's Synopsys DC + HSPICE + PTM toolchain
-(see DESIGN.md, Section 2).
+This package replaces the paper's Synopsys DC + HSPICE + PTM
+toolchain.
 """
 
 from repro._lazy import lazy_exports

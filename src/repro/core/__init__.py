@@ -15,7 +15,6 @@ __getattr__, __dir__ = lazy_exports(
             "SOLVERS", "solve_no_ts", "solve_nominal", "solve_per_core_ts",
         ),
         ".brute": ("solve_synts_brute",),
-        ".metrics": ("NormalizedMetrics", "edp", "relative_change"),
         ".milp_formulation": ("build_synts_milp", "solve_synts_milp"),
         ".model": (
             "DEFAULT_TSR_LEVELS", "Assignment", "Evaluation", "OperatingPoint",
@@ -94,9 +93,6 @@ __all__ = [
     "sweep_theta",
     "pareto_front",
     "best_energy_at_time",
-    "edp",
-    "relative_change",
-    "NormalizedMetrics",
     "SyncTopology",
     "SyncSolution",
     "barrier_topology",

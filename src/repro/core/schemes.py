@@ -119,7 +119,7 @@ class Scheme:
         Whether the solver consumes a random stream (derived from the
         spec's content hash, never shared between cells).
     description:
-        One line for ``python -m repro --list-schemes``.
+        One line for ``python -m repro list``.
     """
 
     name: str

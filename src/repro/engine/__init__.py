@@ -31,10 +31,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".backends": (
-            "ExecutorBackend", "RemoteBackend", "SerialBackend",
-            "backend_names", "make_backend",
-        ),
+        ".backends": ("ExecutorBackend", "RemoteBackend", "SerialBackend"),
         ".bootstrap": ("run_bootstrap",),
         ".cache": ("ResultCache",),
         ".cells": (
@@ -50,7 +47,7 @@ __getattr__, __dir__ = lazy_exports(
         ".session": ("engine_session", "get_engine", "set_engine"),
         ".store": (
             "JsonDirStore", "MemoryStore", "ResultStore", "StoreStats",
-            "TieredStore", "make_store", "store_names",
+            "TieredStore",
         ),
     },
 )
@@ -74,7 +71,6 @@ __all__ = [
     "SerialBackend",
     "StoreStats",
     "TieredStore",
-    "backend_names",
     "benchmark_specs",
     "cached_interval_problems",
     "canonical_json",
@@ -84,11 +80,8 @@ __all__ = [
     "engine_session",
     "get_engine",
     "group_cells",
-    "make_backend",
-    "make_store",
     "run_bootstrap",
     "sanitize",
     "set_engine",
-    "store_names",
     "totalize",
 ]

@@ -3,9 +3,8 @@
 :class:`ResultCache` is a :class:`~repro.engine.store.tiered.TieredStore`
 of a :class:`~repro.engine.store.memory.MemoryStore`, plus a
 :class:`~repro.engine.store.jsondir.JsonDirStore` when a cache
-directory is given -- the stack ``make_store("tiered", cache_dir=...)``
-builds.  The engine builds its stores through
-:func:`repro.engine.store.make_store`.
+directory is given -- the stack ``ExperimentEngine(cache_dir=...)``
+builds.
 """
 
 from __future__ import annotations

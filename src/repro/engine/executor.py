@@ -33,8 +33,10 @@ from typing import (
 
 from repro.serialization import content_key, sanitize
 
-from .backends import ExecutorBackend, make_backend
-from .store import ResultStore, StoreStats, default_store_name, make_store
+from .backends import ExecutorBackend, SerialBackend
+from .store import (
+    JsonDirStore, MemoryStore, ResultStore, StoreStats, TieredStore,
+)
 
 if TYPE_CHECKING:
     from .cells import CellResult, CellSpec
@@ -79,62 +81,69 @@ def _decode_value(payload: Dict[str, Any]) -> Any:
 class ExperimentEngine:
     """Cell executor + result store for one session.
 
+    The configuration follows from the inputs: ``remote_workers``
+    selects the remote backend (otherwise cells run serially), and
+    ``cache_dir`` adds an on-disk tier under the memory store.
+
     Parameters
     ----------
     cache_dir:
         On-disk directory for the persistent tier (experiments only).
-    store:
-        A :class:`~repro.engine.store.ResultStore` instance, or a
-        store name (``memory`` / ``jsondir`` / ``tiered``, the CLI's
-        ``--store``).  A name is built through
-        :func:`~repro.engine.store.make_store` with ``cache_dir``
-        forwarded.  Default: ``tiered`` (memory + disk) when
-        ``cache_dir`` is set, else ``memory``.
-    backend:
-        An :class:`ExecutorBackend` instance (tests substitute fakes
-        this way), or a backend name (``serial`` / ``remote``).
-        Default: ``remote`` when ``remote_workers`` is given (even
-        empty, which is then refused), else ``serial``.
     remote_workers:
-        Remote worker addresses for the ``remote`` backend -- the
-        CLI's ``host1:port,host2:port`` string or a sequence of
-        ``host:port`` entries (each a ``python -m repro worker
-        --serve`` process).
+        Remote worker addresses -- the CLI's ``host1:port,host2:port``
+        string or a sequence of ``host:port`` entries (each a
+        ``python -m repro worker --serve`` process).  Empty is refused.
     worker_token:
         The remote workers' shared auth secret (the CLI's
         ``--token``; default: ``REPRO_WORKER_TOKEN``).
+    backend, store:
+        Prebuilt instances in place of the derived ones (tests pass
+        fakes and shared stores this way); each excludes the inputs
+        it replaces.
     """
 
     def __init__(
         self,
         cache_dir: Optional[str] = None,
-        backend: Union[ExecutorBackend, str, None] = None,
         remote_workers: Optional[Union[str, Sequence[str]]] = None,
-        store: Union[ResultStore, str, None] = None,
         worker_token: Optional[str] = None,
+        backend: Optional[ExecutorBackend] = None,
+        store: Optional[ResultStore] = None,
     ):
-        if (
-            store is not None
-            and not isinstance(store, str)
-            and cache_dir is not None
-        ):
+        if store is not None and cache_dir is not None:
             raise ValueError(
                 "pass either a prebuilt store or cache_dir, not both"
             )
-        if isinstance(backend, ExecutorBackend):
+        if backend is not None and (
+            remote_workers is not None or worker_token is not None
+        ):
+            raise ValueError(
+                "pass either a prebuilt backend or remote_workers/"
+                "worker_token, not both"
+            )
+        if worker_token is not None and remote_workers is None:
+            raise ValueError(
+                "--token is the remote workers' auth secret -- pass "
+                "--workers HOST:PORT[,...] with it"
+            )
+        if backend is not None:
             self.backend = backend
+        elif remote_workers is not None:
+            import os
+
+            from .backends.remote import RemoteBackend
+
+            if worker_token is None:
+                worker_token = os.environ.get("REPRO_WORKER_TOKEN") or None
+            self.backend = RemoteBackend(remote_workers, token=worker_token)
         else:
-            self.backend = make_backend(
-                backend or ("serial" if remote_workers is None else "remote"),
-                remote_workers=remote_workers,
-                worker_token=worker_token,
-            )
-        if store is None or isinstance(store, str):
-            self.store = make_store(
-                store or default_store_name(cache_dir), cache_dir=cache_dir
-            )
-        else:
+            self.backend = SerialBackend()
+        if store is not None:
             self.store = store
+        elif cache_dir:
+            self.store = TieredStore([MemoryStore(), JsonDirStore(cache_dir)])
+        else:
+            self.store = MemoryStore()
         # corrupt on-disk entries are skipped, counted and surfaced
         # through the event stream rather than crashing warm reruns;
         # a callback already on a caller-supplied (or shared) store

@@ -38,35 +38,23 @@ def set_engine(engine: Optional[ExperimentEngine]) -> None:
 def engine_session(
     cache_dir: Optional[str] = None,
     engine: Optional[ExperimentEngine] = None,
-    backend: Optional[str] = None,
     remote_workers: Optional[str] = None,
-    store: Optional[str] = None,
     worker_token: Optional[str] = None,
 ) -> Iterator[ExperimentEngine]:
     """Scope a configured (or prebuilt) engine as the session default.
 
     The previous engine is restored on exit; the scoped engine's
-    remote connections are closed.  ``store`` names a result store
-    (the CLI's ``--store``); ``worker_token`` is the remote backend's
-    shared-secret auth token.
+    remote connections are closed.  ``worker_token`` is the remote
+    backend's shared-secret auth token.
     """
     if engine is None:
         engine = ExperimentEngine(
             cache_dir=cache_dir,
-            backend=backend,
             remote_workers=remote_workers,
-            store=store,
             worker_token=worker_token,
         )
     elif any(
-        opt is not None
-        for opt in (
-            cache_dir,
-            backend,
-            remote_workers,
-            store,
-            worker_token,
-        )
+        opt is not None for opt in (cache_dir, remote_workers, worker_token)
     ):
         raise ValueError("pass either a prebuilt engine or its options")
     previous = _default_engine

@@ -5,8 +5,8 @@ content-hash key, keep or produce its JSON payload* -- the engine's
 dedup, batching and event plumbing never care where a payload lives.
 Three stores ship (:class:`~repro.engine.store.memory.MemoryStore`,
 :class:`~repro.engine.store.jsondir.JsonDirStore`,
-:class:`~repro.engine.store.tiered.TieredStore`), named in the fixed
-table of :mod:`repro.engine.store`.
+:class:`~repro.engine.store.tiered.TieredStore`); the engine picks
+its stack from ``cache_dir``.
 
 Contract highlights:
 
@@ -21,16 +21,17 @@ Contract highlights:
 * persistence trouble on ``put`` (full or read-only filesystem)
   degrades to a skipped write counted in ``stats.put_errors`` --
   caching is an accelerator, not a correctness dependency.
-* maintenance (``entries`` / ``prune`` / ``clear`` / ``info``) backs
-  the ``repro cache`` CLI; stores without a persistent layer return
-  empty/zero values.
+* ``clear`` drops every entry; the ``repro cache`` CLI's other
+  maintenance (``entries`` / ``prune`` / ``info``) lives on
+  :class:`~repro.engine.store.jsondir.JsonDirStore`, the one store it
+  operates on.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.serialization import sanitize
 
@@ -91,7 +92,7 @@ class ResultStore(ABC):
     backend behaves identically at the seam.
     """
 
-    #: Stable table name (``memory``, ``jsondir`` or ``tiered``).
+    #: Stable name (``memory``, ``jsondir`` or ``tiered``).
     name: str = "abstract"
 
     def __init__(self) -> None:
@@ -138,6 +139,9 @@ class ResultStore(ABC):
         if self.on_corrupt is not None:
             self.on_corrupt(key, location, error)
 
+    def clear(self) -> None:
+        """Drop every entry this store holds (volatile and persistent)."""
+
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -148,30 +152,3 @@ class ResultStore(ABC):
     def tier_stats(self) -> List[Dict[str, Any]]:
         """Per-tier stats records (single-tier stores report one)."""
         return [{"store": self.describe(), **self.stats.as_dict()}]
-
-    # ------------------------------------------------------------------
-    # maintenance (the ``repro cache`` CLI surface)
-    # ------------------------------------------------------------------
-    def entries(self) -> Iterator[StoreEntry]:
-        """Iterate persistent entries; empty for volatile stores."""
-        return iter(())
-
-    def prune(self, older_than: float) -> int:
-        """Drop persistent entries older than ``older_than`` seconds.
-
-        Returns the number of entries removed; volatile stores remove
-        nothing.
-        """
-        return 0
-
-    def clear(self) -> None:
-        """Drop every entry this store holds (volatile and persistent)."""
-
-    def info(self) -> Dict[str, Any]:
-        """Summary mapping for ``repro cache info``."""
-        entries = list(self.entries())
-        return {
-            "store": self.describe(),
-            "entries": len(entries),
-            "bytes": sum(entry.size_bytes for entry in entries),
-        }

@@ -161,6 +161,10 @@ class JsonDirStore(ResultStore):
 
     def info(self) -> Dict[str, Any]:
         """Summary mapping (path included) for ``repro cache info``."""
-        summary = super().info()
-        summary["path"] = str(self.cache_dir)
-        return summary
+        entries = list(self.entries())
+        return {
+            "store": self.describe(),
+            "entries": len(entries),
+            "bytes": sum(entry.size_bytes for entry in entries),
+            "path": str(self.cache_dir),
+        }

@@ -12,9 +12,9 @@ kept alongside the aggregate view and flows into the engine's
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from .base import ResultStore, StoreEntry
+from .base import ResultStore
 
 __all__ = ["TieredStore"]
 
@@ -97,21 +97,3 @@ class TieredStore(ResultStore):
             {"store": tier.describe(), **tier.stats.as_dict()}
             for tier in self.tiers
         ]
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def entries(self) -> Iterator[StoreEntry]:
-        """Persistent entries of every tier (volatile tiers are empty)."""
-        for tier in self.tiers:
-            yield from tier.entries()
-
-    def prune(self, older_than: float) -> int:
-        """Prune every tier; returns the total entries removed."""
-        return sum(tier.prune(older_than) for tier in self.tiers)
-
-    def info(self) -> Dict[str, Any]:
-        """Aggregate summary plus one record per tier."""
-        summary = super().info()
-        summary["tiers"] = [tier.info() for tier in self.tiers]
-        return summary

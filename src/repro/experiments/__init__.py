@@ -1,8 +1,8 @@
 """Experiment drivers: one module per published table/figure.
 
-Registry mapping experiment ids to their ``run`` callables; see
-DESIGN.md Section 4 for the full index.  Each module is also runnable
-as ``python -m repro.experiments.<module>``.
+Registry mapping experiment ids to their ``run`` callables (``python
+-m repro list`` prints it).  Each module is also runnable as
+``python -m repro.experiments.<module>``.
 """
 
 from importlib import import_module

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the model's design choices.
 
 Not published artifacts -- these probe *why* SynTS wins and where the
 knobs sit:

@@ -87,7 +87,7 @@ class WorkloadEntry:
         copy, so changing the caller's mapping after registration
         moves neither the entry's keys nor the benchmarks it builds.
     description:
-        One line for ``python -m repro --list-benchmarks``.
+        One line for ``python -m repro list``.
     """
 
     profile: BenchmarkProfile

@@ -1,4 +1,5 @@
-"""Executor backends: factory, sharding determinism, event stream."""
+"""Executor backends: engine selection, sharding determinism, event
+stream."""
 
 import pytest
 
@@ -8,9 +9,7 @@ from repro.engine import (
     ExperimentEngine,
     RemoteBackend,
     SerialBackend,
-    backend_names,
     benchmark_specs,
-    make_backend,
 )
 from repro.engine.backends import null_emit
 from repro.engine.backends.remote import shard_of_batch
@@ -27,23 +26,6 @@ def _specs():
 
 
 class TestFactory:
-    def test_in_tree_backends_registered(self):
-        """The table is fixed: one local backend, one remote path."""
-        assert backend_names() == ("serial", "remote")
-
-    def test_make_by_name(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        remote = make_backend("remote", remote_workers="h:7700")
-        assert isinstance(remote, RemoteBackend)
-        remote.close()
-
-    def test_unknown_backend_error_is_actionable(self):
-        with pytest.raises(KeyError) as err:
-            make_backend("quantum")
-        message = str(err.value)
-        assert "quantum" in message
-        assert "serial" in message and "remote" in message
-
     def test_engine_accepts_backend_instance(self):
         backend = SerialBackend()
         eng = ExperimentEngine(backend=backend)
@@ -57,14 +39,13 @@ class TestFactory:
         still one worker (two drain threads must never share a
         socket)."""
         for workers in ("h:7700", "h:7700,h:7700"):
-            backend = make_backend("remote", remote_workers=workers)
-            assert backend.describe() == "remote[1]"
-            backend.close()
+            with ExperimentEngine(remote_workers=workers) as eng:
+                assert eng.backend.describe() == "remote[1]"
 
     def test_invalid_worker_counts_rejected(self):
         for workers in ("", [], " , "):
             with pytest.raises(ValueError, match="--workers"):
-                make_backend("remote", remote_workers=workers)
+                ExperimentEngine(remote_workers=workers)
             with pytest.raises(ValueError, match="at least one"):
                 RemoteBackend(workers)
 

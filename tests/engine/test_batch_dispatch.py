@@ -145,24 +145,19 @@ class TestBatchedDispatchEquivalence:
     @pytest.fixture(scope="class")
     def serial_reference(self):
         specs = _figure_cell_set()
-        with ExperimentEngine(backend="serial") as eng:
+        with ExperimentEngine() as eng:
             return specs, eng.run_cells(specs)
 
-    @pytest.mark.parametrize("backend", ("remote",))
-    def test_backend_matches_serial(
-        self, serial_reference, backend, loopback_workers
-    ):
+    def test_remote_matches_serial(self, serial_reference, loopback_workers):
         specs, reference = serial_reference
-        with ExperimentEngine(
-            backend=backend, remote_workers=loopback_workers
-        ) as eng:
+        with ExperimentEngine(remote_workers=loopback_workers) as eng:
             assert eng.run_cells(specs) == reference
 
     def test_partially_cached_batches(self, serial_reference):
         """Cells already cached are carved out of their batches; the
         remaining partial batches must still compute identically."""
         specs, reference = serial_reference
-        with ExperimentEngine(backend="serial") as eng:
+        with ExperimentEngine() as eng:
             # warm every third cell, then run the full set
             eng.run_cells(specs[::3])
             assert eng.run_cells(specs) == reference

@@ -241,7 +241,7 @@ class TestExperimentMemo:
 class TestSession:
     def test_engine_session_scopes_default(self):
         outer = get_engine()
-        with engine_session(backend="serial") as scoped:
+        with engine_session() as scoped:
             assert get_engine() is scoped
         assert get_engine() is outer
 

@@ -54,7 +54,7 @@ def _run_and_log(make_engine):
 
 @pytest.fixture(scope="module")
 def serial_run():
-    return _run_and_log(lambda: ExperimentEngine(backend="serial"))
+    return _run_and_log(lambda: ExperimentEngine())
 
 
 class TestPerCellMultiset:
@@ -62,7 +62,7 @@ class TestPerCellMultiset:
         reference, serial_log = serial_run
         results, log = _run_and_log(
             lambda: ExperimentEngine(
-                backend="remote", remote_workers=loopback_workers
+                remote_workers=loopback_workers
             )
         )
         assert results == reference
@@ -73,11 +73,8 @@ class TestPerCellMultiset:
         identically for serial and remote engines."""
         multisets = {}
         for name, kwargs in (
-            ("serial", {"backend": "serial"}),
-            (
-                "remote",
-                {"backend": "remote", "remote_workers": loopback_workers},
-            ),
+            ("serial", {}),
+            ("remote", {"remote_workers": loopback_workers}),
         ):
             engine = ExperimentEngine(**kwargs)
             log = engine.subscribe(EventLog())
@@ -108,9 +105,7 @@ class TestCacheCorruptFidelity:
             if backend == "remote"
             else {}
         )
-        engine = ExperimentEngine(
-            backend=backend, cache_dir=str(cache_dir), **kwargs
-        )
+        engine = ExperimentEngine(cache_dir=str(cache_dir), **kwargs)
         log = engine.subscribe(EventLog())
         cells_experiment(engine, [spec])
         engine.close()
@@ -128,14 +123,14 @@ class TestWorkerLostFidelity:
         from repro.engine.worker import start_loopback_workers, stop_workers
 
         specs = _specs()
-        with ExperimentEngine(backend="serial") as engine:
+        with ExperimentEngine() as engine:
             serial_log = engine.subscribe(EventLog())
             reference = engine.run_cells(specs)
 
         processes, addresses = start_loopback_workers(2)
         try:
             engine = ExperimentEngine(
-                backend="remote", remote_workers=addresses
+                remote_workers=addresses
             )
             log = engine.subscribe(EventLog())
             # open the connections, then lose one worker

@@ -26,11 +26,6 @@ from repro.serialization import canonical_json
 
 GOLDEN_TABLE_5_1 = Path(__file__).resolve().parents[1] / "golden" / "table_5_1.json"
 
-#: Backends swept against the serial reference: ``remote`` ships
-#: shards to two loopback worker subprocesses.
-EQUIVALENCE_BACKENDS = ("remote",)
-
-
 def _figure_cell_set():
     """Every cell of fig_6_18 (superset of headline's cells)."""
     specs = []
@@ -44,18 +39,16 @@ def _figure_cell_set():
 def serial_reference():
     """The reference results, computed once on the serial backend."""
     specs = _figure_cell_set()
-    with ExperimentEngine(backend="serial") as eng:
+    with ExperimentEngine() as eng:
         return specs, eng.run_cells(specs)
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     def test_backend_matches_serial_on_figure_cells(
-        self, serial_reference, backend, request
+        self, serial_reference, loopback_workers
     ):
         specs, reference = serial_reference
-        workers = request.getfixturevalue("loopback_workers")
-        with ExperimentEngine(backend=backend, remote_workers=workers) as eng:
+        with ExperimentEngine(remote_workers=loopback_workers) as eng:
             results = eng.run_cells(specs)
         assert results == reference
 
@@ -70,7 +63,7 @@ class TestExperimentEquivalence:
         assert json.loads(canonical_json(parallel.to_payload())) == serial
 
     def test_fig_6_18_parallel_equals_serial(self, loopback_workers):
-        with engine_session(backend="serial"):
+        with engine_session():
             serial = fig_6_18.run()
         with engine_session(remote_workers=loopback_workers):
             parallel = fig_6_18.run()
@@ -102,6 +95,6 @@ class TestCellEquivalence:
             if scheme == "online"
             else benchmark_specs(benchmark, "simple_alu", scheme)
         )
-        serial = ExperimentEngine(backend="serial").run_cells(specs)
+        serial = ExperimentEngine().run_cells(specs)
         with ExperimentEngine(remote_workers=loopback_workers) as eng:
             assert eng.run_cells(specs) == serial

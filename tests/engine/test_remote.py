@@ -15,8 +15,8 @@ from repro.engine import (
     EventLog,
     ExperimentEngine,
     RemoteBackend,
+    SerialBackend,
     benchmark_specs,
-    make_backend,
 )
 from repro.engine.backends.remote import parse_worker_addresses
 from repro.engine.worker import start_loopback_workers, stop_workers
@@ -58,32 +58,27 @@ class TestAddressParsing:
 
 
 class TestFactory:
-    def test_remote_is_registered(self):
-        from repro.engine import backend_names
-
-        assert "remote" in backend_names()
-
     def test_remote_requires_worker_addresses(self):
-        with pytest.raises(ValueError, match="--workers"):
-            make_backend("remote")
+        with pytest.raises(ValueError, match="worker --serve"):
+            ExperimentEngine(remote_workers="")
 
     def test_remote_from_addresses(self):
-        backend = make_backend(
-            "remote", remote_workers="host1:7700,host2:7701"
-        )
-        assert isinstance(backend, RemoteBackend)
-        assert backend.describe() == "remote[2]"
-        backend.close()
+        with ExperimentEngine(
+            remote_workers="host1:7700,host2:7701"
+        ) as eng:
+            assert isinstance(eng.backend, RemoteBackend)
+            assert eng.backend.describe() == "remote[2]"
 
     def test_other_backends_reject_remote_workers_option(self):
-        with pytest.raises(ValueError, match="--workers"):
-            make_backend("serial", remote_workers="h:1")
+        """A prebuilt backend excludes the inputs it replaces."""
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentEngine(backend=SerialBackend(), remote_workers="h:1")
 
     def test_other_backends_reject_token_actionably(self):
         """`--token` without `--workers` must name the flag's remedy,
         not the internal option name alone."""
         with pytest.raises(ValueError, match="pass --workers"):
-            make_backend("serial", worker_token="s3cret")
+            ExperimentEngine(worker_token="s3cret")
 
     def test_engine_defaults_to_remote_when_workers_given(self):
         eng = ExperimentEngine(remote_workers="host1:7700")
@@ -94,10 +89,10 @@ class TestFactory:
 class TestLoopbackDispatch:
     def test_remote_equals_serial(self, loopback_workers):
         specs = _two_group_specs()
-        with ExperimentEngine(backend="serial") as eng:
+        with ExperimentEngine() as eng:
             reference = eng.run_cells(specs)
         with ExperimentEngine(
-            backend="remote", remote_workers=loopback_workers
+            remote_workers=loopback_workers
         ) as eng:
             assert eng.run_cells(specs) == reference
 
@@ -107,10 +102,10 @@ class TestLoopbackDispatch:
                 "cholesky", "simple_alu", "online", seed=11, n_samp=2_000
             )
         )
-        with ExperimentEngine(backend="serial") as eng:
+        with ExperimentEngine() as eng:
             reference = eng.run_cells(specs)
         with ExperimentEngine(
-            backend="remote", remote_workers=loopback_workers
+            remote_workers=loopback_workers
         ) as eng:
             assert eng.run_cells(specs) == reference
 
@@ -119,7 +114,7 @@ class TestLoopbackDispatch:
     ):
         specs = _two_group_specs()
         eng = ExperimentEngine(
-            backend="remote", remote_workers=loopback_workers
+            remote_workers=loopback_workers
         )
         log = eng.subscribe(EventLog())
         eng.run_cells(specs)
@@ -140,7 +135,7 @@ class TestLoopbackDispatch:
 
         register_synthetic("synth_remote_late", heterogeneity=2.0)
         eng = ExperimentEngine(
-            backend="remote", remote_workers=loopback_workers
+            remote_workers=loopback_workers
         )
         log = eng.subscribe(EventLog())
         try:
@@ -171,7 +166,7 @@ class TestLoopbackDispatch:
 
         monkeypatch.setattr(_WorkerLink, "request", recording_request)
         with ExperimentEngine(
-            backend="remote", remote_workers=loopback_workers
+            remote_workers=loopback_workers
         ) as eng:
             eng.run_cells(_two_group_specs())
         assert set(ops) == {"run_batches"}
@@ -226,7 +221,7 @@ class TestFailover:
         processes, addresses = start_loopback_workers(2)
         try:
             eng = ExperimentEngine(
-                backend="remote", remote_workers=addresses
+                remote_workers=addresses
             )
             log = eng.subscribe(EventLog())
             eng.run_cells(list(benchmark_specs("radix", "decode", "synts")))
@@ -238,7 +233,7 @@ class TestFailover:
                 benchmark_specs("fmm", "decode", "no_ts")
                 + benchmark_specs("barnes", "decode", "per_core_ts")
             )
-            with ExperimentEngine(backend="serial") as serial:
+            with ExperimentEngine() as serial:
                 reference = serial.run_cells(specs)
             assert eng.run_cells(specs) == reference
             lost = log.of_kind("worker_lost")
@@ -252,7 +247,7 @@ class TestFailover:
         processes, addresses = start_loopback_workers(1)
         try:
             eng = ExperimentEngine(
-                backend="remote", remote_workers=addresses
+                remote_workers=addresses
             )
             eng.run_cells(list(benchmark_specs("radix", "decode", "synts")))
             stop_workers(processes)
@@ -307,7 +302,7 @@ class TestFailover:
     def test_unreachable_workers_raise_actionably(self):
         # a port nothing listens on: connect is refused immediately
         eng = ExperimentEngine(
-            backend="remote", remote_workers="127.0.0.1:9"
+            remote_workers="127.0.0.1:9"
         )
         log = eng.subscribe(EventLog())
         with pytest.raises(RuntimeError, match="no remote workers"):
@@ -370,10 +365,10 @@ class TestBootstrapHook:
                     bootstrap_reg.SYNTH_NAME, "simple_alu", "per_core_ts"
                 )
             )
-            with ExperimentEngine(backend="serial") as eng:
+            with ExperimentEngine() as eng:
                 reference = eng.run_cells(specs)
             with ExperimentEngine(
-                backend="remote", remote_workers=addresses
+                remote_workers=addresses
             ) as eng:
                 assert eng.run_cells(specs) == reference
         finally:
@@ -402,10 +397,9 @@ class TestAuthToken:
 
     def test_matching_token_runs(self, authed_workers):
         specs = list(benchmark_specs("radix", "decode", "synts"))
-        with ExperimentEngine(backend="serial") as eng:
+        with ExperimentEngine() as eng:
             reference = eng.run_cells(specs)
         with ExperimentEngine(
-            backend="remote",
             remote_workers=authed_workers,
             worker_token="sesame",
         ) as eng:
@@ -414,16 +408,16 @@ class TestAuthToken:
     def test_token_from_environment(self, authed_workers, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_TOKEN", "sesame")
         specs = list(benchmark_specs("fmm", "decode", "nominal"))
-        with ExperimentEngine(backend="serial") as eng:
+        with ExperimentEngine() as eng:
             reference = eng.run_cells(specs)
         with ExperimentEngine(
-            backend="remote", remote_workers=authed_workers
+            remote_workers=authed_workers
         ) as eng:
             assert eng.run_cells(specs) == reference
 
     def test_missing_token_rejected_actionably(self, authed_workers):
         eng = ExperimentEngine(
-            backend="remote", remote_workers=authed_workers
+            remote_workers=authed_workers
         )
         log = eng.subscribe(EventLog())
         with pytest.raises(RuntimeError, match="REPRO_WORKER_TOKEN"):
@@ -433,7 +427,6 @@ class TestAuthToken:
 
     def test_wrong_token_rejected_before_any_payload(self, authed_workers):
         eng = ExperimentEngine(
-            backend="remote",
             remote_workers=authed_workers,
             worker_token="not-sesame",
         )
@@ -489,10 +482,9 @@ class TestAuthToken:
 
     def test_tokenless_worker_ignores_client_token(self, loopback_workers):
         specs = list(benchmark_specs("radix", "decode", "synts"))
-        with ExperimentEngine(backend="serial") as eng:
+        with ExperimentEngine() as eng:
             reference = eng.run_cells(specs)
         with ExperimentEngine(
-            backend="remote",
             remote_workers=loopback_workers,
             worker_token="unneeded",
         ) as eng:
@@ -605,7 +597,7 @@ class TestWorkerCLI:
         assert "--serve" in out and "--bootstrap" in out
         assert "--token" in out
         # workers keep no result store
-        assert "--cache-dir" not in out and "--store" not in out
+        assert "--cache-dir" not in out
 
     def test_engine_flags_before_worker_subcommand_survive(self):
         """`repro --token S worker ...` must not lose the flag to the
@@ -656,14 +648,17 @@ class TestWorkerCLI:
         assert "(backend=remote[2])" in captured.err
 
     def test_cli_remote_without_workers_is_actionable(self, capsys):
+        """An empty worker list names how to start workers."""
         from repro.__main__ import main
 
-        assert main(["fig_4_7", "--workers", ""]) == 2
-        assert "--workers" in capsys.readouterr().err
+        assert main(["run", "fig_4_7", "--workers", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and "worker --serve" in err
 
     def test_cli_token_without_workers_is_actionable(self, capsys):
         from repro.__main__ import main
 
-        assert main(["fig_4_7", "--token", "sesame"]) == 2
+        assert main(["run", "fig_4_7", "--token", "S"]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("repro: ")
         assert "--token" in err and "--workers" in err

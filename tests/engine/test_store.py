@@ -1,6 +1,8 @@
-"""Result-store subsystem: name table, tiers, fault paths, atomicity.
+"""Result-store subsystem: the engine's stack, tiers, fault paths,
+atomicity.
 
-Covers the fixed store name table, each store's contract
+Covers the store stack the engine derives from ``cache_dir``, each
+store's contract
 (stats accounting, sanitisation, corrupt-entry handling), the tiered
 read-through/write-back composition, and the crash/concurrency fault
 paths: a killed writer must never leave a torn entry, two processes
@@ -26,8 +28,6 @@ from repro.engine import (
     ResultCache,
     TieredStore,
     content_key,
-    make_store,
-    store_names,
 )
 
 from .conftest import cells_experiment, store_entries
@@ -36,39 +36,23 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestRegistry:
-    def test_in_tree_stores_registered(self):
-        names = store_names()
-        assert "memory" in names
-        assert "jsondir" in names
-        assert "tiered" in names
-
-    def test_unknown_store_is_actionable(self):
-        with pytest.raises(KeyError) as err:
-            make_store("s3")
-        message = str(err.value)
-        assert "s3" in message
-        assert all(name in message for name in ("memory", "jsondir", "tiered"))
+    """The store stack the engine builds from ``cache_dir``."""
 
     def test_memory_store_needs_no_options(self):
-        store = make_store("memory")
-        assert isinstance(store, MemoryStore)
+        from repro.engine import ExperimentEngine
 
-    def test_disk_stores_require_cache_dir(self):
-        with pytest.raises(ValueError, match="--cache-dir"):
-            make_store("jsondir")
-        with pytest.raises(ValueError, match="--cache-dir"):
-            make_store("tiered")
+        with ExperimentEngine() as eng:
+            assert isinstance(eng.store, MemoryStore)
 
     def test_make_store_builds_layering(self, tmp_path):
-        tiered = make_store("tiered", cache_dir=str(tmp_path))
-        assert isinstance(tiered, TieredStore)
-        assert [type(t) for t in tiered.tiers] == [MemoryStore, JsonDirStore]
-        flat = make_store("jsondir", cache_dir=str(tmp_path))
-        assert isinstance(flat, JsonDirStore)
+        from repro.engine import ExperimentEngine
 
-    def test_unknown_option_rejected(self):
-        with pytest.raises(ValueError, match="does not accept"):
-            make_store("memory", shard_count=4)
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
+            assert isinstance(eng.store, TieredStore)
+            assert [type(t) for t in eng.store.tiers] == [
+                MemoryStore,
+                JsonDirStore,
+            ]
 
 
 class TestMemoryStore:
@@ -106,13 +90,6 @@ class TestMemoryStore:
         with pytest.raises(TypeError):
             store.put(key, {"obj": object()})
         assert key not in store
-
-    def test_maintenance_surface_is_empty(self):
-        store = MemoryStore()
-        store.put(content_key("x"), 1)
-        assert list(store.entries()) == []
-        assert store.prune(0) == 0
-        assert store.info()["entries"] == 0
 
 
 class TestJsonDirStore:
@@ -266,20 +243,18 @@ class TestTieredStore:
 
 
 class TestEngineStoreOption:
-    def test_engine_accepts_store_name(self, tmp_path):
+    def test_engine_accepts_store_instance(self, tmp_path):
         from repro.engine import CellSpec, ExperimentEngine
 
         spec = CellSpec("radix", "decode", "nominal")
-        with ExperimentEngine(
-            store="tiered", cache_dir=str(tmp_path)
-        ) as eng:
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
             first = cells_experiment(eng, [spec])
             tiers = eng.store_stats()
         assert [t["store"] for t in tiers][0] == "memory"
         # a second engine over the same directory reads it back
-        with ExperimentEngine(
-            store="jsondir", cache_dir=str(tmp_path)
-        ) as eng:
+        store = JsonDirStore(tmp_path)
+        with ExperimentEngine(store=store) as eng:
+            assert eng.store is store
             again = cells_experiment(eng, [spec])
             assert eng.cells_computed == 0
         assert again == first
@@ -295,7 +270,7 @@ class TestEngineStoreOption:
     def test_store_stats_event_emitted(self):
         from repro.engine import CellSpec, EventLog, ExperimentEngine
 
-        with ExperimentEngine(store="memory") as eng:
+        with ExperimentEngine() as eng:
             log = eng.subscribe(EventLog())
             cells_experiment(eng, [CellSpec("radix", "decode", "nominal")])
         events = log.of_kind("store_stats")
@@ -429,23 +404,17 @@ class TestFaultPaths:
         from repro.engine import CellSpec, EventLog, ExperimentEngine
 
         spec = CellSpec("radix", "decode", "nominal")
-        with ExperimentEngine(
-            store="tiered", cache_dir=str(tmp_path)
-        ) as eng:
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
             expected = cells_experiment(eng, [spec])
         (path,) = store_entries(tmp_path)
         path.write_text(path.read_text()[:15])
 
-        with ExperimentEngine(
-            store="tiered", cache_dir=str(tmp_path)
-        ) as eng:
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
             log = eng.subscribe(EventLog())
             healed = cells_experiment(eng, [spec])
             assert healed == expected
             assert eng.cells_computed == 1
         assert len(log.of_kind("cache_corrupt")) == 1
-        with ExperimentEngine(
-            store="tiered", cache_dir=str(tmp_path)
-        ) as eng:
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
             cells_experiment(eng, [spec])
             assert eng.cells_computed == 0

@@ -15,6 +15,8 @@ import pytest
 from repro.engine import (
     EventLog,
     ExperimentEngine,
+    JsonDirStore,
+    MemoryStore,
     ResultCache,
 )
 from repro.experiments import fig_6_18
@@ -41,7 +43,7 @@ def _figure_cell_set():
 def serial_reference():
     """Reference results from the serial backend + memory store."""
     specs = _figure_cell_set()
-    with ExperimentEngine(backend="serial", store="memory") as eng:
+    with ExperimentEngine() as eng:
         return specs, eng.run_cells(specs)
 
 
@@ -51,10 +53,12 @@ class TestLocalStoreConfigurations:
         self, serial_reference, store, tmp_path
     ):
         specs, reference = serial_reference
-        kwargs = (
-            {} if store == "memory" else {"cache_dir": str(tmp_path)}
-        )
-        with ExperimentEngine(store=store, **kwargs) as eng:
+        kwargs = {
+            "memory": {"store": MemoryStore()},
+            "tiered": {"cache_dir": str(tmp_path)},
+            "jsondir": {"store": JsonDirStore(tmp_path)},
+        }[store]
+        with ExperimentEngine(**kwargs) as eng:
             assert eng.run_cells(specs) == reference
             # computed, then served back from the store
             assert cells_experiment(eng, specs) == _rows(reference)
@@ -78,13 +82,9 @@ class TestLocalStoreConfigurations:
         experiment from disk: identical values, zero cells computed,
         no cell even looked up."""
         specs, reference = serial_reference
-        with ExperimentEngine(
-            store="tiered", cache_dir=str(tmp_path)
-        ) as eng:
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
             assert cells_experiment(eng, specs) == _rows(reference)
-        with ExperimentEngine(
-            store="tiered", cache_dir=str(tmp_path)
-        ) as eng:
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
             log = eng.subscribe(EventLog())
             assert cells_experiment(eng, specs) == _rows(reference)
             assert eng.cells_computed == 0
@@ -102,14 +102,10 @@ class TestRemoteClientStore:
         cache dir recomputes and dispatches nothing."""
         specs, reference = serial_reference
         with ExperimentEngine(
-            remote_workers=loopback_workers,
-            store="tiered",
-            cache_dir=str(tmp_path),
+            remote_workers=loopback_workers, cache_dir=str(tmp_path)
         ) as eng:
             assert cells_experiment(eng, specs) == _rows(reference)
-        with ExperimentEngine(
-            store="tiered", cache_dir=str(tmp_path)
-        ) as eng:
+        with ExperimentEngine(cache_dir=str(tmp_path)) as eng:
             log = eng.subscribe(EventLog())
             assert cells_experiment(eng, specs) == _rows(reference)
             assert eng.cells_computed == 0

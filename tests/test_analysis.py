@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import Series, ascii_bars, ascii_scatter, format_kv, format_table
-from repro.core.metrics import NormalizedMetrics, edp, relative_change
 from repro.overhead import (
     SequentialCosts,
     estimate_overhead,
@@ -49,25 +48,6 @@ class TestPlots:
     def test_bars_length_mismatch(self):
         with pytest.raises(ValueError):
             ascii_bars(["a"], {"s1": [1.0, 2.0]})
-
-
-class TestMetrics:
-    def test_edp(self):
-        assert edp(2.0, 3.0) == 6.0
-        with pytest.raises(ValueError):
-            edp(-1.0, 1.0)
-
-    def test_relative_change(self):
-        assert relative_change(0.75, 1.0) == pytest.approx(-0.25)
-        with pytest.raises(ZeroDivisionError):
-            relative_change(1.0, 0.0)
-
-    def test_normalized_metrics(self):
-        m = NormalizedMetrics.from_absolute(50.0, 20.0, 100.0, 40.0)
-        assert m.energy == 0.5 and m.time == 0.5
-        assert m.edp == 0.25
-        with pytest.raises(ValueError):
-            NormalizedMetrics.from_absolute(1.0, 1.0, 0.0, 1.0)
 
 
 class TestOverheadRollup:

@@ -13,41 +13,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "fig_6_18" in out and "heterogeneity" in out
         # the list subcommand covers the registries too
-        assert "schemes:" in out and "online" in out
-        assert "benchmarks:" in out and "radix" in out
-
-    def test_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "experiments:" in out
-        assert "schemes:" in out
+        assert "experiments:" in out and "ablations:" in out
+        assert "schemes:" in out and "synts" in out and "online" in out
         assert "benchmarks:" in out
-
-    def test_list_schemes_flag(self, capsys):
-        assert main(["--list-schemes"]) == 0
-        out = capsys.readouterr().out
-        assert "synts" in out and "online" in out
-        assert "benchmarks:" not in out
-
-    def test_list_benchmarks_flag(self, capsys):
-        assert main(["--list-benchmarks"]) == 0
-        out = capsys.readouterr().out
         assert "radix" in out and "[reported]" in out
         assert "fft" in out and "[excluded]" in out
-        assert "schemes:" not in out
-
-    def test_list_flag_with_command_rejected(self, capsys):
-        """--list must not silently swallow a requested run."""
-        with pytest.raises(SystemExit):
-            main(["--list", "fig_4_7"])
-        assert "cannot be combined" in capsys.readouterr().err
 
     def test_list_benchmarks_sees_registrations(self, capsys):
         from repro.workloads import register_synthetic, unregister_workload
 
         register_synthetic("synth_cli", heterogeneity=2.0)
         try:
-            assert main(["--list-benchmarks"]) == 0
+            assert main(["list"]) == 0
             assert "synth_cli" in capsys.readouterr().out
         finally:
             unregister_workload("synth_cli")
@@ -87,26 +64,24 @@ class TestEngineCLI:
         out = capsys.readouterr().out
         assert "sampling" in out.lower()
 
-    def test_value_flag_before_shorthand_experiment(self, capsys):
-        """`--store memory table_5_1`: the flag's value must not be
+    def test_value_flag_before_shorthand_experiment(self, tmp_path, capsys):
+        """`--cache-dir D table_5_1`: the flag's value must not be
         mistaken for the experiment token."""
-        assert main(["--store", "memory", "table_5_1", "--stats"]) == 0
+        cache = str(tmp_path / "cache")
+        assert main(["--cache-dir", cache, "table_5_1", "--stats"]) == 0
         captured = capsys.readouterr()
         assert "table_5_1" in captured.out
-        assert "store tier memory" in captured.err
+        assert f"store tier jsondir({cache})" in captured.err
 
     def test_store_flag_before_subcommand(self, tmp_path, capsys):
         """Pre-subcommand engine flags must actually reach the engine
         (subparser defaults must not clobber them)."""
         cache = str(tmp_path / "cache")
-        assert main(
-            ["--store", "jsondir", "--cache-dir", cache, "--stats", "run",
-             "fig_4_7"]
-        ) == 0
+        assert main(["--cache-dir", cache, "--stats", "run", "fig_4_7"]) == 0
         captured = capsys.readouterr()
         assert "sampling" in captured.out.lower()
+        assert "store tier memory" in captured.err
         assert "store tier jsondir" in captured.err
-        assert "store tier memory" not in captured.err
 
     def test_cache_dir_warm_run_identical(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
@@ -154,7 +129,10 @@ class TestEngineCLI:
 
     def test_stats_names_the_serial_backend(self, capsys):
         assert main(["fig_4_7", "--stats"]) == 0
-        assert "(backend=serial)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "(backend=serial)" in err
+        # no cache dir: one memory store, no disk tier
+        assert "store tier memory" in err and "jsondir" not in err
 
     def test_unknown_backend_rejected(self):
         """--workers alone selects the remote backend: there is no
@@ -185,29 +163,6 @@ class TestEngineCLI:
         assert lines, "expected JSON event lines on stderr"
         events = [json.loads(ln)["event"] for ln in lines]
         assert "experiment_computed" in events or "experiment_cached" in events
-
-    def test_store_flag_memory(self, capsys):
-        assert main(["fig_4_7", "--store", "memory", "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert "sampling" in captured.out.lower()
-        assert "store tier memory" in captured.err
-
-    def test_store_flag_tiered_reports_tiers(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(
-            ["fig_4_7", "--store", "tiered", "--cache-dir", cache, "--stats"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "store tier memory" in captured.err
-        assert "store tier jsondir" in captured.err
-
-    def test_store_without_cache_dir_is_actionable(self, capsys):
-        assert main(["fig_4_7", "--store", "jsondir"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
-    def test_unknown_store_rejected(self):
-        with pytest.raises(SystemExit):  # argparse: invalid choice
-            main(["run", "fig_4_7", "--store", "s3"])
 
 
 class TestBootstrapCLI:
@@ -262,20 +217,6 @@ class TestCacheCLI:
         assert main(["cache", "info", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "entries: 0" not in out and "entries:" in out
-
-    def test_info_tiered_store_lists_tiers(self, tmp_path, capsys):
-        assert main(
-            [
-                "cache",
-                "info",
-                "--store",
-                "tiered",
-                "--cache-dir",
-                str(tmp_path),
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "tier memory" in out and "tier jsondir" in out
 
     def test_prune_and_clear(self, tmp_path, capsys):
         import json

@@ -55,14 +55,12 @@ def main(argv=None) -> int:
     print(f"remote_smoke: workers up at {', '.join(addresses)}")
     try:
         start = time.perf_counter()
-        with engine_session(backend="serial"):
+        with engine_session():
             serial = run()
         serial_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        with engine_session(
-            backend="remote", remote_workers=",".join(addresses)
-        ) as engine:
+        with engine_session(remote_workers=",".join(addresses)) as engine:
             remote = run()
             backend = engine.backend.describe()
         remote_s = time.perf_counter() - start

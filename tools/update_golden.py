@@ -175,7 +175,7 @@ def regenerate(experiment_id: str) -> dict:
     engine."""
     from repro.engine import engine_session
 
-    with engine_session(backend="serial"):
+    with engine_session():
         result = producer(experiment_id)()
     versions = None if experiment_id in UNVERSIONED else library_versions()
     return golden_record(
