@@ -427,17 +427,7 @@ def _cache_command(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        store = JsonDirStore(cache_dir)
-    except ValueError as exc:
-        print(f"repro cache: {exc}", file=sys.stderr)
-        return 2
-    if args.action == "info":
-        info = store.info()
-        print(f"store: {info.pop('store')}")
-        for field, value in info.items():
-            print(f"{field}: {value}")
-        return 0
+    seconds = None
     if args.action == "prune":
         older_than = getattr(args, "older_than", None)
         if not older_than:
@@ -452,8 +442,25 @@ def _cache_command(args) -> int:
         except ValueError as exc:
             print(f"repro cache: {exc}", file=sys.stderr)
             return 2
+    # maintenance never creates a store: a mistyped path is an error,
+    # not a new empty directory
+    if not os.path.exists(cache_dir):
+        print(f"repro cache: no cache directory at {cache_dir}", file=sys.stderr)
+        return 2
+    try:
+        store = JsonDirStore(cache_dir)
+    except ValueError as exc:
+        print(f"repro cache: {exc}", file=sys.stderr)
+        return 2
+    if args.action == "info":
+        info = store.info()
+        print(f"store: {info.pop('store')}")
+        for field, value in info.items():
+            print(f"{field}: {value}")
+        return 0
+    if args.action == "prune":
         removed = store.prune(seconds)
-        print(f"pruned {removed} entries older than {older_than}")
+        print(f"pruned {removed} entries older than {args.older_than}")
         return 0
     if args.action == "clear":
         before = sum(1 for _ in store.entries())

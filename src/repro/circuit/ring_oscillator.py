@@ -6,9 +6,10 @@ record the clock period versus voltage, as shown in Table 5.1."
 We do the same with the mini-SPICE substrate: simulate an inverter
 ring at each published voltage level, measure the steady oscillation
 period, and normalise to the period at Vdd = 1.0 V.  The alpha-power
-device parameters come from :func:`repro.circuit.voltage.
-fit_alpha_power_model`, so the regenerated table matches the published
-one to within the documented fit error.
+device parameters are :data:`RING_CALIBRATION` (vth 0.52 V, alpha
+0.9), found once by grid search over the simulated ring itself; the
+regenerated table matches the published one to within 7.8 %, its
+worst error, at 0.72 V.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ RING_CALIBRATION = InverterParams(vth=0.52, alpha=0.9)
 
 #: The supply Table 5.1 normalises every period to.
 REFERENCE_VDD = 1.0
+
+#: Most Euler steps one swept voltage may take.  The horizon stretch
+#: grows without bound as Vdd nears Vth; Table 5.1's longest run is
+#: 89,727 steps, at 0.65 V.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,25 @@ def sweep_ring_oscillator(
         )
     p = params or RING_CALIBRATION
 
-    def period(vdd: float) -> float:
+    def horizon(vdd: float) -> float:
+        if vdd <= p.vth:
+            raise ValueError(f"vdd {vdd} V at or below threshold {p.vth} V")
         stretch = max(1.0, (1.0 - p.vth) / (vdd - p.vth)) ** (p.alpha + 1.0)
+        stretched = t_stop * stretch
+        if stretched / dt > MAX_STEPS:
+            raise ValueError(
+                f"the horizon at {vdd} V stretches to {stretched / dt:.3g} "
+                f"steps, over the budget of {MAX_STEPS:.0e}; sweep further "
+                f"above the {p.vth} V threshold"
+            )
+        return stretched
+
+    # check every level before simulating any of them
+    horizons = {vdd: horizon(vdd) for vdd in [*volts, REFERENCE_VDD]}
+
+    def period(vdd: float) -> float:
         result = simulate_inverter_ring(
-            n_stages, vdd, p, t_stop=t_stop * stretch, dt=dt, record=False
+            n_stages, vdd, p, t_stop=horizons[vdd], dt=dt, record=False
         )
         if result.period is None:
             raise RuntimeError(

@@ -30,10 +30,11 @@ n_steps)`` sample buffer and returns only the period; Table 5.1 needs
 nothing else.  It is the same loop with the sample write switched
 off, so the period is the one a recording run measures.
 
-**Rail fast paths.**  The clip puts nodes exactly on the rails: in the
-Table 5.1 sweep about half of all stage updates have an input or an
-output there.  Two shortcuts make those updates cheap without changing
-a bit:
+**Rail fast paths.**  The clip puts nodes exactly on the rails.  In
+the Table 5.1 sweep (1,216,055 stage updates: 243,211 steps of a
+5-stage ring) 38.3 % of updates are skipped, 23.0 % have an input on
+a rail, 38.8 % call ``pow`` and 24.4 % have the rolloff clamped to
+1.0.  Two shortcuts make rail updates cheap without changing a bit:
 
 * An input exactly on a rail gives the same overdrive on either
   branch: ``vdd - vth`` when it is high, and ``(vdd - 0.0) - vth``,
@@ -46,6 +47,23 @@ a bit:
   stage with no overdrive (at a low supply, an input near Vdd/2 turns
   neither device on), whose current is 0.0 by definition.  Node
   voltages are never -0.0, so adding a zero returns them unchanged.
+
+**Operations whose result is known.**  A stage that does update
+still rounds every operation of the array form, ``x + i * r / C *
+dt`` then the clip, except those whose result its branch fixes:
+
+* The pull-down current is ``-i`` with ``i = k * (v_in - vth) **
+  alpha``.  Rounding is symmetric in sign, so ``(-i) * r / C * dt``
+  is ``-(i * r / C * dt)`` and ``x + (-y)`` is ``x - y``: the loop
+  subtracts ``i * r / C * dt`` and never negates.
+* The rolloff is tested against 1.0 once.  Where it would be clamped
+  to 1.0 the step is ``i / C * dt``, since ``i * 1.0`` is ``i``; for
+  an input on a rail that is ``rail_step``, computed once per run.
+* A pull-down stage is entered only with its output in (0, vdd] and
+  only falls, a pull-up stage only with its output in [0, vdd) and
+  only rises (``k``, ``C`` and ``dt`` are positive and finite).  So
+  the rolloff is positive, its clamp at 0 never binds, and only the
+  clip at the destination rail can.
 
 **The period without numpy.**  The period is the mean of the
 rising-edge intervals after the first, as ``float(np.mean(...))``
@@ -75,6 +93,8 @@ LINEAR_BAND = 0.05
 #: numpy's pairwise-summation block: up to this many values are summed
 #: with eight strided accumulators, longer runs are split in two.
 _PAIRWISE_BLOCK = 128
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -167,6 +187,14 @@ def simulate_inverter_ring(
     p = params or InverterParams()
     if vdd <= p.vth:
         raise ValueError(f"vdd {vdd} V at or below threshold {p.vth} V")
+    # the loop's skipped clamps assume every step moves a node inside
+    # [0, vdd] towards the rail its input drives it to
+    positive = {"vdd": vdd, "k_drive": p.k_drive, "cap": p.cap, "dt": dt}
+    for name, value in positive.items():
+        if not 0.0 < value < _INF:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if p.alpha != p.alpha:
+        raise ValueError("alpha must be a number, got nan")
 
     n_steps = int(t_stop / dt)
     # Seed an asymmetric initial state so oscillation starts immediately.
@@ -179,6 +207,8 @@ def simulate_inverter_ring(
     vth, alpha, k_drive, cap = p.vth, p.alpha, p.k_drive, p.cap
     # saturation current of a stage whose input sits on either rail
     rail_drive = k_drive * (vdd - vth) ** alpha
+    # its Euler step when the rolloff is clamped to 1.0
+    rail_step = rail_drive / cap * dt
     stages = range(n_stages)
     prev_v0 = v[0]
 
@@ -198,29 +228,36 @@ def simulate_inverter_ring(
             # left as it is.
             if v_in >= half:
                 if v_out != 0.0 and v_in > vth:  # exactly when v_in - vth > 0.0
-                    if v_in == vdd:
-                        current = -rail_drive
-                    else:
-                        current = -(k_drive * (v_in - vth) ** alpha)
+                    # v_out is in (0, vdd]: the rolloff is positive and
+                    # the node only falls, so only the 0 V clip binds
                     rolloff = v_out / LINEAR_BAND
-                    rolloff = rolloff if rolloff > 0.0 else 0.0
-                    rolloff = rolloff if rolloff < 1.0 else 1.0
-                    # forward-Euler step, clamped to the rails like np.clip
-                    x = v_out + current * rolloff / cap * dt
-                    x = x if x > 0.0 else 0.0
-                    v[i] = x if x < vdd else vdd
+                    if rolloff < 1.0:
+                        if v_in == vdd:
+                            current = rail_drive
+                        else:
+                            current = k_drive * (v_in - vth) ** alpha
+                        x = v_out - current * rolloff / cap * dt
+                    elif v_in == vdd:
+                        x = v_out - rail_step
+                    else:
+                        x = v_out - k_drive * (v_in - vth) ** alpha / cap * dt
+                    v[i] = x if x > 0.0 else 0.0
             elif v_out != vdd:
                 overdrive = (vdd - v_in) - vth
                 if overdrive > 0.0:
-                    if v_in == 0.0:
-                        current = rail_drive
-                    else:
-                        current = k_drive * overdrive**alpha
+                    # v_out is in [0, vdd): the rolloff is positive and
+                    # the node only rises, so only the vdd clip binds
                     rolloff = (vdd - v_out) / LINEAR_BAND
-                    rolloff = rolloff if rolloff > 0.0 else 0.0
-                    rolloff = rolloff if rolloff < 1.0 else 1.0
-                    x = v_out + current * rolloff / cap * dt
-                    x = x if x > 0.0 else 0.0
+                    if rolloff < 1.0:
+                        if v_in == 0.0:
+                            current = rail_drive
+                        else:
+                            current = k_drive * overdrive**alpha
+                        x = v_out + current * rolloff / cap * dt
+                    elif v_in == 0.0:
+                        x = v_out + rail_step
+                    else:
+                        x = v_out + k_drive * overdrive**alpha / cap * dt
                     v[i] = x if x < vdd else vdd
             v_in = v_out
         if record:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+import repro.circuit.ring_oscillator as ring_oscillator
 from repro.circuit.ring_oscillator import RING_CALIBRATION, sweep_ring_oscillator
 from repro.circuit.spice import InverterParams, mean, simulate_inverter_ring
 from repro.circuit.voltage import TABLE_5_1
@@ -25,6 +26,24 @@ class TestTransient:
     def test_subthreshold_supply_rejected(self):
         with pytest.raises(ValueError):
             simulate_inverter_ring(5, 0.3, InverterParams(vth=0.5))
+
+    @pytest.mark.parametrize(
+        "vdd, params, dt, name",
+        [
+            (-0.1, InverterParams(vth=-0.5), 1.0e-13, "vdd"),
+            (1.0, InverterParams(k_drive=0.0), 1.0e-13, "k_drive"),
+            (1.0, InverterParams(cap=float("inf")), 1.0e-13, "cap"),
+            (1.0, InverterParams(), -1.0e-13, "dt"),
+        ],
+    )
+    def test_nonpositive_or_infinite_quantities_rejected(self, vdd, params, dt, name):
+        """Every step must move a node inside [0, vdd] towards a rail."""
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            simulate_inverter_ring(3, vdd, params, t_stop=1.0e-11, dt=dt)
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            simulate_inverter_ring(3, 1.0, InverterParams(alpha=float("nan")))
 
     def test_waveforms_bounded_by_rails(self):
         res = simulate_inverter_ring(5, 0.9, RING_CALIBRATION, t_stop=1.0e-9)
@@ -169,6 +188,20 @@ class TestReferenceEquivalence:
             n_stages=5, vdd=1.0, params=RING_CALIBRATION, t_stop=3.0e-10, dt=2.0e-13
         )
     )
+    # The Table 5.1 device at 1.0 V: most updates with an input on a
+    # rail have their rolloff clamped, so they step by ``rail_step``.
+    @example(
+        case=dict(
+            n_stages=9, vdd=1.0, params=RING_CALIBRATION, t_stop=3.0e-10, dt=2.0e-13
+        )
+    )
+    # ... and at 0.65 V, where a rail input with its rolloff below 1.0
+    # drives a stage for hundreds of steps.
+    @example(
+        case=dict(
+            n_stages=5, vdd=0.65, params=RING_CALIBRATION, t_stop=3.0e-10, dt=2.0e-13
+        )
+    )
     @example(
         case=dict(
             n_stages=3,
@@ -228,3 +261,25 @@ class TestRingSweep:
     def test_sweep_without_a_published_level_rejected(self):
         with pytest.raises(ValueError, match="Table 5.1 level"):
             sweep_ring_oscillator(voltages=[0.9])
+
+    def test_threshold_voltage_rejected_before_any_simulation(self, monkeypatch):
+        """The horizon stretch divides by vdd - vth: a level on the
+        threshold is refused up front, with the simulator's wording."""
+        calls = []
+        monkeypatch.setattr(
+            ring_oscillator, "simulate_inverter_ring", lambda *a, **k: calls.append(a)
+        )
+        with pytest.raises(ValueError, match="vdd 0.52 V at or below threshold 0.52 V"):
+            sweep_ring_oscillator(voltages=[1.0, 0.52])
+        assert calls == []
+
+    def test_step_budget_rejected_before_any_simulation(self, monkeypatch):
+        """Just above the threshold the stretched horizon needs ~7.4e10
+        steps: refused, naming the level and its step count."""
+        calls = []
+        monkeypatch.setattr(
+            ring_oscillator, "simulate_inverter_ring", lambda *a, **k: calls.append(a)
+        )
+        with pytest.raises(ValueError, match=r"0\.5201 V stretches to 7\.4e\+10 steps"):
+            sweep_ring_oscillator(voltages=[1.0, 0.5201])
+        assert calls == []

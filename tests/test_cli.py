@@ -266,6 +266,29 @@ class TestCacheCLI:
         ) == 2
         assert "duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "action", [["info"], ["clear"], ["prune", "--older-than", "7d"]]
+    )
+    def test_missing_dir_is_refused_not_created(self, tmp_path, capsys, action):
+        missing = tmp_path / "typo"
+        assert main(["cache", *action, "--cache-dir", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert f"repro cache: no cache directory at {missing}" in err
+        assert not missing.exists()
+
+    def test_prune_checks_older_than_before_the_dir(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        assert main(["cache", "prune", "--cache-dir", str(missing)]) == 2
+        assert "--older-than" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_run_still_creates_a_new_cache_dir(self, tmp_path, capsys):
+        new = tmp_path / "new"
+        self._warm(str(new))
+        capsys.readouterr()
+        assert main(["cache", "info", "--cache-dir", str(new)]) == 0
+        assert "entries: 0" not in capsys.readouterr().out
+
     def test_cache_without_dir_is_actionable(self, capsys):
         assert main(["cache", "info"]) == 2
         assert "--cache-dir" in capsys.readouterr().err

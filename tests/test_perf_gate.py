@@ -97,7 +97,57 @@ def test_main_forwards_to_runs_and_judges_its_sets(
         return 0
 
     monkeypatch.setattr(perf_gate.runs, "main", fake_runs_main)
+    # neither side has bytecode caches, whatever this checkout holds
+    monkeypatch.setattr(perf_gate, "ROOT", tmp_path)
     argv = ["figures_cold", "-n", "5", "--seconds", "5", "--parent", "p"]
     argv += ["--out", str(tmp_path / "sets")]
     assert perf_gate.main(argv) == 1
     assert seen == [argv]
+
+
+def _checkout(root, cached):
+    """A checkout with one module, and its bytecode when ``cached``."""
+    pkg = root / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text("X = 1\n")
+    if cached:
+        (pkg / "__pycache__").mkdir()
+        (pkg / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"")
+    return root
+
+
+@pytest.mark.parametrize("cached_side", ["parent", "change"])
+def test_bytecode_on_one_side_only_is_refused(
+    perf_gate, tmp_path, monkeypatch, capsys, cached_side
+):
+    """A run with bytecode caches skips compilation: only one side having
+    them would time the caches.  The gate refuses before any run."""
+    parent = _checkout(tmp_path / "parent", cached_side == "parent")
+    change = _checkout(tmp_path / "change", cached_side == "change")
+    monkeypatch.setattr(perf_gate, "ROOT", change)
+    started = []
+    monkeypatch.setattr(perf_gate.runs, "main", started.append)
+    argv = ["table51_cold", "--parent", str(parent), "--out", str(tmp_path / "s")]
+    assert perf_gate.main(argv) == 2
+    assert started == []
+    err = capsys.readouterr().err
+    assert str(tmp_path / cached_side) in err
+    assert "PYTHONDONTWRITEBYTECODE=1" in err and "__pycache__" in err
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_bytecode_on_both_sides_or_neither_runs(
+    perf_gate, tmp_path, monkeypatch, cached
+):
+    parent = _checkout(tmp_path / "parent", cached)
+    change = _checkout(tmp_path / "change", cached)
+    monkeypatch.setattr(perf_gate, "ROOT", change)
+    assert perf_gate.lopsided(parent, change) is None
+    out = tmp_path / "sets"
+
+    def fake_runs_main(argv):
+        _write_sets(out, [_run(w) for w in STEADY], [_run(w) for w in STEADY])
+
+    monkeypatch.setattr(perf_gate.runs, "main", fake_runs_main)
+    argv = ["table51_cold", "--parent", str(parent), "--out", str(out)]
+    assert perf_gate.main(argv) == 0

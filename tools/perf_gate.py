@@ -14,6 +14,11 @@ then judges the stored sets with ``runs.judge`` and exits 1 when any
 end-to-end metric of ``BENCHMARK.json`` is a "regression", or when
 the change has a larger share of failed output checks than the
 parent.  "gain", "no regression" and "unresolved" pass.
+
+Before any run it exits 2 when only one of the two checkouts has
+bytecode caches (``src/**/__pycache__/*.pyc``): a run there skips
+compiling its modules, so the comparison would time the caches, not
+the change.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -54,6 +59,24 @@ def failures(parent: Sequence[dict], change: Sequence[dict]) -> List[str]:
     return reasons
 
 
+def has_bytecode(checkout: Path) -> bool:
+    """Whether ``checkout`` holds compiled modules under ``src/``."""
+    return next((checkout / "src").glob("**/__pycache__/*.pyc"), None) is not None
+
+
+def lopsided(parent: Path, change: Path) -> Optional[str]:
+    """Why the two checkouts cannot be compared fairly, if they cannot."""
+    cached = [c for c in (parent, change) if has_bytecode(c)]
+    if len(cached) != 1:
+        return None
+    return (
+        f"only {cached[0]} has bytecode caches under src/, so its runs skip "
+        "compiling modules; delete them (find src -name __pycache__ -exec "
+        "rm -r {} +) or run both checkouts under PYTHONDONTWRITEBYTECODE=1 "
+        "from trees without caches"
+    )
+
+
 def gate(out: Path) -> int:
     """Judge the sets ``runs.py --parent`` stored under ``out``."""
     reasons = failures(runs.load_set(out / "parent"), runs.load_set(out / "change"))
@@ -70,6 +93,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     known, _ = parser.parse_known_args(argv)
+    reason = lopsided(known.parent, ROOT)
+    if reason:
+        print(f"perf gate: {reason}", file=sys.stderr)
+        return 2
     runs.main(argv)
     return gate(known.out)
 
