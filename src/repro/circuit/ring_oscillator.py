@@ -10,14 +10,44 @@ device parameters are :data:`RING_CALIBRATION` (vth 0.52 V, alpha
 0.9), found once by grid search over the simulated ring itself; the
 regenerated table matches the published one to within 7.8 %, its
 worst error, at 0.72 V.
+
+**Two cores, one fork.**  The seven runs (six levels and the 1.0 V
+reference) are independent and each returns one float, so the sweep
+splits them into two halves of nearly equal step count (greedily,
+longest run first: 121,215 and 121,996 steps at the defaults).  A
+forked child simulates one half while the parent simulates the other;
+the child writes its periods to a pipe and leaves through
+``os._exit``, so it runs no exit handlers and flushes no buffered
+output it inherited.  The parent reaps it on every path, and kills
+it first when its own half raises.  Every period is the float a
+serial run computes.  The parent walks the levels in sweep order and
+raises "failed to settle" for the first one without a period, as a
+serial run does; if the child failed, the parent simulates the
+child's levels itself on that walk, so it raises what a serial run
+raises.  The periods travel as ``float.hex`` text
+(``-`` for "no period"), which is exact and needs no ``pickle`` or
+``multiprocessing`` import: on a 2-core x86_64 box without bytecode
+caches, importing a process pool took about 20 ms, three times the
+whole ring run at 1.0 V.
+
+The sweep stays serial, in one process, when ``os.fork`` is missing,
+when the process may run on fewer than two CPUs
+(``os.sched_getaffinity``), when only one level is left to simulate,
+or when the process has more than one OS thread (``/proc/self/task``):
+forking a threaded process can copy a lock another thread holds, and
+Python 3.12 warns about it.  A plain ``import numpy`` starts an
+OpenBLAS thread; the CLI caps it, so ``python -m repro run table_5_1``
+stays single-threaded and takes the split.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .spice import InverterParams, simulate_inverter_ring
+from .spice import InverterParams, check_ring_inputs, simulate_inverter_ring
 from .voltage import TABLE_5_1
 
 __all__ = ["RING_CALIBRATION", "RingOscillatorSweep", "sweep_ring_oscillator"]
@@ -102,8 +132,7 @@ def sweep_ring_oscillator(
     p = params or RING_CALIBRATION
 
     def horizon(vdd: float) -> float:
-        if vdd <= p.vth:
-            raise ValueError(f"vdd {vdd} V at or below threshold {p.vth} V")
+        check_ring_inputs(n_stages, vdd, p, t_stop, dt)
         stretch = max(1.0, (1.0 - p.vth) / (vdd - p.vth)) ** (p.alpha + 1.0)
         stretched = t_stop * stretch
         if stretched / dt > MAX_STEPS:
@@ -114,26 +143,27 @@ def sweep_ring_oscillator(
             )
         return stretched
 
-    # check every level before simulating any of them
+    # check every level before simulating any of them; Table 5.1 is
+    # normalised to 1.0 V, so it is simulated even when not swept
     horizons = {vdd: horizon(vdd) for vdd in [*volts, REFERENCE_VDD]}
 
-    def period(vdd: float) -> float:
-        result = simulate_inverter_ring(
+    def period(vdd: float) -> Optional[float]:
+        return simulate_inverter_ring(
             n_stages, vdd, p, t_stop=horizons[vdd], dt=dt, record=False
-        )
-        if result.period is None:
+        ).period
+
+    found = _fork_periods(period, {v: h / dt for v, h in horizons.items()})
+    settled: Dict[float, float] = {}
+    for vdd in horizons:  # a level not found yet is simulated here, in order
+        value = found[vdd] if vdd in found else period(vdd)
+        if value is None:
             raise RuntimeError(
                 f"ring oscillator failed to settle at {vdd} V; "
                 f"increase t_stop"
             )
-        return result.period
-
-    periods = {vdd: period(vdd) for vdd in volts}
-    # Table 5.1 is normalised to 1.0 V: simulate it even when not swept
-    if REFERENCE_VDD in periods:
-        ref = periods[REFERENCE_VDD]
-    else:
-        ref = period(REFERENCE_VDD)
+        settled[vdd] = value
+    periods = {vdd: settled[vdd] for vdd in volts}
+    ref = settled[REFERENCE_VDD]
     normalized = {v: p / ref for v, p in periods.items()}
     max_err = max(
         abs(normalized[v] - TABLE_5_1[v]) / TABLE_5_1[v]
@@ -146,3 +176,70 @@ def sweep_ring_oscillator(
         published=dict(TABLE_5_1),
         max_rel_error=max_err,
     )
+
+
+def _can_fork() -> bool:
+    """Whether forking a second simulator can use a spare CPU safely."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        if len(os.sched_getaffinity(0)) < 2:
+            return False
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _fork_periods(
+    period: Callable[[float], Optional[float]], steps: Dict[float, float]
+) -> Dict[float, Optional[float]]:
+    """``period`` of the levels of ``steps`` (level -> step count), half
+    of them computed in a forked child while this process computes the
+    other half.  The levels left out are the caller's to simulate: all
+    of them when the sweep should stay serial, the child's half when
+    the child failed."""
+    if len(steps) < 2 or not _can_fork():
+        return {}
+    halves: List[List[float]] = [[], []]
+    loads = [0.0, 0.0]
+    for vdd in sorted(steps, key=steps.__getitem__, reverse=True):
+        half = 0 if loads[0] <= loads[1] else 1
+        halves[half].append(vdd)
+        loads[half] += steps[vdd]
+    theirs, ours = halves
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: stay serial
+        os.close(read_fd)
+        os.close(write_fd)
+        return {}
+    if pid == 0:  # the child: compute its half, write it, leave
+        status = 1
+        try:
+            os.close(read_fd)
+            words = []
+            for vdd in theirs:
+                value = period(vdd)
+                words.append("-" if value is None else value.hex())
+            with open(write_fd, "w", encoding="ascii") as pipe:
+                pipe.write(" ".join(words))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, encoding="ascii") as pipe:
+            found = {vdd: period(vdd) for vdd in ours}
+            words = pipe.read().split()
+    except BaseException:  # the parent's half raised: stop the child
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status == 0 and len(words) == len(theirs):
+        found.update(
+            (vdd, None if word == "-" else float.fromhex(word))
+            for vdd, word in zip(theirs, words)
+        )
+    return found

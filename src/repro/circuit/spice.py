@@ -85,7 +85,13 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["InverterParams", "TransientResult", "mean", "simulate_inverter_ring"]
+__all__ = [
+    "InverterParams",
+    "TransientResult",
+    "check_ring_inputs",
+    "mean",
+    "simulate_inverter_ring",
+]
 
 #: Width (V) of the linear rolloff band next to each rail.
 LINEAR_BAND = 0.05
@@ -165,6 +171,28 @@ def mean(xs: Sequence[float]) -> float:
     return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
 
 
+def check_ring_inputs(
+    n_stages: int, vdd: float, p: InverterParams, t_stop: float, dt: float
+) -> None:
+    """Raise ``ValueError``, naming the input, for a ring
+    :func:`simulate_inverter_ring` cannot run."""
+    if n_stages < 3 or n_stages % 2 == 0:
+        raise ValueError(f"n_stages must be an odd count >= 3, got {n_stages}")
+    if vdd <= p.vth:
+        raise ValueError(f"vdd {vdd} V at or below threshold {p.vth} V")
+    # the loop's skipped clamps assume every step moves a node inside
+    # [0, vdd] towards the rail its input drives it to; an infinite
+    # horizon would have no step count
+    positive = {
+        "vdd": vdd, "k_drive": p.k_drive, "cap": p.cap, "t_stop": t_stop, "dt": dt
+    }
+    for name, value in positive.items():
+        if not 0.0 < value < _INF:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if p.alpha != p.alpha:
+        raise ValueError("alpha must be a number, got nan")
+
+
 def simulate_inverter_ring(
     n_stages: int,
     vdd: float,
@@ -182,19 +210,8 @@ def simulate_inverter_ring(
     ``record=False`` only the period is measured: no waveforms are
     kept and numpy is not imported.
     """
-    if n_stages < 3 or n_stages % 2 == 0:
-        raise ValueError("ring oscillator needs an odd stage count >= 3")
     p = params or InverterParams()
-    if vdd <= p.vth:
-        raise ValueError(f"vdd {vdd} V at or below threshold {p.vth} V")
-    # the loop's skipped clamps assume every step moves a node inside
-    # [0, vdd] towards the rail its input drives it to
-    positive = {"vdd": vdd, "k_drive": p.k_drive, "cap": p.cap, "dt": dt}
-    for name, value in positive.items():
-        if not 0.0 < value < _INF:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if p.alpha != p.alpha:
-        raise ValueError("alpha must be a number, got nan")
+    check_ring_inputs(n_stages, vdd, p, t_stop, dt)
 
     n_steps = int(t_stop / dt)
     # Seed an asymmetric initial state so oscillation starts immediately.

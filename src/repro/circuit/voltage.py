@@ -18,8 +18,8 @@ Two models are provided:
 * :class:`AlphaPowerModel` -- Sakurai-Newton alpha-power-law transistor
   physics, fit to the table.  It backs the mini-SPICE ring-oscillator
   substrate (:mod:`repro.circuit.ring_oscillator`) that *regenerates*
-  Table 5.1 from first principles, with the fit error reported in
-  EXPERIMENTS.md.
+  Table 5.1 from first principles; ``python -m repro run table_5_1``
+  reports the fit error as its "max relative error" note.
 
 Both expose ``scale(v)``: the nominal-period multiplier at supply
 voltage ``v`` relative to ``v = 1.0``.  All gate delays in the library

@@ -1,5 +1,6 @@
 """Tests for the mini-SPICE transient simulator and ring oscillator."""
 
+import re
 from typing import List, Optional
 
 import numpy as np
@@ -40,6 +41,13 @@ class TestTransient:
         """Every step must move a node inside [0, vdd] towards a rail."""
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             simulate_inverter_ring(3, vdd, params, t_stop=1.0e-11, dt=dt)
+
+    @pytest.mark.parametrize("t_stop", [0.0, -1.0e-9, float("nan"), float("inf")])
+    def test_horizon_without_a_step_count_rejected(self, t_stop):
+        """An infinite horizon used to raise ``OverflowError``, an empty
+        one to return no period."""
+        with pytest.raises(ValueError, match="t_stop must be positive and finite"):
+            simulate_inverter_ring(3, 1.0, t_stop=t_stop)
 
     def test_nan_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha must be a number"):
@@ -282,4 +290,33 @@ class TestRingSweep:
         )
         with pytest.raises(ValueError, match=r"0\.5201 V stretches to 7\.4e\+10 steps"):
             sweep_ring_oscillator(voltages=[1.0, 0.5201])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name, value, shown",
+        [
+            ("n_stages", 4, "an odd count >= 3, got 4"),
+            ("n_stages", 1, "an odd count >= 3, got 1"),
+            ("t_stop", 0.0, "positive and finite, got 0.0"),
+            ("t_stop", -1.5e-9, "positive and finite, got -1.5e-09"),
+            ("t_stop", float("nan"), "positive and finite, got nan"),
+            ("t_stop", float("inf"), "positive and finite, got inf"),
+            ("dt", 0.0, "positive and finite, got 0.0"),
+            ("dt", -2.0e-13, "positive and finite, got -2e-13"),
+            ("dt", float("nan"), "positive and finite, got nan"),
+            ("dt", float("inf"), "positive and finite, got inf"),
+        ],
+    )
+    def test_bad_ring_or_step_rejected_before_any_simulation(
+        self, monkeypatch, name, value, shown
+    ):
+        """Each of these used to fail late: a division by zero in the
+        horizon, a NaN step count, a zero-step run reported as "failed
+        to settle", or an error inside the first simulation."""
+        calls = []
+        monkeypatch.setattr(
+            ring_oscillator, "simulate_inverter_ring", lambda *a, **k: calls.append(a)
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {shown}")):
+            sweep_ring_oscillator(**{name: value})
         assert calls == []

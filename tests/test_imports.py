@@ -139,15 +139,29 @@ def test_listing_loads_no_numpy():
     assert _forbidden(modules, CLI_FORBIDDEN) == []
 
 
+#: What a cold Table 5.1 must not load: its ring sweep steps floats,
+#: and splits across two CPUs with a bare fork and a text pipe, not a
+#: pool or pickle.
+TABLE_5_1_FORBIDDEN = (
+    "numpy*",
+    "scipy*",
+    "multiprocessing*",
+    "concurrent*",
+    "subprocess",
+    "pickle",
+)
+
+
 def test_cold_table_5_1_loads_no_numpy():
-    """The ring sweep needs only floats: a cold Table 5.1 regeneration
-    (no cache) computes everything without numpy or scipy."""
+    """The ring sweep needs only floats and a bare fork: a cold Table 5.1
+    regeneration (no cache) computes everything without numpy, scipy, a
+    process pool or pickle."""
     out, modules = _loaded(
         "from repro.__main__ import main\nassert main(['run', 'table_5_1']) == 0\n"
     )
     assert "max relative error : 7.8%" in out
     assert "repro.circuit.spice" in modules
-    assert _forbidden(modules, ("numpy*", "scipy*", *UNCALLED_ON_HITS)) == []
+    assert _forbidden(modules, (*TABLE_5_1_FORBIDDEN, *UNCALLED_ON_HITS)) == []
 
 
 def test_cold_figure_loads_only_the_beta_ufunc():
