@@ -34,9 +34,7 @@ from typing import (
 from repro.serialization import content_key, sanitize
 
 from .backends import ExecutorBackend, SerialBackend
-from .store import (
-    JsonDirStore, MemoryStore, ResultStore, StoreStats, TieredStore,
-)
+from .store import MemoryStore, ResultStore, StoreStats
 
 if TYPE_CHECKING:
     from .cells import CellResult, CellSpec
@@ -141,6 +139,8 @@ class ExperimentEngine:
         if store is not None:
             self.store = store
         elif cache_dir:
+            from .store import JsonDirStore, TieredStore
+
             self.store = TieredStore([MemoryStore(), JsonDirStore(cache_dir)])
         else:
             self.store = MemoryStore()

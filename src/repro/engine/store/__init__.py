@@ -7,14 +7,21 @@ Three stores ship; the engine picks its stack from ``cache_dir``:
   corrupt-entry skipping); ``repro cache`` maintains it.
 * ``tiered``  -- read-through/write-back composition; memory +
   jsondir is the stack whenever a cache dir is configured.
+
+The two disk-stack stores load on first access, so a memory-only
+session compiles neither.
 """
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
+
 from .base import CorruptCallback, ResultStore, StoreEntry, StoreStats
-from .jsondir import JsonDirStore
 from .memory import MemoryStore
-from .tiered import TieredStore
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {".jsondir": ("JsonDirStore",), ".tiered": ("TieredStore",)}
+)
 
 __all__ = [
     "CorruptCallback",

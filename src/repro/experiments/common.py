@@ -1,28 +1,28 @@
 """Shared experiment infrastructure.
 
-Every table/figure of the paper's evaluation has a driver module with
-a ``run(...) -> ExperimentResult``.  The result carries the same rows
-or series the paper reports plus paper-vs-measured notes, and renders
-to plain text (tables + ASCII plots).  ``perfbench/`` times each
-one end to end.
+Every table/figure of the paper's evaluation is an :class:`Experiment`
+declaration whose body, in a driver module, returns an
+``ExperimentResult``.  The result carries the same rows or series the
+paper reports plus paper-vs-measured notes, and renders to plain text
+(tables + ASCII plots).  ``perfbench/`` times each one end to end.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from importlib import import_module
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.plots import ascii_bars, ascii_scatter
 from repro.analysis.report import Series, format_kv, format_table
 from repro.serialization import JsonFragment, canonical_json, sanitize
 
 __all__ = [
+    "Experiment",
     "ExperimentResult",
     "REPORTED_BENCHMARKS",
+    "REQUIRED",
     "STAGES",
-    "cached_experiment",
     "registries_fragment",
     "reported_benchmarks",
 ]
@@ -76,56 +76,136 @@ def registries_fragment() -> JsonFragment:
     return memo[1]
 
 
-def cached_experiment(exp_id: str):
-    """Route a driver function through the session engine.
+class _Required:
+    def __repr__(self) -> str:
+        return "REQUIRED"
 
-    The wrapped function gains (or keeps) an optional ``engine=``
-    keyword; its result is memoised under a content key built from
-    ``exp_id`` and the call arguments (which must therefore be
-    JSON-serialisable primitives -- ``engine`` never participates in
-    the key).  Functions that declare an ``engine`` parameter receive
-    the resolved engine, so cell-submitting drivers share the same
-    memoisation idiom as pure ones.  With an engine ``cache_dir``, a
-    warm rerun skips the computation entirely.
+
+#: Declared in place of a default: the caller must pass the parameter.
+REQUIRED = _Required()
+
+
+class Experiment:
+    """A memoised experiment: its key, its body's home and its defaults.
+
+    Calling the declaration binds positional and keyword arguments over
+    ``defaults`` (declaration order is positional order) and memoises
+    the body's result in the session engine under the content key
+    ``(exp_id, function, sorted arguments, registries_fragment())``.
+    Binding the defaults makes ``run(x)`` and ``run(value=x)`` share a
+    key, and changing a default invalidates stale on-disk entries.  The
+    arguments must be JSON-serialisable primitives.
+
+    The body is the function :meth:`define` decorated, named
+    ``function``, in ``repro.experiments.<module>``.  Only a store miss
+    imports that module, so a warm hit loads no driver code.  The body
+    declares no defaults of its own: every default lives here, once.
+
+    Any call may pass ``engine=``, which never enters the key.  With
+    ``takes_engine``, the body receives the resolved engine as its
+    ``engine`` argument, and callers may also pass it positionally after
+    the declared parameters.
     """
 
-    def decorate(fn):
-        signature = inspect.signature(fn)
-        forwards_engine = "engine" in signature.parameters
+    def __init__(
+        self,
+        exp_id: str,
+        module: str,
+        function: str,
+        /,
+        *,
+        takes_engine: bool = False,
+        **defaults: object,
+    ) -> None:
+        self.exp_id = exp_id
+        self.module = module
+        self.function = function
+        self.takes_engine = takes_engine
+        self.defaults = defaults
+        self._body: Optional[Callable] = None
 
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            from repro.engine import get_engine
+    def __repr__(self) -> str:
+        return f"<experiment {self.exp_id}: {self.module}.{self.function}>"
 
-            # an engine may arrive as a keyword (any driver) or bound
-            # to the function's own ``engine`` parameter (positional)
-            explicit_engine = kwargs.pop("engine", None)
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            eng = (
-                explicit_engine
-                or bound.arguments.get("engine")
-                or get_engine()
+    def with_defaults(self, **defaults: object) -> "Experiment":
+        """The same experiment with some defaults replaced."""
+        return Experiment(
+            self.exp_id,
+            self.module,
+            self.function,
+            takes_engine=self.takes_engine,
+            **{**self.defaults, **defaults},
+        )
+
+    def define(self, body: Callable) -> "Experiment":
+        """Decorator: make ``body`` this experiment's computation.
+
+        Returns the declaration, so the driver module's name for the
+        body is the memoised entry point.
+        """
+        if body.__name__ != self.function:
+            raise ValueError(
+                f"{self.exp_id} declares body {self.function!r}, "
+                f"not {body.__name__!r}"
             )
-            # bind defaults into the key: run(x) and run(value=x) hash
-            # alike, and changing a default invalidates stale on-disk
-            # entries instead of silently serving them
-            arguments = sorted(
-                (name, value)
-                for name, value in bound.arguments.items()
-                if name != "engine"
-            )
-            # the registered scheme/workload content participates too
-            key = (exp_id, fn.__qualname__, arguments, registries_fragment())
-            if forwards_engine:
-                bound.arguments["engine"] = eng
-            return eng.experiment(
-                key, lambda: fn(*bound.args, **bound.kwargs)
-            )
+        self._body = body
+        return self
 
-        return wrapper
+    @property
+    def body(self) -> Callable:
+        """The undecorated computation; imports its module on first use."""
+        if self._body is None:
+            module = import_module(f"{__package__}.{self.module}")
+            self._body = getattr(module, self.function)._body
+        return self._body
 
-    return decorate
+    def _bind(self, args: tuple, kwargs: dict) -> Dict[str, object]:
+        """``defaults`` overridden by ``args`` and ``kwargs``.
+
+        An ``engine`` passed positionally stays in the result.
+        """
+        names = [*self.defaults, *(("engine",) if self.takes_engine else ())]
+        if len(args) > len(names):
+            raise TypeError(
+                f"{self.function}() takes {len(names)} positional "
+                f"arguments but {len(args)} were given"
+            )
+        positional = dict(zip(names, args))
+        for name in kwargs:
+            if name not in self.defaults:
+                raise TypeError(
+                    f"{self.function}() got an unexpected keyword argument {name!r}"
+                )
+            if name in positional:
+                raise TypeError(
+                    f"{self.function}() got multiple values for argument {name!r}"
+                )
+        arguments = {**self.defaults, **positional, **kwargs}
+        missing = [name for name, value in arguments.items() if value is REQUIRED]
+        if missing:
+            raise TypeError(
+                f"{self.function}() missing required argument {missing[0]!r}"
+            )
+        return arguments
+
+    def __call__(self, *args, **kwargs):
+        from repro.engine import get_engine
+
+        explicit_engine = kwargs.pop("engine", None)
+        arguments = self._bind(args, kwargs)
+        engine = arguments.pop("engine", None)
+        eng = explicit_engine or engine or get_engine()
+        # the registered scheme/workload content participates too
+        key = (
+            self.exp_id,
+            self.function,
+            sorted(arguments.items()),
+            registries_fragment(),
+        )
+        if self.takes_engine:
+            arguments["engine"] = eng
+        return eng.experiment(key, lambda: self.body(**arguments))
+
 
 #: The seven SPLASH-2 benchmarks the paper reports (Section 5.4).
 REPORTED_BENCHMARKS: Tuple[str, ...] = (

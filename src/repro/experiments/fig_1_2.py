@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from repro.analysis.report import Series
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import ExperimentResult
 
 __all__ = ["run"]
 
 
-@cached_experiment("fig_1_2")
-def run(n_points: int = 61) -> ExperimentResult:
+@EXPERIMENTS["fig_1_2"].define
+def run(n_points: int) -> ExperimentResult:
     import numpy as np
 
     from repro.core.model import (

@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from repro.analysis.report import Series
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import ExperimentResult
 
 __all__ = ["run"]
 
 
-@cached_experiment("fig_3_5")
-def run(
-    benchmark: str = "radix",
-    stage: str = "simple_alu",
-    n_points: int = 25,
-) -> ExperimentResult:
+@EXPERIMENTS["fig_3_5"].define
+def run(benchmark: str, stage: str, n_points: int) -> ExperimentResult:
     import numpy as np
 
     from repro.workloads.splash2 import SPLASH2_PROFILES, thread_error_function

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import ExperimentResult
 
 if TYPE_CHECKING:
     from repro.core.model import PlatformConfig, ThreadParams
@@ -77,7 +78,7 @@ def _critical_optimal_ratio(threads, cfg) -> float:
     return best_r
 
 
-@cached_experiment("fig_3_6")
+@EXPERIMENTS["fig_3_6"].define
 def run() -> ExperimentResult:
     import numpy as np
 

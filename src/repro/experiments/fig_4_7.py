@@ -8,16 +8,14 @@ the optimised configuration for the remainder.
 
 from __future__ import annotations
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import ExperimentResult
 
 __all__ = ["run"]
 
 
-@cached_experiment("fig_4_7")
-def run(
-    n_instructions: int = 500_000,
-    n_samp: int = 50_000,
-) -> ExperimentResult:
+@EXPERIMENTS["fig_4_7"].define
+def run(n_instructions: int, n_samp: int) -> ExperimentResult:
     from repro.core.model import PlatformConfig
     from repro.core.online import OnlineKnobs
     from repro.errors.estimation import SamplingPlan

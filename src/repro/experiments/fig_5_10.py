@@ -11,17 +11,15 @@ from __future__ import annotations
 
 from repro.analysis.report import Series
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import ExperimentResult
 
 __all__ = ["run"]
 
 
-@cached_experiment("fig_5_10")
+@EXPERIMENTS["fig_5_10"].define
 def run(
-    kernel: str = "black_scholes",
-    n_work_items: int = 4096,
-    instructions_per_item: int = 128,
-    n_shown: int = 6,
+    kernel: str, n_work_items: int, instructions_per_item: int, n_shown: int
 ) -> ExperimentResult:
     # imported here: a warm cache hit never loads numpy or the GPGPU
     # model

@@ -13,17 +13,24 @@ from typing import Dict
 
 from repro.analysis.report import Series
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import REQUIRED, Experiment, ExperimentResult
 
 __all__ = ["run", "run_benchmark"]
 
 
-@cached_experiment("fig_6_17")
+@Experiment(
+    "fig_6_17",
+    "fig_6_17",
+    "run_benchmark",
+    benchmark=REQUIRED,
+    stage="simple_alu",
+    # the figure's seed, so a panel called alone matches the figure's
+    seed=EXPERIMENTS["fig_6_17"].defaults["seed"],
+    sampling_fraction=0.10,
+).define
 def run_benchmark(
-    benchmark: str,
-    stage: str = "simple_alu",
-    seed: int = 2016,
-    sampling_fraction: float = 0.10,
+    benchmark: str, stage: str, seed: int, sampling_fraction: float
 ) -> ExperimentResult:
     import numpy as np
 
@@ -79,8 +86,8 @@ def run_benchmark(
     )
 
 
-@cached_experiment("fig_6_17")
-def run(seed: int = 2016) -> Dict[str, ExperimentResult]:
+@EXPERIMENTS["fig_6_17"].define
+def run(seed: int) -> Dict[str, ExperimentResult]:
     """Both published panels: Radix and FMM."""
     return {
         name: run_benchmark(name, seed=seed) for name in ("radix", "fmm")

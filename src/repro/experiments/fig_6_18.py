@@ -22,12 +22,8 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.engine import ExperimentEngine, get_engine
 
-from .common import (
-    STAGES,
-    ExperimentResult,
-    cached_experiment,
-    reported_benchmarks,
-)
+from . import EXPERIMENTS
+from .common import STAGES, ExperimentResult, reported_benchmarks
 
 if TYPE_CHECKING:
     from repro.engine.cells import CellSpec
@@ -89,7 +85,7 @@ def _stage_specs(
 
 
 def run_stage(
-    stage: str, seed: int = 7, engine: ExperimentEngine | None = None
+    stage: str, seed: int, engine: ExperimentEngine | None = None
 ) -> StagePanel:
     from repro.engine.cells import totalize
 
@@ -120,10 +116,8 @@ def run_stage(
     )
 
 
-@cached_experiment("fig_6_18")
-def run(
-    seed: int = 7, engine: ExperimentEngine | None = None
-) -> ExperimentResult:
+@EXPERIMENTS["fig_6_18"].define
+def run(seed: int, engine: ExperimentEngine) -> ExperimentResult:
     import numpy as np
 
     panels = [run_stage(stage, seed, engine) for stage in STAGES]

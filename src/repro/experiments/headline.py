@@ -19,12 +19,8 @@ from typing import Dict, Tuple
 
 from repro.engine import ExperimentEngine, get_engine
 
-from .common import (
-    STAGES,
-    ExperimentResult,
-    cached_experiment,
-    reported_benchmarks,
-)
+from . import EXPERIMENTS
+from .common import STAGES, ExperimentResult, reported_benchmarks
 
 __all__ = ["run", "stage_gains"]
 
@@ -66,8 +62,8 @@ def stage_gains(
     }
 
 
-@cached_experiment("headline")
-def run(engine: ExperimentEngine | None = None) -> ExperimentResult:
+@EXPERIMENTS["headline"].define
+def run(engine: ExperimentEngine) -> ExperimentResult:
     rows = []
     notes: Dict[str, object] = {}
     for stage in STAGES:

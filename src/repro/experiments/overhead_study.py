@@ -8,12 +8,13 @@ power and ~2.7 % area overhead from FreePDK-45 synthesis.
 
 from __future__ import annotations
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import ExperimentResult
 
 __all__ = ["run"]
 
 
-@cached_experiment("sec_6_3")
+@EXPERIMENTS["sec_6_3"].define
 def run() -> ExperimentResult:
     # imported here: a warm cache hit never loads the gate-level
     # circuit modules the overhead roll-up synthesises

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import Series
 from repro.engine import ExperimentEngine, get_engine
 
-from .common import ExperimentResult, cached_experiment
+from . import PARETO_FIGURE
+from .common import ExperimentResult
 
 if TYPE_CHECKING:
     from repro.core.pareto import TradeoffPoint
@@ -139,12 +140,9 @@ def _sweep_cells(
     return sweeps
 
 
-@cached_experiment("pareto_figure")
+@PARETO_FIGURE.define
 def run_figure(
-    figure_id: str,
-    n_thetas: int = 21,
-    decades: float = 2.0,
-    engine: ExperimentEngine | None = None,
+    figure_id: str, n_thetas: int, decades: float, engine: ExperimentEngine
 ) -> ExperimentResult:
     """Regenerate one of Figs. 6.11-6.16."""
     from repro.core.pareto import pareto_front, theta_grid
@@ -199,13 +197,13 @@ def run_figure(
 
 
 def run(
-    n_thetas: int = 21, engine: ExperimentEngine | None = None
+    engine: ExperimentEngine | None = None, **params: object
 ) -> Dict[str, ExperimentResult]:
-    """Regenerate all six Pareto figures."""
+    """Regenerate all six Pareto figures; ``params`` override
+    :func:`run_figure`'s defaults (``n_thetas``, ``decades``)."""
     eng = engine or get_engine()
     return {
-        fig: run_figure(fig, n_thetas=n_thetas, engine=eng)
-        for fig in PARETO_FIGURES
+        fig: run_figure(fig, engine=eng, **params) for fig in PARETO_FIGURES
     }
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .common import ExperimentResult, cached_experiment
+from . import EXPERIMENTS
+from .common import ExperimentResult
 
 if TYPE_CHECKING:
     from repro.circuit.ring_oscillator import RingOscillatorSweep
@@ -17,14 +18,14 @@ if TYPE_CHECKING:
 __all__ = ["run", "tabulate"]
 
 
-@cached_experiment("table_5_1")
-def run(n_stages: int = 5) -> ExperimentResult:
+@EXPERIMENTS["table_5_1"].define
+def run(n_stages: int) -> ExperimentResult:
     from repro.circuit.ring_oscillator import sweep_ring_oscillator
 
     return tabulate(sweep_ring_oscillator(n_stages=n_stages), n_stages)
 
 
-def tabulate(sweep: RingOscillatorSweep, n_stages: int = 5) -> ExperimentResult:
+def tabulate(sweep: RingOscillatorSweep, n_stages: int) -> ExperimentResult:
     """Table 5.1 from an already simulated ``n_stages`` ring sweep."""
     rows = [
         (vdd, published, round(regen, 3))

@@ -17,4 +17,4 @@ def table_5_1_result(ring_sweep):
     """Table 5.1 at default arguments, tabulated from :func:`ring_sweep`."""
     from repro.experiments import table_5_1
 
-    return table_5_1.tabulate(ring_sweep)
+    return table_5_1.tabulate(ring_sweep, table_5_1.run.defaults["n_stages"])

@@ -1,13 +1,22 @@
 """Shape tests for every experiment driver.
 
 Each test asserts the *reproduction claims*: who wins, in which
-direction, by roughly what factor -- the quantities EXPERIMENTS.md
-records as paper-vs-measured.
+direction, by roughly what factor -- the quantities each result's
+notes record as paper-vs-measured.
 """
+
+import importlib
+import inspect
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.experiments
 from repro.experiments import (
     EXPERIMENTS,
     fig_1_2,
@@ -21,6 +30,19 @@ from repro.experiments import (
     overhead_study,
     pareto_figs,
 )
+from repro.experiments.ablations import ABLATIONS
+from repro.experiments.common import Experiment
+
+
+def _declarations():
+    """Every declaration: the registries' and any a driver module holds."""
+    found = {id(e): e for e in [*EXPERIMENTS.values(), *ABLATIONS.values()]}
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        module = importlib.import_module(f"repro.experiments.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, Experiment):
+                found.setdefault(id(value), value)
+    return list(found.values())
 
 
 class TestRegistry:
@@ -44,6 +66,35 @@ class TestRegistry:
             "headline",
         }
         assert set(EXPERIMENTS) == expected
+
+    @pytest.mark.parametrize("declaration", _declarations(), ids=repr)
+    def test_each_default_exists_once(self, declaration):
+        """The body takes the declared parameters, in order, with no
+        default of its own: the declaration holds the only copy."""
+        parameters = inspect.signature(declaration.body).parameters
+        expected = [*declaration.defaults]
+        if declaration.takes_engine:
+            expected.append("engine")
+        assert list(parameters) == expected
+        assert [
+            name
+            for name, parameter in parameters.items()
+            if parameter.default is not parameter.empty
+        ] == []
+
+    def test_driver_module_runs_as_a_script(self):
+        src = Path(repro.experiments.__file__).parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("REPRO_BOOTSTRAP", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.fig_6_18"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("== fig_6_18: EDP normalised")
 
 
 class TestTable51:

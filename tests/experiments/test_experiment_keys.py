@@ -4,6 +4,7 @@ Every experiment key carries the scheme and workload fingerprints.
 They enter as one pre-encoded :class:`~repro.serialization.JsonFragment`
 built once per pair of registry versions; the key must equal the one
 the plain fingerprints give, and every registration must move it.
+A declaration rejects the calls a signature would reject.
 """
 
 import pytest
@@ -15,9 +16,9 @@ from repro.core.schemes import (
     scheme_fingerprint,
 )
 from repro.engine.session import engine_session
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, PARETO_FIGURE
 from repro.experiments.ablations import ABLATIONS
-from repro.experiments.common import cached_experiment
+from repro.experiments.common import Experiment
 from repro.serialization import JsonFragment, content_key
 from repro.workloads import (
     WORKLOAD_REGISTRY,
@@ -60,7 +61,22 @@ def test_spliced_key_equals_the_plain_key(run):
     assert content_key("experiment", list(key_parts)) == _plain_key(key_parts)
 
 
-@cached_experiment("key_probe")
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((), {}),  # figure_id has no default
+        (("fig_6_11",), {"nope": 1}),
+        (("fig_6_11", 21, 2.0, None, "extra"), {}),
+        (("fig_6_11",), {"figure_id": "fig_6_12"}),
+    ],
+    ids=["missing", "unknown", "too-many", "twice"],
+)
+def test_binding_rejects_what_a_signature_rejects(args, kwargs):
+    with pytest.raises(TypeError):
+        PARETO_FIGURE(*args, engine=KeyPartsEngine(), **kwargs)
+
+
+@Experiment("key_probe", "key_probe", "_probe").define
 def _probe():
     raise AssertionError("keying never runs the driver")
 

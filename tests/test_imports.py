@@ -58,6 +58,22 @@ UNCALLED_ON_HITS = (
     "repro.engine.events",
 )
 
+#: The stores of an on-disk stack, which a memory-only session never
+#: builds.
+DISK_STORES = ("repro.engine.store.jsondir", "repro.engine.store.tiered")
+
+
+def _body_modules():
+    """Every module holding experiment or ablation bodies, by name."""
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.ablations import ABLATIONS
+
+    return {
+        f"repro.experiments.{declaration.module}"
+        for declaration in (*EXPERIMENTS.values(), *ABLATIONS.values())
+    }
+
+
 #: Packages whose ``__all__`` names resolve on first attribute access.
 LAZY_PACKAGES = (
     "repro",
@@ -67,6 +83,7 @@ LAZY_PACKAGES = (
     "repro.core",
     "repro.engine",
     "repro.engine.backends",
+    "repro.engine.store",
     "repro.errors",
     "repro.gpgpu",
     "repro.overhead",
@@ -161,7 +178,11 @@ def test_cold_table_5_1_loads_no_numpy():
     )
     assert "max relative error : 7.8%" in out
     assert "repro.circuit.spice" in modules
-    assert _forbidden(modules, (*TABLE_5_1_FORBIDDEN, *UNCALLED_ON_HITS)) == []
+    other_drivers = _body_modules() - {"repro.experiments.table_5_1"}
+    assert _forbidden(
+        modules,
+        (*TABLE_5_1_FORBIDDEN, *UNCALLED_ON_HITS, *DISK_STORES, *other_drivers),
+    ) == []
 
 
 def test_cold_figure_loads_only_the_beta_ufunc():
@@ -179,6 +200,7 @@ def test_cold_figure_loads_only_the_beta_ufunc():
             "scipy._lib._array_api*",
             "scipy._lib.array_api_compat*",
             "numpy.f2py*",
+            *DISK_STORES,
         ),
     ) == []
 
@@ -248,7 +270,8 @@ def test_warm_rerun_skips_driver_dependencies(tmp_path):
 
 def test_warm_rerun_of_everything_loads_no_numpy(tmp_path):
     """A warm hit only keys, reads JSON and renders text: no numpy or
-    scipy, no cells and none of the CLI-forbidden standard modules."""
+    scipy, no cells, no driver or ablation-study module and none of the
+    CLI-forbidden standard modules."""
     run_all = textwrap.dedent(
         f"""
         from repro.__main__ import main
@@ -256,14 +279,16 @@ def test_warm_rerun_of_everything_loads_no_numpy(tmp_path):
             assert main([*command, "--cache-dir", {str(tmp_path)!r}]) == 0
         """
     )
+    drivers = _body_modules()
     cold, cold_modules = _loaded(run_all)
     assert {"numpy", "scipy", "repro.engine.cells"} <= cold_modules
     assert {"repro.workloads.model", "repro.errors.probability"} <= cold_modules
+    assert drivers <= cold_modules
     warm, warm_modules = _loaded(run_all)
     assert warm == cold
     assert _forbidden(
         warm_modules,
-        (*CLI_FORBIDDEN, "repro.engine.cells", *UNCALLED_ON_HITS),
+        (*CLI_FORBIDDEN, "repro.engine.cells", *UNCALLED_ON_HITS, *drivers),
     ) == []
 
 

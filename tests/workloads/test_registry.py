@@ -96,14 +96,14 @@ class TestRegistrationDiscipline:
     def test_replacement_changes_experiment_keys(self, fresh_names):
         """``replace=True`` installs a new entry, hence a new digest: the
         memo never carries the old parameters into experiment keys."""
-        from repro.experiments.common import cached_experiment
+        from repro.experiments.common import Experiment
         from repro.serialization import content_key
 
         class KeyEngine:
             def experiment(self, key_parts, thunk):
                 return content_key("experiment", list(key_parts))
 
-        @cached_experiment("probe")
+        @Experiment("probe", "probe", "probe").define
         def probe():
             raise AssertionError("keying never runs the driver")
 

@@ -35,6 +35,13 @@ moved key silently turns every warm ``--cache-dir`` cold, so a refactor
 must leave this file byte-identical.  Experiment keys come from a stub
 engine that returns the key and never runs the computation.
 
+``tests/golden/keys/call_keys.json`` pins the same entries called
+other ways, so argument binding cannot drift either: each declared
+parameter passed alone by keyword at a non-default value, every
+parameter passed positionally at a non-default value, the ``seed=``
+arguments perfbench passes at :data:`PERFBENCH_SEEDS`, and the inner
+``fig_6_17.run_benchmark`` calls ``fig_6_17`` makes at those seeds.
+
 Usage::
 
     PYTHONPATH=src python tools/update_golden.py [experiment ...] [--check]
@@ -53,12 +60,17 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
 KEYS_PATH = GOLDEN_DIR / "keys" / "content_keys.json"
+CALL_KEYS_PATH = GOLDEN_DIR / "keys" / "call_keys.json"
+
+#: Benchmark seeds whose perfbench driver arguments are key-pinned.
+PERFBENCH_SEEDS = (1, 7)
 
 #: Cell coordinates of the per-scheme ``CellSpec.key()`` pins.
 KEY_CELL = {"benchmark": "radix", "stage": "decode", "interval": 0}
@@ -271,28 +283,36 @@ class _KeyEngine:
         return content_key("experiment", list(key_parts))
 
 
-def content_keys() -> dict:
-    """Content keys at default arguments: one per experiment, ablation
-    and registered scheme.
+@contextmanager
+def _keying():
+    """Every driver call returns its experiment key instead of running.
 
     Registrations from ``REPRO_BOOTSTRAP`` would join the registry
     fingerprints, so the variable is ignored here.
     """
     os.environ.pop("REPRO_BOOTSTRAP", None)
-    from repro.core.schemes import SCHEME_REGISTRY
-    from repro.engine import CellSpec
     from repro.engine.session import get_engine, set_engine
-    from repro.experiments import EXPERIMENTS
-    from repro.experiments.ablations import ABLATIONS
 
     previous = get_engine()
     set_engine(_KeyEngine())  # type: ignore[arg-type]
     try:
+        yield
+    finally:
+        set_engine(previous)
+
+
+def content_keys() -> dict:
+    """Content keys at default arguments: one per experiment, ablation
+    and registered scheme."""
+    with _keying():
+        from repro.core.schemes import SCHEME_REGISTRY
+        from repro.engine import CellSpec
+        from repro.experiments import EXPERIMENTS
+        from repro.experiments.ablations import ABLATIONS
+
         # every driver returns what its engine.experiment() returns
         experiments = {name: run() for name, run in EXPERIMENTS.items()}
         ablations = {name: run() for name, run in ABLATIONS.items()}
-    finally:
-        set_engine(previous)
     cells = {
         name: CellSpec(scheme=name, **KEY_CELL).key()
         for name in SCHEME_REGISTRY.names()
@@ -305,28 +325,83 @@ def content_keys() -> dict:
     }
 
 
+def _other(value):
+    """A value of ``value``'s type that differs from it."""
+    return value + "_x" if isinstance(value, str) else value + 1
+
+
+def _call_pins(entry) -> dict:
+    """Keys of ``entry`` called with arguments other than its defaults."""
+    others = {name: _other(value) for name, value in entry.defaults.items()}
+    return {
+        "keywords": {
+            name: entry(**{name: value}) for name, value in others.items()
+        },
+        "positional": entry(*others.values()),
+    }
+
+
+def call_keys() -> dict:
+    """Keys of every entry called with non-default, positional and
+    perfbench-seeded arguments."""
+    sys.path.insert(0, str(GOLDEN_DIR.parents[1]))
+    try:
+        from perfbench.inputs import driver_kwargs
+    finally:
+        sys.path.pop(0)
+    with _keying():
+        from repro.experiments import EXPERIMENTS, fig_6_17
+        from repro.experiments.ablations import ABLATIONS
+
+        entries = {
+            **EXPERIMENTS,
+            **{f"ablation_{name}": run for name, run in ABLATIONS.items()},
+        }
+        seeded = {}
+        for seed in PERFBENCH_SEEDS:
+            kwargs = driver_kwargs(seed)
+            panels = {
+                name: fig_6_17.run_benchmark(name, **kwargs["fig_6_17"])
+                for name in ("radix", "fmm")
+            }
+            seeded[str(seed)] = {
+                **{name: entries[name](**kw) for name, kw in kwargs.items()},
+                "fig_6_17.run_benchmark": panels,
+            }
+        return {
+            "entries": {name: _call_pins(run) for name, run in entries.items()},
+            "seeded": seeded,
+        }
+
+
+#: key-pin file -> producer of its record
+KEY_PINS = {KEYS_PATH: content_keys, CALL_KEYS_PATH: call_keys}
+
+
 def _update_keys(check: bool) -> int:
-    """Check or rewrite the key pins; 1 when ``check`` finds them stale."""
-    record = content_keys()
-    name = KEYS_PATH.name
-    if check:
-        diff = (
-            _first_path(json.loads(KEYS_PATH.read_text()), record, "")
-            if KEYS_PATH.exists()
-            else "missing file"
-        )
-        print(f"{name}: {diff or 'ok'}")
-        return diff is not None
-    old = KEYS_PATH.read_text() if KEYS_PATH.exists() else None
-    text = dump(record)
-    if old == text:
-        print(f"{name}: unchanged")
-        return 0
-    KEYS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    KEYS_PATH.write_text(text)
-    diff = _first_path(json.loads(old), record, "") if old else "new file"
-    print(f"{name}: wrote ({diff})")
-    return 0
+    """Check or rewrite the key pins; 1 when ``check`` finds any stale."""
+    stale = 0
+    for path, produce in KEY_PINS.items():
+        record = produce()
+        if check:
+            diff = (
+                _first_path(json.loads(path.read_text()), record, "")
+                if path.exists()
+                else "missing file"
+            )
+            print(f"{path.name}: {diff or 'ok'}")
+            stale += diff is not None
+            continue
+        old = path.read_text() if path.exists() else None
+        text = dump(record)
+        if old == text:
+            print(f"{path.name}: unchanged")
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        diff = _first_path(json.loads(old), record, "") if old else "new file"
+        print(f"{path.name}: wrote ({diff})")
+    return 1 if stale else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
