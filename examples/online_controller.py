@@ -13,28 +13,31 @@ Run:  python examples/online_controller.py
 
 import numpy as np
 
-from repro import build_benchmark, solve_synts_poly
 from repro.analysis import format_table
-from repro.core import (
-    OnlineKnobs,
-    interval_problems,
-    run_offline_benchmark,
-    run_online_benchmark,
+from repro.core import OnlineKnobs, run_online_interval
+from repro.engine import (
+    ExperimentEngine,
+    benchmark_specs,
+    cached_interval_problems,
+    totalize,
 )
 
 
 def main() -> None:
-    benchmark = build_benchmark("cholesky")
     stage = "simple_alu"
-    theta = interval_problems(benchmark, stage)[0].equal_weight_theta()
+    problems = cached_interval_problems("cholesky", stage)
+    theta = problems[0].equal_weight_theta()
     knobs = OnlineKnobs(n_samp=50_000)
     rng = np.random.default_rng(2016)
 
-    online = run_online_benchmark(benchmark, stage, theta, rng, knobs)
-    offline = run_offline_benchmark(benchmark, stage, theta, solve_synts_poly)
+    # the controller draws one random stream through the intervals
+    outcomes = [run_online_interval(p, theta, rng, knobs) for p in problems]
+    # the offline optimum at the same (equal-weight) theta, as cells
+    specs = benchmark_specs("cholesky", stage, "synts")
+    offline = totalize(ExperimentEngine().run_cells(list(specs)))
 
     print(f"Cholesky / {stage}: online SynTS vs offline optimum\n")
-    for k, outcome in enumerate(online.outcomes):
+    for k, outcome in enumerate(outcomes):
         print(f"barrier interval {k + 1}:")
         rows = []
         for i, (est, rec) in enumerate(zip(outcome.estimates, outcome.records)):
@@ -56,7 +59,11 @@ def main() -> None:
         )
         print()
 
-    ratio = online.edp / offline.edp
+    energy = time = 0.0
+    for outcome in outcomes:
+        energy += outcome.total_energy
+        time += outcome.texec
+    ratio = energy * time / offline.edp
     print(f"total online EDP / offline EDP = {ratio:.3f} "
           f"(paper: ~1.10 on average across the suite)")
 

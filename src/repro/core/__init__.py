@@ -3,7 +3,7 @@
 System model (Eqs. 4.1-4.3), the SynTS-OPT objective (Eq. 4.4), the
 exact polynomial-time solver SynTS-Poly (Algorithm 1), the SynTS-MILP
 formulation (Eqs. 4.5-4.10), the comparison baselines, the online
-sampling controller (Section 4.3) and theta-sweep Pareto tooling.
+sampling controller (Section 4.3) and Pareto-front tooling.
 """
 
 from repro._lazy import lazy_exports
@@ -12,7 +12,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".baselines": (
-            "SOLVERS", "solve_no_ts", "solve_nominal", "solve_per_core_ts",
+            "solve_no_ts", "solve_nominal", "solve_per_core_ts",
         ),
         ".brute": ("solve_synts_brute",),
         ".milp_formulation": ("build_synts_milp", "solve_synts_milp"),
@@ -23,19 +23,14 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".online": ("IntervalOutcome", "OnlineKnobs", "run_online_interval"),
         ".pareto": (
-            "TradeoffPoint", "best_energy_at_time", "pareto_front",
-            "sweep_theta", "theta_grid",
+            "TradeoffPoint", "pareto_front", "theta_grid",
         ),
         ".poly": (
             "SynTSSolution", "solve_synts_poly", "solve_synts_poly_batch",
             "solve_synts_poly_reference",
         ),
         ".problem": ("SynTSProblem", "problem_from_interval"),
-        ".runner": (
-            "BenchmarkRun", "OnlineBenchmarkRun", "interval_problems",
-            "run_benchmark_cells", "run_offline_benchmark",
-            "run_offline_interval", "run_online_benchmark",
-        ),
+        ".runner": ("interval_problems",),
         ".schemes": (
             "SCHEME_REGISTRY", "Scheme", "SchemeRegistry", "get_scheme",
             "register_offline_scheme", "register_scheme", "scheme_names",
@@ -70,7 +65,6 @@ __all__ = [
     "solve_nominal",
     "solve_no_ts",
     "solve_per_core_ts",
-    "SOLVERS",
     "Scheme",
     "SchemeRegistry",
     "SCHEME_REGISTRY",
@@ -81,18 +75,10 @@ __all__ = [
     "OnlineKnobs",
     "IntervalOutcome",
     "run_online_interval",
-    "BenchmarkRun",
-    "OnlineBenchmarkRun",
     "interval_problems",
-    "run_benchmark_cells",
-    "run_offline_benchmark",
-    "run_offline_interval",
-    "run_online_benchmark",
     "TradeoffPoint",
     "theta_grid",
-    "sweep_theta",
     "pareto_front",
-    "best_energy_at_time",
     "SyncTopology",
     "SyncSolution",
     "barrier_topology",

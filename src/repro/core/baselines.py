@@ -32,7 +32,6 @@ __all__ = [
     "solve_no_ts_batch",
     "solve_per_core_ts",
     "solve_per_core_ts_batch",
-    "SOLVERS",
 ]
 
 
@@ -174,12 +173,3 @@ def solve_per_core_ts_batch(
                 lambda: _per_core_solution(problems[b], thetas[b], flat_row),
             )
     return out
-
-
-#: Registry used by the experiment drivers.
-SOLVERS = {
-    "nominal": solve_nominal,
-    "no_ts": solve_no_ts,
-    "per_core_ts": solve_per_core_ts,
-    "synts": solve_synts_poly,
-}

@@ -22,7 +22,7 @@ modelled mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -143,7 +143,6 @@ def run_online_interval(
     theta: float,
     rng: np.random.Generator,
     knobs: OnlineKnobs | None = None,
-    solver: Callable[[SynTSProblem, float], SynTSSolution] = solve_synts_poly,
 ) -> IntervalOutcome:
     """Run the full online procedure on one barrier interval.
 
@@ -182,7 +181,7 @@ def run_online_interval(
         )
 
     estimated_problem = SynTSProblem(config=cfg, threads=tuple(remaining))
-    decision = solver(estimated_problem, theta)
+    decision = solve_synts_poly(estimated_problem, theta)
 
     # Execute the remainder at the chosen points under the TRUE errors.
     actual_threads = tuple(

@@ -1,33 +1,25 @@
-"""Theta sweeps and Pareto fronts (paper Figs. 6.11-6.16).
+"""Theta grids and Pareto fronts (paper Figs. 6.11-6.16).
 
 Each point of the published Pareto plots is one value of the weight
 ``theta`` in Eq. 4.4: large theta favours execution time, small theta
-favours energy.  Sweeping theta over a log grid and normalising to the
-Nominal baseline regenerates the figures' (time, energy) scatter for
-any scheme.
+favours energy.  This module holds the grid and the front; the sweep
+itself runs as engine cells (``repro.experiments.pareto_figs``), each
+point normalised to the Nominal baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.workloads.model import Benchmark
-
-from .baselines import solve_nominal
-from .model import PlatformConfig
-from .poly import SynTSSolution
 from .problem import SynTSProblem
-from .runner import interval_problems, run_offline_benchmark
 
 __all__ = [
     "TradeoffPoint",
     "theta_grid",
-    "sweep_theta",
     "pareto_front",
-    "best_energy_at_time",
 ]
 
 
@@ -56,40 +48,6 @@ def theta_grid(
     return centre * np.logspace(-decades, decades, n_points)
 
 
-def sweep_theta(
-    benchmark: Benchmark,
-    stage: str,
-    solver: Callable[[SynTSProblem, float], SynTSSolution],
-    thetas: Optional[Sequence[float]] = None,
-    scheme: str = "synts",
-    config: Optional[PlatformConfig] = None,
-) -> List[TradeoffPoint]:
-    """Normalised (time, energy) for each theta (one Pareto scatter)."""
-    problems = interval_problems(benchmark, stage, config)
-    nominal_energy = sum(
-        solve_nominal(p).evaluation.total_energy for p in problems
-    )
-    nominal_time = sum(solve_nominal(p).evaluation.texec for p in problems)
-    grid = (
-        np.asarray(thetas, dtype=float)
-        if thetas is not None
-        else theta_grid(problems)
-    )
-    points = []
-    for theta in grid:
-        run = run_offline_benchmark(
-            benchmark, stage, float(theta), solver, scheme, config
-        )
-        points.append(
-            TradeoffPoint(
-                theta=float(theta),
-                time=run.total_time / nominal_time,
-                energy=run.total_energy / nominal_energy,
-            )
-        )
-    return points
-
-
 def pareto_front(points: Sequence[TradeoffPoint]) -> List[TradeoffPoint]:
     """Non-dominated subset, sorted by time."""
     front = [
@@ -106,14 +64,3 @@ def pareto_front(points: Sequence[TradeoffPoint]) -> List[TradeoffPoint]:
             seen.add(key)
             unique.append(p)
     return unique
-
-
-def best_energy_at_time(
-    points: Sequence[TradeoffPoint], time_budget: float
-) -> Optional[TradeoffPoint]:
-    """Cheapest point meeting a normalised time budget (for the
-    "X % lower energy at iso-performance" callouts of Figs. 6.11-14)."""
-    feasible = [p for p in points if p.time <= time_budget]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda p: p.energy)

@@ -433,8 +433,7 @@ def compute_batch(batch: CellBatch) -> Tuple[CellResult, ...]:
 def totalize(cells: Sequence[CellResult]) -> BenchmarkTotals:
     """Sum a benchmark's interval cells (in the given order).
 
-    Mirrors the accounting of
-    :func:`repro.core.runner.run_offline_benchmark`: energy and time
+    The paper's accounting (Sec. 6), held here once: energy and time
     are per-interval sums, EDP is computed on the totals.
     """
     if not cells:

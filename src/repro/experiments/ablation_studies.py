@@ -22,44 +22,46 @@ if TYPE_CHECKING:
 
 
 @ablations.sampling_budget.define
-def sampling_budget(benchmark: str, stage: str, seed: int) -> ExperimentResult:
+def sampling_budget(
+    benchmark: str, stage: str, seed: int, engine
+) -> ExperimentResult:
     """Online EDP overhead and estimate error vs N_samp."""
     import numpy as np
 
-    from repro.core.online import OnlineKnobs
-    from repro.core.poly import solve_synts_poly
-    from repro.core.runner import (
-        interval_problems,
-        run_offline_benchmark,
-        run_online_benchmark,
+    from repro.core.online import OnlineKnobs, run_online_interval
+    from repro.engine.cells import (
+        benchmark_specs,
+        cached_interval_problems,
+        totalize,
     )
-    from repro.workloads import build_benchmark
 
-    bm = build_benchmark(benchmark)
-    theta = interval_problems(bm, stage)[0].equal_weight_theta()
-    offline = run_offline_benchmark(bm, stage, theta, solve_synts_poly)
+    offline = totalize(
+        engine.run_cells(list(benchmark_specs(benchmark, stage, "synts")))
+    )
+    problems = cached_interval_problems(benchmark, stage)
+    theta = problems[0].equal_weight_theta()
+    # estimate error measured on the first interval's thread 0
+    problem = problems[0]
+    grid = np.asarray(problem.config.tsr_levels)
+    actual = np.clip(problem.threads[0].err.curve(grid), 0, 1)
     rows = []
     for n_samp in (2_000, 10_000, 50_000, 150_000):
+        # one stream across the intervals, drawn in interval order
         rng = np.random.default_rng(seed)
-        online = run_online_benchmark(
-            bm, stage, theta, rng, OnlineKnobs(n_samp=n_samp)
-        )
-        # estimate error measured on the first interval's thread 0
-        outcome = online.outcomes[0]
-        problem = interval_problems(bm, stage)[0]
-        grid = np.asarray(problem.config.tsr_levels)
+        knobs = OnlineKnobs(n_samp=n_samp)
+        outcomes = [run_online_interval(p, theta, rng, knobs) for p in problems]
+        # totalize's accounting: per-interval sums, EDP on the totals
+        energy = time = 0.0
+        for outcome in outcomes:
+            energy += outcome.total_energy
+            time += outcome.texec
         dev = float(
-            np.max(
-                np.abs(
-                    outcome.estimates[0].curve(grid)
-                    - np.clip(problem.threads[0].err.curve(grid), 0, 1)
-                )
-            )
+            np.max(np.abs(outcomes[0].estimates[0].curve(grid) - actual))
         )
         rows.append(
             (
                 n_samp,
-                round(online.edp / offline.edp, 4),
+                round(energy * time / offline.edp, 4),
                 round(dev, 4),
             )
         )
@@ -265,17 +267,15 @@ def leakage(benchmark: str, stage: str, engine) -> ExperimentResult:
 def sync_topology(benchmark: str, stage: str) -> ExperimentResult:
     """Future-work extension: barrier vs phased vs serial sync."""
     from repro.core.baselines import solve_per_core_ts
-    from repro.core.runner import interval_problems
     from repro.core.sync_extensions import (
         barrier_topology,
         phased_topology,
         serial_topology,
         solve_synts_sync,
     )
-    from repro.workloads import build_benchmark
+    from repro.engine.cells import cached_interval_problems
 
-    bm = build_benchmark(benchmark)
-    problem = interval_problems(bm, stage)[0]
+    problem = cached_interval_problems(benchmark, stage)[0]
     theta = problem.equal_weight_theta()
     m = problem.n_threads
     topologies = [
@@ -283,11 +283,11 @@ def sync_topology(benchmark: str, stage: str) -> ExperimentResult:
         ("2 phases of 2", phased_topology([2, 2])),
         ("serial chain", serial_topology(m)),
     ]
+    # per-core TS ignores the topology: one solve, timed under each
+    pc_sol = solve_per_core_ts(problem, theta)
     rows = []
     for name, topo in topologies:
         syn = solve_synts_sync(problem, theta, topo)
-        # per-core TS under the same topology
-        pc_sol = solve_per_core_ts(problem, theta)
         pc_time = topo.interval_time(pc_sol.evaluation.times)
         pc_edp = pc_sol.evaluation.total_energy * pc_time
         rows.append(
@@ -323,11 +323,10 @@ def process_variation(benchmark: str, stage: str, seed: int) -> ExperimentResult
 
     from repro.core.baselines import solve_per_core_ts
     from repro.core.poly import solve_synts_poly
-    from repro.core.runner import interval_problems
+    from repro.engine.cells import cached_interval_problems
     from repro.errors import VariationModel, apply_variation
-    from repro.workloads import build_benchmark
 
-    problem = interval_problems(build_benchmark(benchmark), stage)[0]
+    problem = cached_interval_problems(benchmark, stage)[0]
     rng = np.random.default_rng(seed)
     rows = []
     for sigma in (0.0, 0.03, 0.06):

@@ -43,7 +43,9 @@ def _study(name: str, **defaults) -> Experiment:
     return Experiment(f"ablation_{name}", "ablation_studies", name, **defaults)
 
 
-sampling_budget = _study("sampling_budget", benchmark="radix", stage="decode", seed=3)
+sampling_budget = _study(
+    "sampling_budget", takes_engine=True, benchmark="radix", stage="decode", seed=3
+)
 heterogeneity = _study("heterogeneity")
 replay_penalty = _study(
     "replay_penalty", takes_engine=True, benchmark="radix", stage="decode"

@@ -103,8 +103,8 @@ class Experiment:
 
     Any call may pass ``engine=``, which never enters the key.  With
     ``takes_engine``, the body receives the resolved engine as its
-    ``engine`` argument, and callers may also pass it positionally after
-    the declared parameters.
+    ``engine`` argument, and callers may instead pass it positionally
+    after the declared parameters (both at once raise ``TypeError``).
     """
 
     def __init__(
@@ -162,7 +162,8 @@ class Experiment:
     def _bind(self, args: tuple, kwargs: dict) -> Dict[str, object]:
         """``defaults`` overridden by ``args`` and ``kwargs``.
 
-        An ``engine`` passed positionally stays in the result.
+        An ``engine``, passed positionally or by keyword, stays in the
+        result.
         """
         names = [*self.defaults, *(("engine",) if self.takes_engine else ())]
         if len(args) > len(names):
@@ -172,7 +173,7 @@ class Experiment:
             )
         positional = dict(zip(names, args))
         for name in kwargs:
-            if name not in self.defaults:
+            if name not in self.defaults and name != "engine":
                 raise TypeError(
                     f"{self.function}() got an unexpected keyword argument {name!r}"
                 )
@@ -191,10 +192,8 @@ class Experiment:
     def __call__(self, *args, **kwargs):
         from repro.engine import get_engine
 
-        explicit_engine = kwargs.pop("engine", None)
         arguments = self._bind(args, kwargs)
-        engine = arguments.pop("engine", None)
-        eng = explicit_engine or engine or get_engine()
+        eng = arguments.pop("engine", None) or get_engine()
         # the registered scheme/workload content participates too
         key = (
             self.exp_id,

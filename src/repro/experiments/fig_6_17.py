@@ -35,11 +35,10 @@ def run_benchmark(
     import numpy as np
 
     from repro.core.online import OnlineKnobs
-    from repro.core.runner import interval_problems
+    from repro.engine.cells import cached_interval_problems
     from repro.errors.estimation import SamplingPlan, estimate_error_function
-    from repro.workloads import build_benchmark
 
-    problem = interval_problems(build_benchmark(benchmark), stage)[0]
+    problem = cached_interval_problems(benchmark, stage)[0]
     cfg = problem.config
     knobs = OnlineKnobs(sampling_fraction=sampling_fraction)
     rng = np.random.default_rng(seed)

@@ -97,10 +97,10 @@ def _sweep_cells(
 ) -> Dict[str, List[TradeoffPoint]]:
     """Theta sweeps for the three schemes, as one engine fan-out.
 
-    Equivalent to :func:`repro.core.pareto.sweep_theta` per scheme,
-    but every (scheme, theta, interval) cell is submitted at once, so
-    a parallel engine sweeps whole figures concurrently and repeated
-    cells (across figures, sessions) come from the cache.
+    Each point is a scheme's totals at one theta, normalised to the
+    Nominal totals.  Every (scheme, theta, interval) cell is submitted
+    at once, so a parallel engine sweeps whole figures concurrently
+    and repeated cells (across figures, sessions) come from the cache.
     """
     from repro.core.pareto import TradeoffPoint
     from repro.engine.cells import benchmark_specs, totalize

@@ -6,11 +6,10 @@ import pytest
 from repro.core import (
     OnlineKnobs,
     interval_problems,
-    run_offline_benchmark,
-    run_online_benchmark,
     run_online_interval,
     solve_synts_poly,
 )
+from repro.engine import ExperimentEngine, benchmark_specs, totalize
 from repro.workloads import build_benchmark
 
 
@@ -100,37 +99,35 @@ class TestController:
         assert int(np.argmax(est_at_min_r)) == 0
 
 
-class TestBenchmarkRunners:
-    def test_offline_runner_totals(self):
-        bm = build_benchmark("fmm")
-        theta = interval_problems(bm, "decode")[0].equal_weight_theta()
-        run = run_offline_benchmark(bm, "decode", theta, solve_synts_poly)
-        assert len(run.solutions) == bm.n_intervals
-        assert run.total_energy == pytest.approx(
-            sum(s.evaluation.total_energy for s in run.solutions)
-        )
+def _totals(benchmark, scheme, **knobs):
+    """``totalize`` over one engine fan-out of a decode run's cells."""
+    specs = benchmark_specs(benchmark, "decode", scheme, **knobs)
+    return totalize(ExperimentEngine().run_cells(list(specs)))
+
+
+class TestBenchmarkTotals:
+    """Whole-benchmark runs: interval cells summed by ``totalize``."""
+
+    def test_offline_totals(self):
+        specs = benchmark_specs("fmm", "decode", "synts")
+        cells = ExperimentEngine().run_cells(list(specs))
+        run = totalize(cells)
+        assert run.n_intervals == build_benchmark("fmm").n_intervals
+        assert run.total_energy == pytest.approx(sum(c.energy for c in cells))
         assert run.edp == pytest.approx(run.total_energy * run.total_time)
 
-    def test_online_runner_totals(self):
-        bm = build_benchmark("fmm")
-        theta = interval_problems(bm, "decode")[0].equal_weight_theta()
-        rng = np.random.default_rng(7)
-        run = run_online_benchmark(bm, "decode", theta, rng, OnlineKnobs(n_samp=10_000))
-        assert len(run.outcomes) == bm.n_intervals
+    def test_online_totals(self):
+        run = _totals("fmm", "online", seed=7, n_samp=10_000)
+        assert run.n_intervals == build_benchmark("fmm").n_intervals
         assert run.total_energy > 0 and run.total_time > 0
 
     def test_online_overhead_band_across_suite(self):
         """Average online/offline EDP ratio lands near the paper's
         10.3 % (we assert a [0 %, 25 %] band on the average)."""
-        rng = np.random.default_rng(8)
         ratios = []
         for name in ("radix", "cholesky", "barnes"):
-            bm = build_benchmark(name)
-            theta = interval_problems(bm, "decode")[0].equal_weight_theta()
-            off = run_offline_benchmark(bm, "decode", theta, solve_synts_poly)
-            on = run_online_benchmark(
-                bm, "decode", theta, rng, OnlineKnobs(n_samp=50_000)
-            )
+            off = _totals(name, "synts")
+            on = _totals(name, "online", seed=8, n_samp=50_000)
             ratios.append(on.edp / off.edp)
         avg = float(np.mean(ratios))
         assert 1.0 <= avg < 1.25

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    TradeoffPoint,
-    best_energy_at_time,
-    interval_problems,
-    pareto_front,
-    solve_per_core_ts,
-    solve_synts_poly,
-    sweep_theta,
-    theta_grid,
-)
-from repro.workloads import build_benchmark
+from repro.core import TradeoffPoint, pareto_front, theta_grid
+from repro.engine import ExperimentEngine, cached_interval_problems
+from repro.experiments.pareto_figs import _sweep_cells
+
+
+def _sweeps(benchmark, thetas=None):
+    """Normalised sweeps of SynTS, Per-core TS and No TS, by label."""
+    if thetas is None:
+        thetas = theta_grid(cached_interval_problems(benchmark, "simple_alu"))
+    return _sweep_cells(benchmark, "simple_alu", thetas, ExperimentEngine())
 
 
 class TestTradeoffPoint:
@@ -33,8 +32,7 @@ class TestTradeoffPoint:
 class TestSweep:
     @pytest.fixture(scope="class")
     def fmm_sweep(self):
-        bm = build_benchmark("fmm")
-        return sweep_theta(bm, "simple_alu", solve_synts_poly)
+        return _sweeps("fmm")["SynTS"]
 
     def test_one_point_per_theta(self, fmm_sweep):
         assert len(fmm_sweep) == 21
@@ -54,8 +52,7 @@ class TestSweep:
         assert hi.energy >= lo.energy - 1e-9
 
     def test_theta_grid_centres_on_equal_weight(self):
-        bm = build_benchmark("fmm")
-        problems = interval_problems(bm, "simple_alu")
+        problems = cached_interval_problems("fmm", "simple_alu")
         grid = theta_grid(problems, n_points=11, decades=1.0)
         centre = np.mean([p.equal_weight_theta() for p in problems])
         assert grid[5] == pytest.approx(centre)
@@ -67,9 +64,8 @@ class TestSweep:
         per-core point -- can be strictly better on *both* axes than
         any SynTS sweep point (else it would beat the optimum at that
         point's theta)."""
-        bm = build_benchmark("cholesky")
-        syn = sweep_theta(bm, "simple_alu", solve_synts_poly)
-        pc = sweep_theta(bm, "simple_alu", solve_per_core_ts, scheme="per_core_ts")
+        sweeps = _sweeps("cholesky")
+        syn, pc = sweeps["SynTS"], sweeps["Per-core TS"]
         for q in pc:
             for p in syn:
                 assert not q.dominates(p, tol=1e-9), (q, p)
@@ -78,14 +74,10 @@ class TestSweep:
         """At the extreme thetas the two schemes coincide: theta = 0
         is per-thread min-energy for both; theta -> inf is per-thread
         min-time for both."""
-        bm = build_benchmark("cholesky")
-        problems = interval_problems(bm, "simple_alu")
+        problems = cached_interval_problems("cholesky", "simple_alu")
         centre = np.mean([p.equal_weight_theta() for p in problems])
-        thetas = [0.0, centre * 1e6]
-        syn = sweep_theta(bm, "simple_alu", solve_synts_poly, thetas=thetas)
-        pc = sweep_theta(
-            bm, "simple_alu", solve_per_core_ts, thetas=thetas, scheme="pc"
-        )
+        sweeps = _sweeps("cholesky", thetas=[0.0, centre * 1e6])
+        syn, pc = sweeps["SynTS"], sweeps["Per-core TS"]
         assert syn[0].energy == pytest.approx(pc[0].energy, rel=1e-9)
         assert syn[1].time == pytest.approx(pc[1].time, rel=1e-9)
 
@@ -107,12 +99,3 @@ class TestParetoFront:
         front = pareto_front(pts)
         times = [p.time for p in front]
         assert times == sorted(times)
-
-    def test_best_energy_at_time(self):
-        pts = [
-            TradeoffPoint(1, 0.9, 0.5),
-            TradeoffPoint(2, 0.8, 0.7),
-        ]
-        best = best_energy_at_time(pts, time_budget=0.85)
-        assert best is not None and best.theta == 2
-        assert best_energy_at_time(pts, time_budget=0.5) is None

@@ -11,6 +11,7 @@ from repro.engine import (
     EventLog,
     ExperimentEngine,
     benchmark_specs,
+    cached_interval_problems,
     cell_seed,
     compute_batch,
     engine_session,
@@ -25,6 +26,20 @@ from .conftest import cells_experiment, store_entries
 
 def _cell(spec):
     return compute_batch(CellBatch((spec,)))[0]
+
+
+def _solved_totals(benchmark):
+    """SynTS-Poly energy and time summed over the decode intervals."""
+    from repro.core.poly import solve_synts_poly
+
+    problems = cached_interval_problems(benchmark, "decode")
+    theta = problems[0].equal_weight_theta()
+    energy = time = 0.0
+    for problem in problems:
+        evaluation = solve_synts_poly(problem, theta).evaluation
+        energy += evaluation.total_energy
+        time += evaluation.texec
+    return energy, time
 
 
 def _specs():
@@ -49,41 +64,24 @@ class TestCells:
         assert len(seeds) == 3
 
     def test_offline_cell_matches_runner(self):
-        """A cell is exactly one interval of the legacy runner path."""
-        from repro.core.poly import solve_synts_poly
-        from repro.core.runner import interval_problems, run_offline_benchmark
-        from repro.workloads import build_benchmark
-
-        bm = build_benchmark("radix")
-        theta = interval_problems(bm, "decode")[0].equal_weight_theta()
-        legacy = run_offline_benchmark(bm, "decode", theta, solve_synts_poly)
+        """A cell is exactly one interval of a scalar run (SynTS-Poly
+        per interval, summed in order); totalize sums them the same."""
+        energy, time = _solved_totals("radix")
         totals = totalize(
             [_cell(s) for s in benchmark_specs("radix", "decode", "synts")]
         )
-        assert totals.total_energy == pytest.approx(legacy.total_energy, rel=1e-12)
-        assert totals.total_time == pytest.approx(legacy.total_time, rel=1e-12)
+        assert totals.total_energy == energy
+        assert totals.total_time == time
+        assert totals.edp == energy * time
 
-    def test_run_benchmark_cells_matches_legacy_runner(self):
-        """The runner's engine entry point twins run_offline_benchmark."""
-        from repro.core.poly import solve_synts_poly
-        from repro.core.runner import (
-            interval_problems,
-            run_benchmark_cells,
-            run_offline_benchmark,
-        )
-        from repro.workloads import build_benchmark
-
-        bm = build_benchmark("cholesky")
-        theta = interval_problems(bm, "decode")[0].equal_weight_theta()
-        legacy = run_offline_benchmark(bm, "decode", theta, solve_synts_poly)
-        totals = run_benchmark_cells(
-            "cholesky", "decode", "synts", engine=ExperimentEngine()
-        )
-        assert totals.total_energy == pytest.approx(
-            legacy.total_energy, rel=1e-12
-        )
-        assert totals.total_time == pytest.approx(legacy.total_time, rel=1e-12)
-        assert totals.n_intervals == len(bm.intervals)
+    def test_engine_totals_equal_the_per_interval_solves(self):
+        """An engine fan-out of a benchmark's cells totals exactly."""
+        energy, time = _solved_totals("cholesky")
+        specs = benchmark_specs("cholesky", "decode", "synts")
+        totals = totalize(ExperimentEngine().run_cells(list(specs)))
+        assert totals.total_energy == energy
+        assert totals.total_time == time
+        assert totals.n_intervals == len(specs)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -302,3 +300,23 @@ class TestSharedFigures:
             computed_before = eng.cells_computed
             headline.run()
             assert eng.cells_computed == computed_before
+
+    def test_sampling_budget_reuses_fig_6_18_cells(self):
+        """Its offline baseline is fig_6_18's radix/decode synts cells."""
+        from repro.experiments import fig_6_18
+        from repro.experiments.ablations import sampling_budget
+
+        with engine_session() as eng:
+            fig_6_18.run()
+            computed_before = eng.cells_computed
+            sampling_budget()
+            assert eng.cells_computed == computed_before
+
+    def test_sampling_budget_runs_its_cells_on_the_given_engine(self):
+        from repro.experiments.ablations import sampling_budget
+
+        eng = ExperimentEngine()
+        with engine_session() as ambient:
+            sampling_budget(engine=eng)
+            assert ambient.cells_computed == 0
+        assert eng.cells_computed == len(benchmark_specs("radix", "decode", "synts"))
