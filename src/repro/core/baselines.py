@@ -20,11 +20,11 @@ import numpy as np
 from .poly import (
     SynTSSolution,
     _assemble_once,
-    solve_synts_poly,
+    _batch_inputs,
     solve_synts_poly_batch,
     stacked_shape_groups,
 )
-from .problem import SynTSProblem, check_theta
+from .problem import SynTSProblem
 
 __all__ = [
     "solve_nominal",
@@ -55,8 +55,7 @@ def _expand_r1_solution(
     problem: SynTSProblem, theta: float, sol: SynTSSolution
 ) -> SynTSSolution:
     """Re-express an r = 1 slice solution in the full configuration
-    space (TSR index of r = 1) -- the single assembly both the scalar
-    and batch No-TS paths share."""
+    space (TSR index of r = 1)."""
     k_full = problem.config.n_tsr - 1
     indices = tuple((j, k_full) for (j, _) in sol.indices)
     evaluation = problem.evaluate_indices(indices)
@@ -71,27 +70,21 @@ def _expand_r1_solution(
 
 
 def solve_no_ts(problem: SynTSProblem, theta: float) -> SynTSSolution:
-    """Joint DVFS without speculation: Eq. 4.4 restricted to r = 1.
-
-    Runs SynTS-Poly on the r = 1 slice, then re-expresses the solution
-    in the full configuration space (TSR index of r = 1).
-    """
-    restricted = problem.restrict_tsr([1.0])
-    return _expand_r1_solution(
-        problem, theta, solve_synts_poly(restricted, theta)
-    )
+    """Joint DVFS without speculation: Eq. 4.4 restricted to r = 1
+    (a one-interval :func:`solve_no_ts_batch` call)."""
+    return solve_no_ts_batch([problem], [theta])[0]
 
 
 def solve_no_ts_batch(
     problems: Sequence[SynTSProblem], thetas: Sequence[float]
 ) -> List[SynTSSolution]:
-    """Batch form of :func:`solve_no_ts` (bit-identical per interval).
+    """No TS on many intervals; ``problems[b]`` at ``thetas[b]``.
 
     Each distinct problem gets one r = 1 slice, and the slices go
-    through :func:`solve_synts_poly_batch` in one pass, so a slice
-    repeated at many thetas is solved once.  Each (problem, indices)
-    is re-expressed once through the assembly the per-interval path
-    uses; its other thetas only re-cost that evaluation.
+    through :func:`solve_synts_poly_batch` in one call, which checks
+    the inputs.  Each (problem, indices) is re-expressed in the full
+    configuration space once; its other thetas only re-cost that
+    evaluation.
     """
     distinct = {id(problem): problem for problem in problems}
     slices = {key: p.restrict_tsr([1.0]) for key, p in distinct.items()}
@@ -113,8 +106,7 @@ def _per_core_solution(
     problem: SynTSProblem, theta: float, flat_row: Sequence[int]
 ) -> SynTSSolution:
     """Assemble a solution from per-thread flat argmin configurations
-    -- the single assembly both per-core TS paths share (the barrier
-    max-semantics enters only here, at evaluation time)."""
+    (the barrier max-semantics enters only here, at evaluation time)."""
     s = problem.config.n_tsr
     indices = tuple((int(f) // s, int(f) % s) for f in flat_row)
     evaluation = problem.evaluate_indices(indices)
@@ -130,36 +122,29 @@ def _per_core_solution(
 
 
 def solve_per_core_ts(problem: SynTSProblem, theta: float) -> SynTSSolution:
-    """Independent per-core optimisation (existing TS schemes).
+    """Independent per-core optimisation (existing TS schemes), a
+    one-interval :func:`solve_per_core_ts_batch` call.
 
     Each core minimises ``en_i + theta * t_i`` in isolation; the
     barrier max-semantics is ignored at decision time (that is exactly
     the deficiency SynTS fixes) but applied at evaluation time.
     """
-    check_theta(theta)
-    m = problem.n_threads
-    times = problem.time_table.reshape(m, -1)
-    energies = problem.energy_table.reshape(m, -1)
-    flat_row = [
-        int(np.argmin(energies[i] + theta * times[i])) for i in range(m)
-    ]
-    return _per_core_solution(problem, theta, flat_row)
+    return solve_per_core_ts_batch([problem], [theta])[0]
 
 
+@np.errstate(over="ignore")  # an overflowing theta term is an inf cost
 def solve_per_core_ts_batch(
     problems: Sequence[SynTSProblem], thetas: Sequence[float]
 ) -> List[SynTSSolution]:
-    """Batch form of :func:`solve_per_core_ts` (bit-identical).
+    """Per-core TS on many intervals; ``problems[b]`` at ``thetas[b]``.
 
     Same-shape interval tables are stacked and the per-core argmin
     runs once over the whole (interval, thread) plane; ``np.argmin``
-    over the stacked axis picks the same first-minimum configuration
-    the scalar path does.  An interval whose argmins repeat across
-    thetas is assembled once and re-costed per theta.
+    picks each thread's first minimum configuration.  An interval
+    whose argmins repeat across thetas is assembled once and re-costed
+    per theta.
     """
-    thetas = [float(t) for t in thetas]
-    for theta in thetas:
-        check_theta(theta)
+    problems, thetas = _batch_inputs(problems, thetas)
     out: List[SynTSSolution] = [None] * len(problems)  # type: ignore[list-item]
     for members, rows, times, energies in stacked_shape_groups(problems):
         theta_col = np.asarray([thetas[b] for b in members])[:, None, None]

@@ -9,27 +9,27 @@ independently takes its cheapest configuration finishing no later than
 sorts each thread's configurations by time and prefix-minimises energy,
 giving O(M Q S (log(QS) + M)).
 
-Two implementations share that structure:
+One kernel implements that structure, and a reference checks it:
 
+* :func:`solve_synts_poly_batch` -- the solver.  Every thread's
+  minEnergy tables are pruned to their dominated-configuration-free
+  staircase, :func:`_theta_free_costs` sums each candidate's energy
+  and decides its feasibility once per distinct problem, each
+  (problem, theta) member adds ``theta * texec``, and the winner is
+  extracted by replaying the reference fold over the (few)
+  running-minimum improvements.  The engine's
+  :class:`~repro.engine.cells.CellBatch` dispatch feeds it whole
+  stages; :func:`solve_synts_poly` is a one-interval call to it.
 * :func:`solve_synts_poly_reference` -- the original scalar triple
   loop, kept verbatim as the semantic reference (its ``< best - 1e-15``
-  first-wins fold defines the tie-breaking contract);
-* :func:`solve_synts_poly` -- a dense-array rewrite: every thread's
-  minEnergy tables are pruned to their dominated-configuration-free
-  staircase, all Q*S candidates of a critical thread are evaluated in
-  one vectorized pass, and the winner is extracted by replaying the
-  reference fold over the (few) running-minimum improvements.  Outputs
-  are bit-identical to the reference, tie cases included; the property
-  suite in ``tests/core/test_poly_vectorized.py`` enforces it.
-
-:func:`solve_synts_poly_batch` stacks the interval tables of several
-same-shape problems (e.g. every barrier interval of one benchmark
-stage) and solves them in a single broadcast pass -- the kernel the
-engine's :class:`~repro.engine.cells.CellBatch` dispatch feeds.
+  first-wins fold defines the tie-breaking contract).  Outputs are
+  bit-identical to it, tie cases included; the property suite in
+  ``tests/core/test_poly_vectorized.py`` enforces it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -153,6 +153,34 @@ def prune_dominated_tables(
     return stairs
 
 
+def _theta_free_costs(
+    times: np.ndarray,
+    energies: np.ndarray,
+    row_stairs: Sequence[Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Energy sum and feasibility of every candidate, without theta.
+
+    ``times`` and ``energies`` are (R, M, N) stacks of R problems and
+    ``row_stairs[r]`` holds row r's pruned staircases.  ``totals[r, i,
+    f]`` reproduces the reference's accumulation order bit-for-bit:
+    start from ``E[r, i, f]`` and add the other threads' minimum
+    feasible energies at ``texec = T[r, i, f]`` in ascending thread
+    order.  ``feasible[r, i, f]`` is False when some thread cannot
+    finish within that ``texec``.  Candidate (r, i, f) costs
+    ``totals[r, i, f] + theta * T[r, i, f]``.
+    """
+    totals = energies.copy()
+    feasible = np.ones(times.shape, dtype=bool)
+    others = ~np.eye(times.shape[1], dtype=bool)
+    for r, stairs in enumerate(row_stairs):
+        for l, (t_star, e_star, _) in enumerate(stairs):
+            # thread l's minEnergy at every other thread's texec
+            pos = np.searchsorted(t_star, times[r, others[l]], side="right") - 1
+            feasible[r, others[l]] &= pos >= 0
+            totals[r, others[l]] += e_star[np.maximum(pos, 0)]
+    return totals, feasible
+
+
 def _fold_winner(flat_costs: np.ndarray) -> int:
     """Replay the reference's ``< best - 1e-15`` first-wins fold.
 
@@ -161,7 +189,7 @@ def _fold_winner(flat_costs: np.ndarray) -> int:
     the running prefix minimum), so the scalar replay visits just
     those few improvements instead of all M*Q*S candidates.  Returns
     the flat index of the winning candidate, or -1 when every
-    candidate is infeasible (+inf).
+    candidate costs +inf (infeasible, or its theta term overflowed).
     """
     n = flat_costs.shape[0]
     running = np.minimum.accumulate(flat_costs)
@@ -176,39 +204,6 @@ def _fold_winner(flat_costs: np.ndarray) -> int:
             best = cost
             winner = int(idx)
     return winner
-
-
-def _candidate_costs(
-    times: np.ndarray,
-    energies: np.ndarray,
-    stairs: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    theta: float,
-) -> np.ndarray:
-    """Cost of every (critical thread, configuration) candidate.
-
-    ``costs[i, f]`` reproduces the reference's accumulation order
-    bit-for-bit: start from ``E[i, f]``, add the other threads'
-    minimum feasible energies in ascending thread order, then add
-    ``theta * texec``.  Infeasible candidates (some thread cannot
-    finish within ``texec``) get ``+inf``.
-    """
-    m, n = times.shape
-    costs = np.empty((m, n))
-    for i in range(m):
-        texec = times[i]
-        total = energies[i].copy()
-        feasible = np.ones(n, dtype=bool)
-        for l in range(m):
-            if l == i:
-                continue
-            t_star, e_star, _ = stairs[l]
-            pos = np.searchsorted(t_star, texec, side="right") - 1
-            feasible &= pos >= 0
-            total += e_star[np.maximum(pos, 0)]
-        cost = total + theta * texec
-        cost[~feasible] = np.inf
-        costs[i] = cost
-    return costs
 
 
 def _assemble(
@@ -243,6 +238,13 @@ def _assemble(
     )
 
 
+def _cost_overflow(theta: float) -> ValueError:
+    return ValueError(
+        f"theta={theta!r} is too large: the optimum's Eq. 4.4 cost "
+        "sum(en) + theta * t_exec is not finite"
+    )
+
+
 def _assemble_once(
     assembled: dict, key, theta: float, assemble, **changes
 ) -> SynTSSolution:
@@ -252,35 +254,39 @@ def _assemble_once(
     winning assignment too: the first occurrence of ``key`` calls
     ``assemble()``, later ones re-cost that assignment at their own
     theta (Eq. 4.4) -- the floats ``assemble`` would have produced.
+    Raises ``ValueError`` when that cost is not finite.
     """
-    first = assembled.get(key)
-    if first is None:
-        assembled[key] = first = assemble()
-        return first
-    cost = float(first.evaluation.cost(theta))
-    return replace(first, cost=cost, theta=theta, **changes)
+    solution = assembled.get(key)
+    if solution is None:
+        assembled[key] = solution = assemble()
+    else:
+        cost = float(solution.evaluation.cost(theta))
+        solution = replace(solution, cost=cost, theta=theta, **changes)
+    if not math.isfinite(solution.cost):
+        raise _cost_overflow(theta)
+    return solution
+
+
+def _batch_inputs(
+    problems: Sequence[SynTSProblem], thetas: Sequence[float]
+) -> Tuple[List[SynTSProblem], List[float]]:
+    """The inputs of a batch solver as lists, one checked theta per
+    problem; every batch solver starts here."""
+    problems = list(problems)
+    thetas = [float(t) for t in thetas]
+    if len(problems) != len(thetas):
+        raise ValueError(
+            f"got {len(problems)} problems but {len(thetas)} thetas"
+        )
+    for theta in thetas:
+        check_theta(theta)
+    return problems, thetas
 
 
 def solve_synts_poly(problem: SynTSProblem, theta: float) -> SynTSSolution:
-    """Exactly minimise ``sum en_i + theta * t_exec`` (Algorithm 1).
-
-    Vectorized: dominated configurations are pruned from every
-    thread's minEnergy staircase, all Q*S candidates of each critical
-    thread are costed in one broadcast pass, and the winner is the
-    same candidate the scalar reference fold would accept
-    (bit-identical outputs, tie cases included).
-    """
-    check_theta(theta)
-    m = problem.n_threads
-    times = problem.time_table.reshape(m, -1)
-    energies = problem.energy_table.reshape(m, -1)
-    stairs = prune_dominated_tables(times, energies)
-    costs = _candidate_costs(times, energies, stairs, theta)
-    winner = _fold_winner(costs.ravel())
-    if winner < 0:
-        raise RuntimeError("SynTS-Poly found no feasible candidate (impossible)")
-    n = times.shape[1]
-    return _assemble(problem, theta, winner // n, winner % n, stairs)
+    """Exactly minimise ``sum en_i + theta * t_exec`` (Algorithm 1):
+    a one-interval :func:`solve_synts_poly_batch` call."""
+    return solve_synts_poly_batch([problem], [theta])[0]
 
 
 def stacked_shape_groups(problems: Sequence[SynTSProblem]):
@@ -291,8 +297,8 @@ def stacked_shape_groups(problems: Sequence[SynTSProblem]):
     groups, members in input order.  Each distinct problem object is
     stacked once -- a theta sweep repeats the same memoised problems
     -- and ``rows[k]`` is the stack row of ``problems[members[k]]``.
-    Shared by every batch solver that broadcasts over stacked
-    interval tables.
+    Shared by every batch solver that works over stacked interval
+    tables.
     """
     groups: dict = {}
     for b, problem in enumerate(problems):
@@ -311,105 +317,45 @@ def stacked_shape_groups(problems: Sequence[SynTSProblem]):
         yield members, np.asarray(rows), times, energies
 
 
+@np.errstate(over="ignore")  # an overflowing theta term is an inf cost
 def solve_synts_poly_batch(
     problems: Sequence[SynTSProblem], thetas: Sequence[float]
 ) -> List[SynTSSolution]:
-    """Solve many intervals in one pass.
+    """Solve many intervals; ``problems[b]`` at ``thetas[b]``.
 
-    ``problems[b]`` is solved at ``thetas[b]``; the returned list is
-    aligned with the inputs and every solution is bit-identical to
-    ``solve_synts_poly(problems[b], thetas[b])``.  Same-shape interval
-    tables (all intervals of one benchmark stage share (M, Q, S)) are
-    stacked and costed through one broadcast kernel; mixed shapes are
-    grouped internally, so heterogeneous batches are legal.  Theta
-    enters Eq. 4.4 only as ``+ theta * texec``: a problem repeated at
-    many thetas is pruned and accumulated once, and a winner it
+    The returned list is aligned with the inputs; mixed table shapes
+    are grouped internally, so heterogeneous batches are legal.  Theta
+    enters Eq. 4.4 only as ``+ theta * texec``: each distinct problem
+    is pruned and costed once by :func:`_theta_free_costs`, each
+    member adds its own theta term and folds, and a winner a problem
     repeats is assembled once and re-costed per theta.
     """
-    problems = list(problems)
-    thetas = [float(t) for t in thetas]
-    if len(problems) != len(thetas):
-        raise ValueError(
-            f"got {len(problems)} problems but {len(thetas)} thetas"
-        )
-    for theta in thetas:
-        check_theta(theta)
+    problems, thetas = _batch_inputs(problems, thetas)
     out: List[Optional[SynTSSolution]] = [None] * len(problems)
-
     for members, rows, times, energies in stacked_shape_groups(problems):
         row_stairs = [
             prune_dominated_tables(times[r], energies[r])
             for r in range(len(times))
         ]
+        totals, feasible = _theta_free_costs(times, energies, row_stairs)
         member_thetas = np.asarray([thetas[b] for b in members])
-        costs = _batched_candidate_costs(
-            times, energies, row_stairs, rows, member_thetas
-        )
+        costs = totals[rows] + member_thetas[:, None, None] * times[rows]
+        costs[~feasible[rows]] = np.inf
         n = times.shape[2]
         assembled: dict = {}
-        for k, b in enumerate(members):
+        for k, (b, row) in enumerate(zip(members, rows)):
+            theta = thetas[b]
             winner = _fold_winner(costs[k].ravel())
             if winner < 0:
-                raise RuntimeError(
-                    "SynTS-Poly found no feasible candidate (impossible)"
-                )
-            crit, flat, stairs = winner // n, winner % n, row_stairs[rows[k]]
+                raise _cost_overflow(theta)
+            crit, flat, stairs = winner // n, winner % n, row_stairs[row]
             out[b] = _assemble_once(
                 assembled,
-                (rows[k], winner),
-                thetas[b],
-                lambda: _assemble(problems[b], thetas[b], crit, flat, stairs),
+                (row, winner),
+                theta,
+                lambda: _assemble(problems[b], theta, crit, flat, stairs),
             )
     return out  # type: ignore[return-value]
-
-
-def _batched_candidate_costs(
-    times: np.ndarray,
-    energies: np.ndarray,
-    row_stairs: Sequence[Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
-    rows: np.ndarray,
-    thetas: np.ndarray,
-) -> np.ndarray:
-    """(K, M, N) candidate costs, member k on stack row ``rows[k]``.
-
-    The staircases of the R stacked problems are padded to a common
-    length with ``+inf`` times (padding can never be counted by the
-    ``<=`` rank) so the position lookup broadcasts over the stack.
-    Energies and feasibility are accumulated once per row, in the
-    scalar reference's order; only ``+ theta * texec`` is per member.
-    """
-    n_rows, m, n = times.shape
-    max_len = max(
-        len(stairs[l][0]) for stairs in row_stairs for l in range(m)
-    )
-    t_pad = np.full((n_rows, m, max_len), np.inf)
-    e_pad = np.zeros((n_rows, m, max_len))
-    for r, stairs in enumerate(row_stairs):
-        for l in range(m):
-            t_star, e_star, _ = stairs[l]
-            t_pad[r, l, : len(t_star)] = t_star
-            e_pad[r, l, : len(e_star)] = e_star
-
-    row_idx = np.arange(n_rows)[:, None]
-    costs = np.empty((len(rows), m, n))
-    for i in range(m):
-        texec = times[:, i, :]  # (R, n)
-        total = energies[:, i, :].copy()
-        feasible = np.ones((n_rows, n), dtype=bool)
-        for l in range(m):
-            if l == i:
-                continue
-            # rank of texec in thread l's staircase: count of entries
-            # <= texec (exactly searchsorted 'right'), minus one
-            pos = (
-                t_pad[:, l, None, :] <= texec[:, :, None]
-            ).sum(axis=2) - 1  # (R, n)
-            feasible &= pos >= 0
-            total += e_pad[row_idx, l, np.maximum(pos, 0)]
-        cost = total[rows] + thetas[:, None] * texec[rows]
-        cost[~feasible[rows]] = np.inf
-        costs[:, i, :] = cost
-    return costs
 
 
 def solve_synts_poly_reference(

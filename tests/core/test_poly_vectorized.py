@@ -1,10 +1,13 @@
-"""Bit-exactness of the vectorized SynTS-Poly solver core.
+"""Bit-exactness of the offline solvers against independent oracles.
 
-The vectorized solver, the batch solver and the dominated-config
-staircase pruning must reproduce the scalar reference *exactly* --
-same winning candidate under the ``< best - 1e-15`` first-wins fold,
-same indices, same floats -- including exact time/energy tie cases
-(duplicated threads, zero-error flats, duplicated TSR levels).
+Each offline scheme has one kernel, its batch solver; the
+per-interval solver is a one-element batch call.  So every batch is
+checked against an oracle that shares no code with it: SynTS-Poly
+and No TS against the scalar reference (No TS on the r = 1 slice),
+Per-core TS against a per-thread ``np.argmin``.  Same winning
+candidate under the ``< best - 1e-15`` first-wins fold, same indices,
+same floats -- including exact time/energy tie cases (duplicated
+threads, zero-error flats, duplicated TSR levels).
 """
 
 from collections import Counter
@@ -23,6 +26,7 @@ from repro.core.baselines import (
 )
 import repro.core.poly as poly
 from repro.core.poly import (
+    SynTSSolution,
     _sorted_prefix_tables,
     prune_dominated_tables,
     solve_synts_poly,
@@ -42,6 +46,41 @@ def assert_solutions_identical(a, b):
     assert a.evaluation == b.evaluation
     assert a.assignment == b.assignment
     assert a.theta == b.theta
+
+
+def _oracle_solution(problem, theta, indices, critical_thread):
+    evaluation = problem.evaluate_indices(indices)
+    return SynTSSolution(
+        indices=indices,
+        assignment=problem.assignment_from_indices(indices),
+        evaluation=evaluation,
+        cost=float(evaluation.cost(theta)),
+        theta=theta,
+        critical_thread=critical_thread,
+    )
+
+
+def per_core_ts_oracle(problem, theta):
+    """Per-core TS by definition: each thread's first-minimum
+    configuration of ``en_i + theta * t_i``, costed at the barrier."""
+    m, s = problem.n_threads, problem.config.n_tsr
+    t = problem.time_table.reshape(m, -1)
+    e = problem.energy_table.reshape(m, -1)
+    flat = [int(np.argmin(e[i] + theta * t[i])) for i in range(m)]
+    indices = tuple((f // s, f % s) for f in flat)
+    texecs = problem.evaluate_indices(indices).times
+    return _oracle_solution(
+        problem, theta, indices, int(np.argmax(np.array(texecs)))
+    )
+
+
+def no_ts_oracle(problem, theta):
+    """No TS by definition: the reference solve on the r = 1 slice,
+    re-expressed at the full platform's r = 1 TSR index."""
+    sliced = solve_synts_poly_reference(problem.restrict_tsr([1.0]), theta)
+    k = problem.config.n_tsr - 1
+    indices = tuple((j, k) for j, _ in sliced.indices)
+    return _oracle_solution(problem, theta, indices, sliced.critical_thread)
 
 
 def tie_problem(rng, m, duplicate_threads=True):
@@ -185,7 +224,9 @@ class TestBatchSolver:
         thetas = [float(rng.uniform(0, 20)) for _ in problems]
         batch = solve_synts_poly_batch(problems, thetas)
         for problem, theta, sol in zip(problems, thetas, batch):
-            assert_solutions_identical(sol, solve_synts_poly(problem, theta))
+            assert_solutions_identical(
+                sol, solve_synts_poly_reference(problem, theta)
+            )
 
     @given(seed=st.integers(min_value=0, max_value=20_000))
     @settings(max_examples=15, deadline=None)
@@ -203,15 +244,26 @@ class TestBatchSolver:
         thetas = [0.0, 1.0, 3.0, 1.0, 7.0]
         batch = solve_synts_poly_batch(problems, thetas)
         for problem, theta, sol in zip(problems, thetas, batch):
-            assert_solutions_identical(sol, solve_synts_poly(problem, theta))
+            assert_solutions_identical(
+                sol, solve_synts_poly_reference(problem, theta)
+            )
 
-    def test_input_validation(self):
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_synts_poly_batch, solve_no_ts_batch, solve_per_core_ts_batch],
+        ids=["synts", "no_ts", "per_core_ts"],
+    )
+    def test_input_validation(self, solve):
         rng = np.random.default_rng(0)
         problem = random_problem(rng, m=2)
-        with pytest.raises(ValueError, match="thetas"):
-            solve_synts_poly_batch([problem], [1.0, 2.0])
+        with pytest.raises(ValueError, match="got 1 problems but 2 thetas"):
+            solve([problem], [1.0, 2.0])
+        with pytest.raises(ValueError, match="got 2 problems but 3 thetas"):
+            solve([problem, problem], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="got 2 problems but 1 thetas"):
+            solve([problem, problem], [1.0])
         with pytest.raises(ValueError, match="non-negative"):
-            solve_synts_poly_batch([problem, problem], [1.0, -1.0])
+            solve([problem, problem], [1.0, -1.0])
 
     def test_empty_batch(self):
         assert solve_synts_poly_batch([], []) == []
@@ -230,7 +282,7 @@ class TestBaselineBatchSolvers:
         for problem, theta, sol in zip(
             problems, thetas, solve_no_ts_batch(problems, thetas)
         ):
-            assert_solutions_identical(sol, solve_no_ts(problem, theta))
+            assert_solutions_identical(sol, no_ts_oracle(problem, theta))
 
     @given(
         seed=st.integers(min_value=0, max_value=20_000),
@@ -246,7 +298,7 @@ class TestBaselineBatchSolvers:
         for problem, theta, sol in zip(
             problems, thetas, solve_per_core_ts_batch(problems, thetas)
         ):
-            assert_solutions_identical(sol, solve_per_core_ts(problem, theta))
+            assert_solutions_identical(sol, per_core_ts_oracle(problem, theta))
 
     def test_no_ts_batch_keeps_each_thetas_critical_thread(self):
         """Two thetas whose No TS winners share indices but not the
@@ -268,7 +320,7 @@ class TestBaselineBatchSolvers:
         assert batch[0].indices == batch[1].indices
         assert batch[0].critical_thread != batch[1].critical_thread
         for theta, sol in zip(thetas, batch):
-            assert_solutions_identical(sol, solve_no_ts(problem, theta))
+            assert_solutions_identical(sol, no_ts_oracle(problem, theta))
 
 
 #: The Eq. 4.4 weights of the exact-tie cases: 1e6 makes texec
@@ -307,7 +359,6 @@ class TestRepeatedProblems:
         problems, thetas = repeated_sweep(rng, duplicate)
         batch = solve_synts_poly_batch(problems, thetas)
         for problem, theta, sol in zip(problems, thetas, batch):
-            assert_solutions_identical(sol, solve_synts_poly(problem, theta))
             assert_solutions_identical(
                 sol, solve_synts_poly_reference(problem, theta)
             )
@@ -323,7 +374,7 @@ class TestRepeatedProblems:
         for problem, theta, sol in zip(
             problems, thetas, solve_no_ts_batch(problems, thetas)
         ):
-            assert_solutions_identical(sol, solve_no_ts(problem, theta))
+            assert_solutions_identical(sol, no_ts_oracle(problem, theta))
 
     @given(
         seed=st.integers(min_value=0, max_value=20_000),
@@ -336,7 +387,7 @@ class TestRepeatedProblems:
         for problem, theta, sol in zip(
             problems, thetas, solve_per_core_ts_batch(problems, thetas)
         ):
-            assert_solutions_identical(sol, solve_per_core_ts(problem, theta))
+            assert_solutions_identical(sol, per_core_ts_oracle(problem, theta))
 
     def test_theta_sweep_does_per_problem_work_once(self, monkeypatch):
         """A 21-theta sweep over k interval problems prunes k tables
@@ -399,4 +450,45 @@ class TestFullPlatform:
             )
         batch = solve_synts_poly_batch(problems, [theta] * len(problems))
         for problem, sol in zip(problems, batch):
-            assert_solutions_identical(sol, solve_synts_poly(problem, theta))
+            assert_solutions_identical(
+                sol, solve_synts_poly_reference(problem, theta)
+            )
+
+
+class TestCostOverflow:
+    """A finite theta whose Eq. 4.4 cost overflows is refused by name."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        from repro.core import interval_problems
+        from repro.workloads import build_benchmark
+
+        return interval_problems(build_benchmark("radix"), "decode")[0]
+
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_synts_poly, solve_no_ts, solve_per_core_ts],
+        ids=["synts", "no_ts", "per_core_ts"],
+    )
+    def test_overflowing_theta_names_theta(self, problem, solve):
+        with pytest.raises(ValueError, match=r"theta=1e\+308 is too large"):
+            solve(problem, 1e308)
+
+    @pytest.mark.parametrize(
+        "solve, oracle",
+        [
+            (solve_synts_poly, solve_synts_poly_reference),
+            (solve_no_ts, no_ts_oracle),
+            (solve_per_core_ts, per_core_ts_oracle),
+        ],
+        ids=["synts", "no_ts", "per_core_ts"],
+    )
+    def test_large_finite_cost_still_solves(self, problem, solve, oracle):
+        """Slow candidates overflow, the optimum does not: it wins."""
+        m = problem.n_threads
+        r1_times = problem.restrict_tsr([1.0]).time_table.reshape(m, -1)
+        theta = 1e308 / float(r1_times.min(axis=1).max())
+        with np.errstate(over="ignore"):
+            assert np.isinf(theta * problem.time_table).any()
+            expected = oracle(problem, theta)
+        assert_solutions_identical(solve(problem, theta), expected)
