@@ -32,9 +32,9 @@ __getattr__, __dir__ = lazy_exports(
         ".core": (
             "OnlineKnobs", "PlatformConfig", "SCHEME_REGISTRY", "Scheme",
             "SynTSProblem", "SynTSSolution", "ThreadParams",
-            "register_offline_scheme", "register_scheme",
-            "run_online_interval", "solve_no_ts", "solve_nominal",
-            "solve_per_core_ts", "solve_synts_milp", "solve_synts_poly",
+            "register_scheme", "run_online_interval", "solve_no_ts",
+            "solve_nominal", "solve_per_core_ts", "solve_synts_milp",
+            "solve_synts_poly",
         ),
         ".workloads": (
             "HETEROGENEOUS_BENCHMARKS", "SPLASH2_PROFILES", "WORKLOAD_REGISTRY",
@@ -48,7 +48,6 @@ __all__ = [
     "Scheme",
     "SCHEME_REGISTRY",
     "register_scheme",
-    "register_offline_scheme",
     "WORKLOAD_REGISTRY",
     "register_workload",
     "register_synthetic",

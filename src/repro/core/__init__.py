@@ -32,8 +32,7 @@ __getattr__, __dir__ = lazy_exports(
         ".problem": ("SynTSProblem", "problem_from_interval"),
         ".runner": ("interval_problems",),
         ".schemes": (
-            "SCHEME_REGISTRY", "Scheme", "SchemeRegistry", "get_scheme",
-            "register_offline_scheme", "register_scheme", "scheme_names",
+            "SCHEME_REGISTRY", "Scheme", "register_scheme",
         ),
         ".sync_extensions": (
             "SyncSolution", "SyncTopology", "barrier_topology",
@@ -66,12 +65,8 @@ __all__ = [
     "solve_no_ts",
     "solve_per_core_ts",
     "Scheme",
-    "SchemeRegistry",
     "SCHEME_REGISTRY",
     "register_scheme",
-    "register_offline_scheme",
-    "get_scheme",
-    "scheme_names",
     "OnlineKnobs",
     "IntervalOutcome",
     "run_online_interval",

@@ -33,26 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import import_module
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+from repro._registry import Registry
 
 __all__ = [
     "Scheme",
-    "SchemeRegistry",
     "SCHEME_REGISTRY",
     "register_scheme",
-    "register_offline_scheme",
-    "get_scheme",
-    "scheme_names",
-    "scheme_fingerprint",
 ]
 
 
@@ -225,78 +213,12 @@ class Scheme:
         ]
 
 
-class SchemeRegistry:
-    """Name -> :class:`Scheme`, with actionable failure modes.
-
-    Duplicate registration raises (pass ``replace=True`` to override
-    deliberately); unknown lookups name the registered schemes and the
-    registration entry point.  ``version`` counts registrations and
-    removals, so a memo of :meth:`fingerprint` knows when it is stale.
-    """
-
-    def __init__(self) -> None:
-        self._schemes: Dict[str, Scheme] = {}
-        self.version = 0
-
-    # -- registration --------------------------------------------------
-    def register(self, scheme: Scheme, *, replace: bool = False) -> Scheme:
-        if not isinstance(scheme, Scheme):
-            raise TypeError(
-                f"expected a Scheme, got {type(scheme).__name__}"
-            )
-        if scheme.name in self._schemes and not replace:
-            raise ValueError(
-                f"scheme {scheme.name!r} is already registered; pass "
-                "replace=True to override it deliberately"
-            )
-        self._schemes[scheme.name] = scheme
-        # bumped after the change, so a memo built from the new
-        # contents is never filed under the old version
-        self.version += 1
-        return scheme
-
-    def unregister(self, name: str) -> None:
-        if name not in self._schemes:
-            raise KeyError(self._unknown_message(name))
-        del self._schemes[name]
-        self.version += 1
-
-    # -- lookup --------------------------------------------------------
-    def _unknown_message(self, name: str) -> str:
-        return (
-            f"unknown scheme {name!r}; registered schemes: "
-            f"{sorted(self._schemes)}. Register new schemes with "
-            "repro.core.schemes.register_scheme(...)"
-        )
-
-    def get(self, name: str) -> Scheme:
-        try:
-            return self._schemes[name]
-        except KeyError:
-            raise KeyError(self._unknown_message(name)) from None
-
-    def names(self) -> Tuple[str, ...]:
-        """Registered names, in registration order."""
-        return tuple(self._schemes)
-
-    def fingerprint(self) -> Tuple[Tuple[str, str, bool, bool], ...]:
-        """Stable content image of the registered set, for cache keys."""
-        return tuple(
-            self._schemes[name].digest() for name in sorted(self._schemes)
-        )
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._schemes
-
-    def __iter__(self) -> Iterator[Scheme]:
-        return iter(self._schemes.values())
-
-    def __len__(self) -> int:
-        return len(self._schemes)
-
-
 #: The process-wide default registry, seeded with the paper's schemes.
-SCHEME_REGISTRY = SchemeRegistry()
+SCHEME_REGISTRY: Registry[Scheme] = Registry(
+    Scheme,
+    noun="scheme",
+    remedy="Register new schemes with repro.core.schemes.register_scheme(...)",
+)
 
 
 def register_scheme(scheme: Scheme, *, replace: bool = False) -> Scheme:
@@ -304,69 +226,40 @@ def register_scheme(scheme: Scheme, *, replace: bool = False) -> Scheme:
     return SCHEME_REGISTRY.register(scheme, replace=replace)
 
 
-def register_offline_scheme(
-    name: str,
-    solver: SolverRef,
-    *,
-    uses_theta: bool = True,
-    description: str = "",
-    batch_solver: Optional[SolverRef] = None,
-    replace: bool = False,
-) -> Scheme:
-    """Shorthand: register a ``(problem, theta) -> SynTSSolution`` solver."""
-    return register_scheme(
-        Scheme(
-            name=name,
-            solver=solver,
-            uses_theta=uses_theta,
-            description=description,
-            batch_solver=batch_solver,
-        ),
-        replace=replace,
-    )
-
-
-def get_scheme(name: str) -> Scheme:
-    """Look a scheme up in the default registry (actionable KeyError)."""
-    return SCHEME_REGISTRY.get(name)
-
-
-def scheme_names() -> Tuple[str, ...]:
-    """Names registered with the default registry."""
-    return SCHEME_REGISTRY.names()
-
-
-def scheme_fingerprint() -> Tuple[Tuple[str, str, bool, bool], ...]:
-    """Default registry fingerprint (participates in cache keys)."""
-    return SCHEME_REGISTRY.fingerprint()
-
-
 # ----------------------------------------------------------------------
 # seed entries: the paper's comparison schemes (Section 6)
 # ----------------------------------------------------------------------
-register_offline_scheme(
-    "synts",
-    "repro.core.poly:solve_synts_poly",
-    batch_solver="repro.core.poly:solve_synts_poly_batch",
-    description="SynTS-Poly: joint (V, r) optimisation of Eq. 4.4",
+register_scheme(
+    Scheme(
+        name="synts",
+        solver="repro.core.poly:solve_synts_poly",
+        batch_solver="repro.core.poly:solve_synts_poly_batch",
+        description="SynTS-Poly: joint (V, r) optimisation of Eq. 4.4",
+    )
 )
-register_offline_scheme(
-    "no_ts",
-    "repro.core.baselines:solve_no_ts",
-    batch_solver="repro.core.baselines:solve_no_ts_batch",
-    description="joint DVFS with speculation disabled (r = 1)",
+register_scheme(
+    Scheme(
+        name="no_ts",
+        solver="repro.core.baselines:solve_no_ts",
+        batch_solver="repro.core.baselines:solve_no_ts_batch",
+        description="joint DVFS with speculation disabled (r = 1)",
+    )
 )
-register_offline_scheme(
-    "nominal",
-    "repro.core.baselines:solve_nominal",
-    uses_theta=False,
-    description="every core at (V_max, r = 1); the normalisation baseline",
+register_scheme(
+    Scheme(
+        name="nominal",
+        solver="repro.core.baselines:solve_nominal",
+        uses_theta=False,
+        description="every core at (V_max, r = 1); the normalisation baseline",
+    )
 )
-register_offline_scheme(
-    "per_core_ts",
-    "repro.core.baselines:solve_per_core_ts",
-    batch_solver="repro.core.baselines:solve_per_core_ts_batch",
-    description="each core minimises en_i + theta*t_i in isolation",
+register_scheme(
+    Scheme(
+        name="per_core_ts",
+        solver="repro.core.baselines:solve_per_core_ts",
+        batch_solver="repro.core.baselines:solve_per_core_ts_batch",
+        description="each core minimises en_i + theta*t_i in isolation",
+    )
 )
 register_scheme(
     Scheme(

@@ -84,11 +84,7 @@ class CellSpec:
 
     def __post_init__(self):
         if self.scheme not in SCHEME_REGISTRY:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; registered: "
-                f"{sorted(SCHEME_REGISTRY.names())}. Register new "
-                "schemes with repro.core.schemes.register_scheme(...)"
-            )
+            raise ValueError(SCHEME_REGISTRY.unknown_message(self.scheme))
         if self.interval < 0:
             raise ValueError("interval must be non-negative")
 

@@ -138,11 +138,6 @@ class ProgressPrinter:
                 f"warning: skipped corrupt cache entry {data.get('path')} "
                 f"({data.get('error')})"
             )
-        elif kind == "backend_fallback":
-            self._say(
-                f"warning: {data.get('backend')} unavailable "
-                f"({data.get('error')}); fell back to serial"
-            )
         elif kind == "experiment_computed":
             self._say(f"experiment computed: {data.get('experiment')}")
         elif kind == "experiment_cached":

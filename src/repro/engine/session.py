@@ -36,27 +36,15 @@ def set_engine(engine: Optional[ExperimentEngine]) -> None:
 
 @contextmanager
 def engine_session(
-    cache_dir: Optional[str] = None,
     engine: Optional[ExperimentEngine] = None,
-    remote_workers: Optional[str] = None,
-    worker_token: Optional[str] = None,
 ) -> Iterator[ExperimentEngine]:
-    """Scope a configured (or prebuilt) engine as the session default.
+    """Scope ``engine`` (a fresh serial one if ``None``) as the default.
 
     The previous engine is restored on exit; the scoped engine's
-    remote connections are closed.  ``worker_token`` is the remote
-    backend's shared-secret auth token.
+    remote connections are closed.
     """
     if engine is None:
-        engine = ExperimentEngine(
-            cache_dir=cache_dir,
-            remote_workers=remote_workers,
-            worker_token=worker_token,
-        )
-    elif any(
-        opt is not None for opt in (cache_dir, remote_workers, worker_token)
-    ):
-        raise ValueError("pass either a prebuilt engine or its options")
+        engine = ExperimentEngine()
     previous = _default_engine
     set_engine(engine)
     try:

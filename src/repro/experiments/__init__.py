@@ -8,13 +8,7 @@ miss imports.  Each driver module is also runnable as ``python -m
 repro.experiments.<module>``.
 """
 
-from .common import (
-    REPORTED_BENCHMARKS,
-    REQUIRED,
-    STAGES,
-    Experiment,
-    ExperimentResult,
-)
+from .common import REQUIRED, STAGES, Experiment, ExperimentResult
 
 #: ``pareto_figs.run_figure``: one of Figs. 6.11-6.16, by figure id.
 PARETO_FIGURE = Experiment(
@@ -78,6 +72,5 @@ __all__ = [
     "Experiment",
     "ExperimentResult",
     "PARETO_FIGURE",
-    "REPORTED_BENCHMARKS",
     "STAGES",
 ]

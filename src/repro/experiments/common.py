@@ -20,27 +20,10 @@ from repro.serialization import JsonFragment, canonical_json, sanitize
 __all__ = [
     "Experiment",
     "ExperimentResult",
-    "REPORTED_BENCHMARKS",
     "REQUIRED",
     "STAGES",
     "registries_fragment",
-    "reported_benchmarks",
 ]
-
-
-def reported_benchmarks() -> Tuple[str, ...]:
-    """The benchmarks the result figures enumerate *right now*.
-
-    Delegates to the workload registry: the paper's seven
-    heterogeneous SPLASH-2 programs plus anything registered with
-    ``reported=True`` (e.g. a synthetic scenario), in registration
-    order.  Drivers that call this instead of the static
-    :data:`REPORTED_BENCHMARKS` pick registered workloads up with no
-    code change.
-    """
-    from repro.workloads.registry import reported_benchmarks as _reported
-
-    return _reported()
 
 
 #: ``((scheme version, workload version), fragment)`` of the last
@@ -68,7 +51,7 @@ def registries_fragment() -> JsonFragment:
     memo = _registries_memo
     if memo is None or memo[0] != versions:
         registries = (
-            [list(entry) for entry in SCHEME_REGISTRY.fingerprint()],
+            [list(digest) for _, digest in SCHEME_REGISTRY.fingerprint()],
             [[name, digest] for name, digest in WORKLOAD_REGISTRY.fingerprint()],
         )
         memo = (versions, JsonFragment(canonical_json(registries)))
@@ -205,17 +188,6 @@ class Experiment:
             arguments["engine"] = eng
         return eng.experiment(key, lambda: self.body(**arguments))
 
-
-#: The seven SPLASH-2 benchmarks the paper reports (Section 5.4).
-REPORTED_BENCHMARKS: Tuple[str, ...] = (
-    "barnes",
-    "cholesky",
-    "fmm",
-    "lu_contig",
-    "lu_ncontig",
-    "radix",
-    "raytrace",
-)
 
 #: The three analysed pipe stages.
 STAGES: Tuple[str, ...] = ("decode", "simple_alu", "complex_alu")

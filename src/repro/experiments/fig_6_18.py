@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.engine import ExperimentEngine, get_engine
+from repro.workloads.registry import reported_benchmarks
 
 from . import EXPERIMENTS
-from .common import STAGES, ExperimentResult, reported_benchmarks
+from .common import STAGES, ExperimentResult
 
 if TYPE_CHECKING:
     from repro.engine.cells import CellSpec

@@ -18,9 +18,10 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.engine import ExperimentEngine, get_engine
+from repro.workloads.registry import reported_benchmarks
 
 from . import EXPERIMENTS
-from .common import STAGES, ExperimentResult, reported_benchmarks
+from .common import STAGES, ExperimentResult
 
 __all__ = ["run", "stage_gains"]
 

@@ -14,10 +14,9 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".model": ("BarrierInterval", "Benchmark", "ThreadWorkload"),
         ".registry": (
-            "WORKLOAD_REGISTRY", "WorkloadEntry", "WorkloadRegistry",
-            "build_benchmark", "get_workload", "register_synthetic",
-            "register_workload", "reported_benchmarks", "synthetic_profile",
-            "unregister_workload", "workload_fingerprint", "workload_names",
+            "WORKLOAD_REGISTRY", "WorkloadEntry", "build_benchmark",
+            "register_synthetic", "register_workload", "reported_benchmarks",
+            "synthetic_profile", "unregister_workload",
         ),
         ".splash2": (
             "EXCLUDED_BENCHMARKS", "HETEROGENEOUS_BENCHMARKS",
@@ -41,15 +40,11 @@ __all__ = [
     "build_benchmark",
     "thread_error_function",
     "WorkloadEntry",
-    "WorkloadRegistry",
     "WORKLOAD_REGISTRY",
     "register_workload",
     "register_synthetic",
     "unregister_workload",
-    "get_workload",
-    "workload_names",
     "reported_benchmarks",
-    "workload_fingerprint",
     "synthetic_profile",
     "OperandProfile",
     "TraceGenerator",

@@ -21,9 +21,9 @@ always sees them, while remote workers see only what they register
 at start-up -- use the ``REPRO_BOOTSTRAP`` hook, or register at
 import time of a module the workers also import.
 
-The registry also exposes :func:`workload_fingerprint`, mixed into
-experiment-level cache keys so memoised figures are invalidated when
-the benchmark set changes.
+The registry's ``fingerprint()`` is mixed into experiment-level cache
+keys, so memoised figures are invalidated when the benchmark set
+changes.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
+
+from repro._registry import Registry
 
 from .splash2 import (
     HETEROGENEOUS_BENCHMARKS,
@@ -54,15 +54,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "WorkloadEntry",
-    "WorkloadRegistry",
     "WORKLOAD_REGISTRY",
     "register_workload",
     "register_synthetic",
     "unregister_workload",
-    "get_workload",
-    "workload_names",
     "reported_benchmarks",
-    "workload_fingerprint",
     "synthetic_profile",
     "build_benchmark",
 ]
@@ -170,93 +166,17 @@ def _invalidate_problem_memo() -> None:
         memo.cache_clear()
 
 
-class WorkloadRegistry:
-    """Name -> :class:`WorkloadEntry`, with actionable failure modes.
-
-    ``version`` counts registrations and removals, so a memo of
-    :meth:`fingerprint` knows when it is stale.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, WorkloadEntry] = {}
-        self.version = 0
-
-    # -- registration --------------------------------------------------
-    def register(
-        self, entry: WorkloadEntry, *, replace: bool = False
-    ) -> WorkloadEntry:
-        if not isinstance(entry, WorkloadEntry):
-            raise TypeError(
-                f"expected a WorkloadEntry, got {type(entry).__name__}"
-            )
-        if entry.name in self._entries and not replace:
-            raise ValueError(
-                f"workload {entry.name!r} is already registered; pass "
-                "replace=True to override it deliberately"
-            )
-        self._entries[entry.name] = entry
-        # bumped after the change, so a memo built from the new
-        # contents is never filed under the old version
-        self.version += 1
-        _invalidate_problem_memo()
-        return entry
-
-    def unregister(self, name: str) -> None:
-        if name not in self._entries:
-            raise KeyError(self._unknown_message(name))
-        del self._entries[name]
-        self.version += 1
-        _invalidate_problem_memo()
-
-    # -- lookup --------------------------------------------------------
-    def _unknown_message(self, name: str) -> str:
-        return (
-            f"unknown benchmark {name!r}; registered workloads: "
-            f"{sorted(self._entries)}. Register new workloads with "
-            "repro.workloads.register_workload(...) or "
-            "register_synthetic(...)"
-        )
-
-    def get(self, name: str) -> WorkloadEntry:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise KeyError(self._unknown_message(name)) from None
-
-    def names(self) -> Tuple[str, ...]:
-        """Registered names, in registration order."""
-        return tuple(self._entries)
-
-    def reported_names(self) -> Tuple[str, ...]:
-        """Benchmarks the result figures enumerate (registration order)."""
-        return tuple(
-            name for name, e in self._entries.items() if e.reported
-        )
-
-    def fingerprint(self) -> Tuple[Tuple[str, Dict[str, Any]], ...]:
-        """Stable *content* image of the registered set, for cache keys.
-
-        Name plus :meth:`WorkloadEntry.digest` per entry: registering,
-        unregistering, or re-registering a name with different
-        parameters all change the fingerprint.
-        """
-        return tuple(
-            (name, self._entries[name].digest())
-            for name in sorted(self._entries)
-        )
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[WorkloadEntry]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 #: The process-wide default registry, seeded with SPLASH-2.
-WORKLOAD_REGISTRY = WorkloadRegistry()
+WORKLOAD_REGISTRY: Registry[WorkloadEntry] = Registry(
+    WorkloadEntry,
+    noun="workload",
+    lookup_noun="benchmark",
+    remedy=(
+        "Register new workloads with repro.workloads.register_workload(...) "
+        "or register_synthetic(...)"
+    ),
+    on_change=_invalidate_problem_memo,
+)
 
 
 def register_workload(
@@ -284,24 +204,9 @@ def unregister_workload(name: str) -> None:
     WORKLOAD_REGISTRY.unregister(name)
 
 
-def get_workload(name: str) -> WorkloadEntry:
-    """Look a workload up in the default registry (actionable KeyError)."""
-    return WORKLOAD_REGISTRY.get(name)
-
-
-def workload_names() -> Tuple[str, ...]:
-    """Names registered with the default registry."""
-    return WORKLOAD_REGISTRY.names()
-
-
 def reported_benchmarks() -> Tuple[str, ...]:
-    """The benchmarks result-figure drivers enumerate right now."""
-    return WORKLOAD_REGISTRY.reported_names()
-
-
-def workload_fingerprint() -> Tuple[Tuple[str, Dict[str, Any]], ...]:
-    """Default registry fingerprint (participates in experiment keys)."""
-    return WORKLOAD_REGISTRY.fingerprint()
+    """The benchmarks the result figures enumerate, in registration order."""
+    return tuple(entry.name for entry in WORKLOAD_REGISTRY if entry.reported)
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +316,7 @@ def register_synthetic(
 
 
 # ----------------------------------------------------------------------
-# materialisation (registry-backed twin of the old splash2 builder)
+# materialisation
 # ----------------------------------------------------------------------
 def build_benchmark(
     name: str, stages: Sequence[str] | None = None

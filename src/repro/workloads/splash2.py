@@ -26,15 +26,13 @@ multipliers scale the activity factor ``scale_p``, reproducing the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 if TYPE_CHECKING:
     from repro.errors.probability import ErrorFunction
 
-    from .model import Benchmark
-
-# the error-function and benchmark classes load in the functions that
-# build them: a warm rerun reads only the profiles (for cache keys)
+# the error-function class loads in the function that builds one: a
+# warm rerun reads only the profiles (for cache keys)
 
 __all__ = [
     "StageErrorShape",
@@ -43,7 +41,6 @@ __all__ = [
     "SPLASH2_PROFILES",
     "HETEROGENEOUS_BENCHMARKS",
     "EXCLUDED_BENCHMARKS",
-    "build_benchmark",
     "thread_error_function",
 ]
 
@@ -264,18 +261,3 @@ def thread_error_function(
         hi=shape.hi,
         scale_p=min(1.0, shape.scale_p * damped),
     )
-
-
-def build_benchmark(
-    name: str, stages: Sequence[str] | None = None
-) -> Benchmark:
-    """Materialise a registered :class:`Benchmark` by name.
-
-    Delegates to the workload registry
-    (:func:`repro.workloads.registry.build_benchmark`), which is
-    seeded with these SPLASH-2 profiles -- kept here so the historic
-    ``splash2.build_benchmark`` import path keeps working.
-    """
-    from .registry import build_benchmark as _build
-
-    return _build(name, stages=stages)

@@ -1,20 +1,27 @@
-"""Scheme registry: seed entries, registration discipline, dispatch."""
+"""Scheme registry: seed entries, dispatch, import-path solvers.
+
+The registration discipline both registries share is checked on both
+default registries in ``tests/test_registries.py``; the scheme-specific
+cases below run on a fresh registry shaped like the default.
+"""
 
 import pytest
 
-from repro.core.schemes import (
-    SCHEME_REGISTRY,
-    Scheme,
-    SchemeRegistry,
-    get_scheme,
-    register_offline_scheme,
-    scheme_names,
-)
+from repro._registry import Registry
+from repro.core.schemes import SCHEME_REGISTRY, Scheme, register_scheme
+
+
+def _fresh_registry():
+    return Registry(
+        Scheme,
+        noun="scheme",
+        remedy="Register new schemes with repro.core.schemes.register_scheme(...)",
+    )
 
 
 class TestSeedEntries:
     def test_paper_schemes_registered(self):
-        assert set(scheme_names()) == {
+        assert set(SCHEME_REGISTRY.names()) == {
             "synts",
             "no_ts",
             "nominal",
@@ -23,27 +30,27 @@ class TestSeedEntries:
         }
 
     def test_online_is_an_ordinary_entry(self):
-        online = get_scheme("online")
+        online = SCHEME_REGISTRY.get("online")
         assert online.needs_rng
         assert online.uses_theta
 
     def test_nominal_ignores_theta(self):
-        assert not get_scheme("nominal").uses_theta
+        assert not SCHEME_REGISTRY.get("nominal").uses_theta
 
     def test_offline_entries_do_not_need_rng(self):
         for name in ("synts", "no_ts", "nominal", "per_core_ts"):
-            assert not get_scheme(name).needs_rng
+            assert not SCHEME_REGISTRY.get(name).needs_rng
 
 
 class TestRegistrationDiscipline:
     def test_duplicate_registration_rejected(self):
-        reg = SchemeRegistry()
+        reg = _fresh_registry()
         reg.register(Scheme(name="x", solver=lambda p, t: None))
         with pytest.raises(ValueError, match="already registered"):
             reg.register(Scheme(name="x", solver=lambda p, t: None))
 
     def test_replace_is_explicit(self):
-        reg = SchemeRegistry()
+        reg = _fresh_registry()
         first = reg.register(Scheme(name="x", solver=lambda p, t: None))
         second = Scheme(name="x", solver=lambda p, t: 1)
         reg.register(second, replace=True)
@@ -57,13 +64,9 @@ class TestRegistrationDiscipline:
         assert "synts" in message  # names what IS registered
         assert "register_scheme" in message  # names the fix
 
-    def test_non_scheme_rejected(self):
-        with pytest.raises(TypeError):
-            SchemeRegistry().register("synts")
-
     def test_unregister_unknown_is_actionable(self):
         with pytest.raises(KeyError, match="registered schemes"):
-            SchemeRegistry().unregister("nope")
+            _fresh_registry().unregister("nope")
 
 
 class TestDispatch:
@@ -72,8 +75,8 @@ class TestDispatch:
         from repro.core.baselines import solve_nominal
         from repro.engine import CellBatch, CellSpec, compute_batch
 
-        register_offline_scheme(
-            "nominal_alias", solve_nominal, uses_theta=False
+        register_scheme(
+            Scheme(name="nominal_alias", solver=solve_nominal, uses_theta=False)
         )
         try:
             alias = compute_batch(
@@ -93,6 +96,15 @@ class TestDispatch:
         with pytest.raises(ValueError, match="register_scheme"):
             CellSpec("radix", "decode", "definitely_not_a_scheme")
 
+    def test_cellspec_message_is_the_registry_message(self):
+        from repro.engine import CellSpec
+
+        with pytest.raises(KeyError) as lookup:
+            SCHEME_REGISTRY.get("nope")
+        with pytest.raises(ValueError) as spec:
+            CellSpec("radix", "decode", "nope")
+        assert spec.value.args[0] == lookup.value.args[0]
+
     def test_evaluate_matches_legacy_offline_path(self):
         from repro.core.poly import solve_synts_poly
         from repro.core.runner import interval_problems
@@ -102,7 +114,7 @@ class TestDispatch:
         problem = interval_problems(build_benchmark("fmm"), "decode")[0]
         theta = problem.equal_weight_theta()
         spec = CellSpec("fmm", "decode", "synts")
-        energy, time = get_scheme("synts").evaluate(problem, theta, spec)
+        energy, time = SCHEME_REGISTRY.get("synts").evaluate(problem, theta, spec)
         legacy = solve_synts_poly(problem, theta).evaluation
         assert energy == float(legacy.total_energy)
         assert time == float(legacy.texec)
@@ -115,7 +127,7 @@ class TestDispatch:
         problem = interval_problems(build_benchmark("radix"), "decode")[0]
         theta = problem.equal_weight_theta()
         spec = CellSpec("radix", "decode", "online", seed=9, n_samp=5_000)
-        online = get_scheme("online")
+        online = SCHEME_REGISTRY.get("online")
         assert online.evaluate(problem, theta, spec) == online.evaluate(
             problem, theta, spec
         )
@@ -179,8 +191,8 @@ class TestImportPathSolvers:
         src = Path(__file__).resolve().parents[2] / "src"
         code = (
             "import sys\n"
-            "from repro.core.schemes import register_offline_scheme\n"
-            "register_offline_scheme('x', 'repro.core.poly:solve_synts_poly')\n"
+            "from repro.core.schemes import Scheme, register_scheme\n"
+            "register_scheme(Scheme('x', 'repro.core.poly:solve_synts_poly'))\n"
             "assert 'repro.core.poly' not in sys.modules\n"
             "assert 'numpy' not in sys.modules\n"
         )

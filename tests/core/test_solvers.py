@@ -24,20 +24,21 @@ from repro.core import (
     solve_synts_brute,
     solve_synts_milp,
     solve_synts_poly,
-    solve_synts_poly_batch,
     solve_synts_poly_reference,
     solve_synts_sync,
 )
-from repro.core.baselines import solve_no_ts_batch, solve_per_core_ts_batch
 from repro.errors.probability import ZeroErrorFunction
 
 from .conftest import random_problem
 
-#: Every solver entry point, as ``(problem, theta) -> anything``.
+#: Every solver entry point, as ``(problem, theta) -> anything``.  The
+#: per-interval SynTS, No TS and Per-core TS solvers are one-element
+#: calls to their batch kernels, so they cover those kernels' input
+#: checks; ``test_poly_vectorized.py`` checks the kernels on many
+#: intervals against independent oracles.
 SOLVER_ENTRY_POINTS = {
     "synts_poly": solve_synts_poly,
     "synts_poly_reference": solve_synts_poly_reference,
-    "synts_poly_batch": lambda p, t: solve_synts_poly_batch([p], [t]),
     "synts_brute": solve_synts_brute,
     "synts_milp": solve_synts_milp,
     "build_synts_milp": build_synts_milp,
@@ -45,9 +46,7 @@ SOLVER_ENTRY_POINTS = {
         p, t, barrier_topology(p.n_threads)
     ),
     "no_ts": solve_no_ts,
-    "no_ts_batch": lambda p, t: solve_no_ts_batch([p], [t]),
     "per_core_ts": solve_per_core_ts,
-    "per_core_ts_batch": lambda p, t: solve_per_core_ts_batch([p], [t]),
 }
 
 

@@ -216,9 +216,9 @@ class TestExperimentMemo:
     def test_disk_round_trip_preserves_render(self, tmp_path):
         from repro.experiments import fig_4_7
 
-        with engine_session(cache_dir=tmp_path):
+        with engine_session(ExperimentEngine(cache_dir=tmp_path)):
             cold = fig_4_7.run()
-        with engine_session(cache_dir=tmp_path) as warm_engine:
+        with engine_session(ExperimentEngine(cache_dir=tmp_path)) as warm_engine:
             warm = fig_4_7.run()
             assert warm_engine.experiments_computed == 0
         assert warm.render() == cold.render()

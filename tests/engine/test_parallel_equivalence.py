@@ -58,14 +58,14 @@ class TestExperimentEquivalence:
         """Table 5.1 submits no cells, so the serial side is its golden
         payload (regenerated serially by ``tools/update_golden.py``)."""
         serial = json.loads(GOLDEN_TABLE_5_1.read_text())["payload"]
-        with engine_session(remote_workers=loopback_workers):
+        with engine_session(ExperimentEngine(remote_workers=loopback_workers)):
             parallel = table_5_1.run()
         assert json.loads(canonical_json(parallel.to_payload())) == serial
 
     def test_fig_6_18_parallel_equals_serial(self, loopback_workers):
         with engine_session():
             serial = fig_6_18.run()
-        with engine_session(remote_workers=loopback_workers):
+        with engine_session(ExperimentEngine(remote_workers=loopback_workers)):
             parallel = fig_6_18.run()
         assert parallel == serial
         assert [tuple(r) for r in parallel.rows] == [

@@ -332,7 +332,7 @@ class TestBootstrapHook:
 
     def test_run_bootstrap_is_idempotent(self, monkeypatch):
         from repro.engine import bootstrap
-        from repro.workloads import unregister_workload
+        from repro.workloads import WORKLOAD_REGISTRY, unregister_workload
 
         from . import bootstrap_reg
 
@@ -342,7 +342,7 @@ class TestBootstrapHook:
             assert bootstrap.run_bootstrap() == [BOOTSTRAP_SPEC]
             assert bootstrap.run_bootstrap() == []  # second run: no-op
         finally:
-            if bootstrap_reg.SYNTH_NAME in _workload_names():
+            if bootstrap_reg.SYNTH_NAME in WORKLOAD_REGISTRY:
                 unregister_workload(bootstrap_reg.SYNTH_NAME)
 
     def test_synthetic_resolves_on_remote_workers(self):
@@ -374,12 +374,6 @@ class TestBootstrapHook:
         finally:
             stop_workers(processes)
             unregister_workload(bootstrap_reg.SYNTH_NAME)
-
-
-def _workload_names():
-    from repro.workloads import workload_names
-
-    return workload_names()
 
 
 @pytest.fixture(scope="module")

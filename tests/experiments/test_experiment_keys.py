@@ -3,18 +3,14 @@
 Every experiment key carries the scheme and workload fingerprints.
 They enter as one pre-encoded :class:`~repro.serialization.JsonFragment`
 built once per pair of registry versions; the key must equal the one
-the plain fingerprints give, and every registration must move it.
+built from every registered entry's own digest, and every
+registration must move it.
 A declaration rejects the calls a signature would reject.
 """
 
 import pytest
 
-from repro.core.schemes import (
-    SCHEME_REGISTRY,
-    Scheme,
-    register_scheme,
-    scheme_fingerprint,
-)
+from repro.core.schemes import SCHEME_REGISTRY, Scheme, register_scheme
 from repro.engine.session import engine_session
 from repro.experiments import EXPERIMENTS, PARETO_FIGURE
 from repro.experiments.ablations import ABLATIONS
@@ -24,7 +20,6 @@ from repro.workloads import (
     WORKLOAD_REGISTRY,
     register_synthetic,
     unregister_workload,
-    workload_fingerprint,
 )
 
 
@@ -39,13 +34,18 @@ class KeyPartsEngine:
         pass
 
 
+def _by_name(registry):
+    return sorted(registry, key=lambda entry: entry.name)
+
+
 def _plain_key(key_parts) -> str:
-    """The key from the fingerprints themselves, with no fragment."""
+    """The key from each registered entry's own digest, with no
+    fragment and no registry fingerprint."""
     exp_id, qualname, arguments, fragment = key_parts
     assert type(fragment) is JsonFragment
     registries = (
-        [list(entry) for entry in scheme_fingerprint()],
-        [[name, digest] for name, digest in workload_fingerprint()],
+        [list(scheme.digest()) for scheme in _by_name(SCHEME_REGISTRY)],
+        [[entry.name, entry.digest()] for entry in _by_name(WORKLOAD_REGISTRY)],
     )
     return content_key("experiment", [exp_id, qualname, arguments, registries])
 

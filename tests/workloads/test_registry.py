@@ -1,6 +1,9 @@
-"""Workload registry: seeding, registration discipline, synthetics,
-and the end-to-end guarantee that a registered workload flows through
-the drivers with no code change."""
+"""Workload registry: seeding, fingerprints and entry immutability,
+synthetics, and the end-to-end guarantee that a registered workload
+flows through the drivers with no code change.
+
+The registration discipline both registries share is checked in
+``tests/test_registries.py``."""
 
 import math
 
@@ -10,30 +13,27 @@ from repro.workloads import (
     HETEROGENEOUS_BENCHMARKS,
     SPLASH2_PROFILES,
     WORKLOAD_REGISTRY,
-    WorkloadRegistry,
     build_benchmark,
-    get_workload,
     register_synthetic,
     register_workload,
     reported_benchmarks,
     synthetic_profile,
     unregister_workload,
-    workload_names,
 )
 
 
 @pytest.fixture
 def fresh_names():
     """Snapshot the registry; unregister anything a test added."""
-    before = set(workload_names())
+    before = set(WORKLOAD_REGISTRY.names())
     yield
-    for name in set(workload_names()) - before:
+    for name in set(WORKLOAD_REGISTRY.names()) - before:
         unregister_workload(name)
 
 
 class TestSeeding:
     def test_splash2_profiles_registered(self):
-        assert set(SPLASH2_PROFILES) <= set(workload_names())
+        assert set(SPLASH2_PROFILES) <= set(WORKLOAD_REGISTRY.names())
 
     def test_reported_set_matches_paper(self):
         assert reported_benchmarks() == HETEROGENEOUS_BENCHMARKS
@@ -41,26 +41,10 @@ class TestSeeding:
     def test_excluded_benchmarks_not_reported(self):
         for name in ("fft", "ocean", "water_sp"):
             assert name in WORKLOAD_REGISTRY
-            assert not get_workload(name).reported
+            assert not WORKLOAD_REGISTRY.get(name).reported
 
 
 class TestRegistrationDiscipline:
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_workload(SPLASH2_PROFILES["radix"])
-
-    def test_unknown_workload_error_is_actionable(self):
-        with pytest.raises(KeyError) as err:
-            get_workload("doom3")
-        message = str(err.value)
-        assert "doom3" in message
-        assert "radix" in message  # names what IS registered
-        assert "register" in message  # names the fix
-
-    def test_non_entry_rejected(self):
-        with pytest.raises(TypeError):
-            WorkloadRegistry().register(SPLASH2_PROFILES["radix"])
-
     def test_fingerprint_tracks_registrations(self, fresh_names):
         before = WORKLOAD_REGISTRY.fingerprint()
         register_synthetic("synth_fp_probe")
@@ -166,7 +150,7 @@ class TestRegistrationDiscipline:
         assert spec.key() == key
         rebuilt = build_benchmark("listed_x").intervals[0].threads[0]
         assert rebuilt.error_functions == built.error_functions
-        profile = get_workload("listed_x").profile
+        profile = WORKLOAD_REGISTRY.get("listed_x").profile
         assert profile.thread_multipliers == (4.0, 2.0, 1.5, 1.0)
 
     def test_reregistration_never_serves_stale_cells(self, fresh_names):

@@ -9,9 +9,9 @@ from repro.workloads.splash2 import (
     HETEROGENEOUS_BENCHMARKS,
     SPLASH2_PROFILES,
     STAGE_SHAPES,
-    build_benchmark,
     thread_error_function,
 )
+from repro.workloads.registry import build_benchmark
 
 RATIOS = np.linspace(0.64, 1.0, 6)
 

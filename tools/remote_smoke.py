@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.engine import engine_session
+    from repro.engine import ExperimentEngine, engine_session
     from repro.engine.worker import start_loopback_workers, stop_workers
     from repro.experiments import EXPERIMENTS
 
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         serial_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        with engine_session(remote_workers=",".join(addresses)) as engine:
+        with engine_session(ExperimentEngine(remote_workers=addresses)) as engine:
             remote = run()
             backend = engine.backend.describe()
         remote_s = time.perf_counter() - start
