@@ -21,13 +21,15 @@ __getattr__, __dir__ = lazy_exports(
             "PlatformConfig", "ThreadParams", "effective_cpi",
             "evaluate_assignment", "thread_energy", "thread_time",
         ),
-        ".online": ("IntervalOutcome", "OnlineKnobs", "run_online_interval"),
+        ".online": (
+            "IntervalOutcome", "OnlineKnobs", "run_online_batch",
+            "run_online_interval",
+        ),
         ".pareto": (
             "TradeoffPoint", "pareto_front", "theta_grid",
         ),
         ".poly": (
             "SynTSSolution", "solve_synts_poly", "solve_synts_poly_batch",
-            "solve_synts_poly_reference",
         ),
         ".problem": ("SynTSProblem", "problem_from_interval"),
         ".runner": ("interval_problems",),
@@ -57,7 +59,6 @@ __all__ = [
     "SynTSSolution",
     "solve_synts_poly",
     "solve_synts_poly_batch",
-    "solve_synts_poly_reference",
     "solve_synts_brute",
     "build_synts_milp",
     "solve_synts_milp",
@@ -69,6 +70,7 @@ __all__ = [
     "register_scheme",
     "OnlineKnobs",
     "IntervalOutcome",
+    "run_online_batch",
     "run_online_interval",
     "interval_problems",
     "TradeoffPoint",

@@ -38,17 +38,7 @@ __all__ = [
 def solve_nominal(problem: SynTSProblem, theta: float = 0.0) -> SynTSSolution:
     """All cores at (V_max, r = 1)."""
     j, k = 0, problem.config.n_tsr - 1
-    indices = tuple((j, k) for _ in range(problem.n_threads))
-    evaluation = problem.evaluate_indices(indices)
-    times = np.array(evaluation.times)
-    return SynTSSolution(
-        indices=indices,
-        assignment=problem.assignment_from_indices(indices),
-        evaluation=evaluation,
-        cost=float(evaluation.cost(theta)),
-        theta=theta,
-        critical_thread=int(np.argmax(times)),
-    )
+    return SynTSSolution.at(problem, [(j, k)] * problem.n_threads, theta)
 
 
 def _expand_r1_solution(
@@ -57,16 +47,8 @@ def _expand_r1_solution(
     """Re-express an r = 1 slice solution in the full configuration
     space (TSR index of r = 1)."""
     k_full = problem.config.n_tsr - 1
-    indices = tuple((j, k_full) for (j, _) in sol.indices)
-    evaluation = problem.evaluate_indices(indices)
-    return SynTSSolution(
-        indices=indices,
-        assignment=problem.assignment_from_indices(indices),
-        evaluation=evaluation,
-        cost=float(evaluation.cost(theta)),
-        theta=float(theta),
-        critical_thread=sol.critical_thread,
-    )
+    indices = [(j, k_full) for (j, _) in sol.indices]
+    return SynTSSolution.at(problem, indices, float(theta), sol.critical_thread)
 
 
 def solve_no_ts(problem: SynTSProblem, theta: float) -> SynTSSolution:
@@ -108,17 +90,8 @@ def _per_core_solution(
     """Assemble a solution from per-thread flat argmin configurations
     (the barrier max-semantics enters only here, at evaluation time)."""
     s = problem.config.n_tsr
-    indices = tuple((int(f) // s, int(f) % s) for f in flat_row)
-    evaluation = problem.evaluate_indices(indices)
-    times_arr = np.array(evaluation.times)
-    return SynTSSolution(
-        indices=indices,
-        assignment=problem.assignment_from_indices(indices),
-        evaluation=evaluation,
-        cost=float(evaluation.cost(theta)),
-        theta=float(theta),
-        critical_thread=int(np.argmax(times_arr)),
-    )
+    indices = [(int(f) // s, int(f) % s) for f in flat_row]
+    return SynTSSolution.at(problem, indices, float(theta))
 
 
 def solve_per_core_ts(problem: SynTSProblem, theta: float) -> SynTSSolution:

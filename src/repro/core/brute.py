@@ -47,14 +47,4 @@ def solve_synts_brute(
             best_flat = combo
 
     assert best_flat is not None
-    indices = tuple((f // s, f % s) for f in best_flat)
-    evaluation = problem.evaluate_indices(indices)
-    times_arr = np.array(evaluation.times)
-    return SynTSSolution(
-        indices=indices,
-        assignment=problem.assignment_from_indices(indices),
-        evaluation=evaluation,
-        cost=float(evaluation.cost(theta)),
-        theta=theta,
-        critical_thread=int(np.argmax(times_arr)),
-    )
+    return SynTSSolution.at(problem, [divmod(f, s) for f in best_flat], theta)

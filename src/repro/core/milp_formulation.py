@@ -93,12 +93,4 @@ def solve_synts_milp(problem: SynTSProblem, theta: float) -> SynTSSolution:
             )
         indices.append(divmod(int(chosen[0]), s))
 
-    evaluation = problem.evaluate_indices(indices)
-    return SynTSSolution(
-        indices=tuple(indices),
-        assignment=problem.assignment_from_indices(indices),
-        evaluation=evaluation,
-        cost=float(evaluation.cost(theta)),
-        theta=theta,
-        critical_thread=int(np.argmax(evaluation.times)),
-    )
+    return SynTSSolution.at(problem, indices, theta)

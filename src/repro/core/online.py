@@ -22,22 +22,25 @@ modelled mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors.estimation import (
-    SamplingPlan,
-    SamplingRecord,
-    estimate_error_function,
-)
-from repro.errors.probability import ErrorFunction, TabulatedErrorFunction
+from repro.errors.estimation import SamplingPlan, SamplingRecord
+from repro.errors.fitting import pava
+from repro.errors.probability import TabulatedErrorFunction
 
-from .model import Evaluation, PlatformConfig, ThreadParams
-from .poly import SynTSSolution, solve_synts_poly
-from .problem import SynTSProblem
+from .model import Evaluation
+from .poly import SynTSSolution, _batch_inputs, solve_synts_stack
+from .problem import SynTSProblem, cost_tables
 
-__all__ = ["OnlineKnobs", "IntervalOutcome", "run_online_interval"]
+__all__ = [
+    "OnlineKnobs",
+    "IntervalOutcome",
+    "run_online_batch",
+    "run_online_interval",
+]
 
 
 @dataclass(frozen=True)
@@ -79,15 +82,27 @@ class OnlineKnobs:
 
 @dataclass(frozen=True)
 class IntervalOutcome:
-    """Everything the controller did in one barrier interval."""
+    """Everything the controller did in one barrier interval.
 
-    estimates: Tuple[TabulatedErrorFunction, ...]
+    ``estimated_rates[i, k]``: thread i's projected error rate at TSR
+    level k, interpolated into :attr:`estimates` on first access.
+    """
+
     records: Tuple[SamplingRecord, ...]
+    estimated_rates: np.ndarray
     sampling_times: Tuple[float, ...]
     sampling_energies: Tuple[float, ...]
     decision: SynTSSolution
     remaining_evaluation: Evaluation
     theta: float
+
+    @cached_property
+    def estimates(self) -> Tuple[TabulatedErrorFunction, ...]:
+        """Per-thread estimated error functions."""
+        return tuple(
+            TabulatedErrorFunction(record.plan.ratios, rates)
+            for record, rates in zip(self.records, self.estimated_rates)
+        )
 
     @property
     def thread_times(self) -> Tuple[float, ...]:
@@ -106,37 +121,6 @@ class IntervalOutcome:
     def total_energy(self) -> float:
         return sum(self.sampling_energies) + self.remaining_evaluation.total_energy
 
-    def cost(self) -> float:
-        return self.total_energy + self.theta * self.texec
-
-
-def _sampling_overheads(
-    thread: ThreadParams,
-    plan: SamplingPlan,
-    config: PlatformConfig,
-) -> Tuple[float, float]:
-    """Actual time and energy the sampling phase costs one thread.
-
-    The thread really executes those instructions (they are work, not
-    waste) at the sampling voltage across the S levels, suffering the
-    true error rates and their replay penalties.
-    """
-    counts = plan.instructions_per_level()
-    ratios = np.asarray(plan.ratios, dtype=float)
-    tnom_s = config.tnom(plan.v_samp)
-    # batched over the S levels (identical accounting to the scalar
-    # per-level recurrence)
-    p = np.clip(thread.err.curve(ratios), 0.0, 1.0)
-    cpi = p * config.c_penalty + thread.cpi_base
-    chunk_times = counts * ratios * tnom_s * cpi
-    time = float(np.sum(chunk_times))
-    energy = float(np.sum(config.alpha * plan.v_samp**2 * counts * cpi))
-    if config.leakage:
-        energy += float(
-            np.sum(config.leakage * config.alpha * plan.v_samp * chunk_times)
-        )
-    return time, energy
-
 
 def run_online_interval(
     problem: SynTSProblem,
@@ -144,63 +128,125 @@ def run_online_interval(
     rng: np.random.Generator,
     knobs: OnlineKnobs | None = None,
 ) -> IntervalOutcome:
-    """Run the full online procedure on one barrier interval.
+    """Run the full online procedure on one barrier interval (a
+    one-interval :func:`run_online_batch` call)."""
+    return run_online_batch([problem], [theta], [rng], [knobs])[0]
 
-    ``problem`` carries the *true* error functions; the controller
-    only ever sees the sampled estimates, as in hardware.
-    """
-    knobs = knobs or OnlineKnobs()
+
+def _sample(
+    problem: SynTSProblem, rng: np.random.Generator, knobs: OnlineKnobs
+) -> Tuple[Tuple[SamplingRecord, ...], np.ndarray, np.ndarray]:
+    """One interval's sampling phase: records, (M, S) instruction
+    counts and (M, S) projected error rates.  Razor counts Binomial
+    errors at the *true* rates in one (threads x levels) draw (the
+    per-thread draws' stream); the observed rates are projected onto
+    non-increasing in ``r``."""
     cfg = problem.config
     v_samp = knobs.v_samp if knobs.v_samp is not None else cfg.voltages[0]
     if v_samp not in cfg.tnom_table:
         raise ValueError(f"v_samp {v_samp} is not a platform voltage level")
+    levels = tuple(cfg.tsr_levels)
+    if len(set(levels)) < len(levels):
+        raise ValueError(f"TSR levels {levels} must be distinct to sample")
+    plans = [
+        SamplingPlan(levels, knobs.budget_for(th.n_instructions, len(levels)), v_samp)
+        for th in problem.threads
+    ]
+    counts = np.stack([plan.instructions_per_level() for plan in plans])
+    errors = rng.binomial(counts, problem.error_rates)
+    observed = (errors / np.maximum(counts, 1)).tolist()
+    order = sorted(range(len(levels)), key=levels.__getitem__)
+    rates = np.empty(counts.shape)
+    for i, (raw, n) in enumerate(zip(observed, counts.tolist())):
+        projected = pava([-raw[k] for k in order], [float(n[k]) for k in order])
+        rates[i, order] = [-p for p in projected]
+    records = tuple(map(SamplingRecord, plans, counts, errors))
+    return records, counts, np.clip(rates, 0.0, 1.0)
 
-    estimates: List[TabulatedErrorFunction] = []
-    records: List[SamplingRecord] = []
-    s_times: List[float] = []
-    s_energies: List[float] = []
-    remaining: List[ThreadParams] = []
 
-    for thread in problem.threads:
-        n_samp = knobs.budget_for(thread.n_instructions, cfg.n_tsr)
-        plan = SamplingPlan(
-            ratios=tuple(cfg.tsr_levels), n_samp=n_samp, v_samp=v_samp
+def run_online_batch(
+    problems: Sequence[SynTSProblem],
+    thetas: Sequence[float],
+    rngs: Sequence[np.random.Generator],
+    knobs: Sequence[Optional[OnlineKnobs]],
+) -> List[IntervalOutcome]:
+    """Run the online procedure on many intervals, one outcome each.
+
+    Cell b runs ``problems[b]`` (the *true* error functions) at
+    ``thetas[b]`` with ``knobs[b]`` (``None``: defaults), drawing from
+    ``rngs[b]``.  Sampling runs strictly in cell order, so cells
+    sharing a generator draw the stream of one-interval calls.  Per
+    group of cells sharing a config and thread count, one
+    :func:`~repro.core.problem.cost_tables` call builds the estimated
+    and true tables (at the TSR levels the interpolated estimate is
+    exactly the projected rate), one :func:`solve_synts_stack` call
+    decides on the estimates, and execution pays the true tables.
+    """
+    problems, thetas = _batch_inputs(problems, thetas)
+    if not len(problems) == len(rngs) == len(knobs):
+        raise ValueError(
+            f"got {len(problems)} problems, {len(rngs)} generators "
+            f"and {len(knobs)} knobs"
         )
-        estimate, record = estimate_error_function(thread.err, plan, rng)
-        t_s, e_s = _sampling_overheads(thread, plan, cfg)
-        estimates.append(estimate)
-        records.append(record)
-        s_times.append(t_s)
-        s_energies.append(e_s)
-        remaining.append(
-            ThreadParams(
-                n_instructions=max(1, thread.n_instructions - n_samp),
-                cpi_base=thread.cpi_base,
-                err=estimate,
+    sampled = [
+        _sample(problem, rng, k or OnlineKnobs())
+        for problem, rng, k in zip(problems, rngs, knobs)
+    ]
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for b, problem in enumerate(problems):
+        groups.setdefault((id(problem.config), problem.n_threads), []).append(b)
+
+    out: List[Optional[IntervalOutcome]] = [None] * len(problems)
+    for members in groups.values():
+        cfg = problems[members[0]].config
+        records = [sampled[b][0] for b in members]
+        counts, est_rates = (
+            np.stack([sampled[b][i] for b in members]) for i in (1, 2)
+        )  # (R, M, S)
+        true_rates = np.stack([problems[b].error_rates for b in members])
+        threads = [problems[b].threads for b in members]
+        n_instr = np.asarray([[th.n_instructions for th in t] for t in threads])
+        cpi_base = np.asarray([[th.cpi_base for th in t] for t in threads])
+        # the controller executes the rest of each thread's interval
+        remaining = np.maximum(n_instr - counts.sum(axis=-1), 1)
+        times, energies = cost_tables(
+            cfg, remaining, cpi_base, np.stack([est_rates, true_rates])
+        )  # (2, R, M, Q, S): estimated, true
+        n_rows, m = remaining.shape
+        decisions = solve_synts_stack(
+            times[0].reshape(n_rows, m, -1),
+            energies[0].reshape(n_rows, m, -1),
+            range(n_rows),
+            [thetas[b] for b in members],
+            [cfg.point_grid] * n_rows,
+        )
+
+        # sampling executes real work at v_samp under the true rates
+        v_samp = [recs[0].plan.v_samp for recs in records]
+        v_col = np.asarray(v_samp)[:, None, None]
+        tnom_s = np.asarray([cfg.tnom(v) for v in v_samp])[:, None, None]
+        v_squared = np.asarray([v**2 for v in v_samp])[:, None, None]  # not np.square
+        cpi = true_rates * cfg.c_penalty + cpi_base[..., None]
+        chunk_times = counts * np.asarray(cfg.tsr_levels) * tnom_s * cpi
+        s_times = np.sum(chunk_times, axis=-1)
+        s_energies = np.sum(cfg.alpha * v_squared * counts * cpi, axis=-1)
+        if cfg.leakage:
+            s_energies = s_energies + np.sum(
+                cfg.leakage * cfg.alpha * v_col * chunk_times, axis=-1
             )
-        )
 
-    estimated_problem = SynTSProblem(config=cfg, threads=tuple(remaining))
-    decision = solve_synts_poly(estimated_problem, theta)
-
-    # Execute the remainder at the chosen points under the TRUE errors.
-    actual_threads = tuple(
-        ThreadParams(
-            n_instructions=rt.n_instructions,
-            cpi_base=rt.cpi_base,
-            err=orig.err,
-        )
-        for rt, orig in zip(remaining, problem.threads)
-    )
-    actual_problem = SynTSProblem(config=cfg, threads=actual_threads)
-    remaining_eval = actual_problem.evaluate_indices(decision.indices)
-
-    return IntervalOutcome(
-        estimates=tuple(estimates),
-        records=tuple(records),
-        sampling_times=tuple(s_times),
-        sampling_energies=tuple(s_energies),
-        decision=decision,
-        remaining_evaluation=remaining_eval,
-        theta=theta,
-    )
+        for r, b in enumerate(members):
+            j, k = zip(*decisions[r].indices)
+            out[b] = IntervalOutcome(
+                records=records[r],
+                estimated_rates=est_rates[r],
+                sampling_times=tuple(s_times[r].tolist()),
+                sampling_energies=tuple(s_energies[r].tolist()),
+                decision=decisions[r],
+                remaining_evaluation=Evaluation(
+                    energies=tuple(energies[1, r, range(m), j, k].tolist()),
+                    times=tuple(times[1, r, range(m), j, k].tolist()),
+                ),
+                theta=thetas[b],
+            )
+    return out  # type: ignore[return-value]

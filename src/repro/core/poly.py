@@ -9,22 +9,15 @@ independently takes its cheapest configuration finishing no later than
 sorts each thread's configurations by time and prefix-minimises energy,
 giving O(M Q S (log(QS) + M)).
 
-One kernel implements that structure, and a reference checks it:
-
-* :func:`solve_synts_poly_batch` -- the solver.  Every thread's
-  minEnergy tables are pruned to their dominated-configuration-free
-  staircase, :func:`_theta_free_costs` sums each candidate's energy
-  and decides its feasibility once per distinct problem, each
-  (problem, theta) member adds ``theta * texec``, and the winner is
-  extracted by replaying the reference fold over the (few)
-  running-minimum improvements.  The engine's
-  :class:`~repro.engine.cells.CellBatch` dispatch feeds it whole
-  stages; :func:`solve_synts_poly` is a one-interval call to it.
-* :func:`solve_synts_poly_reference` -- the original scalar triple
-  loop, kept verbatim as the semantic reference (its ``< best - 1e-15``
-  first-wins fold defines the tie-breaking contract).  Outputs are
-  bit-identical to it, tie cases included; the property suite in
-  ``tests/core/test_poly_vectorized.py`` enforces it.
+One kernel, :func:`solve_synts_stack`, implements that structure on
+stacked (R, M, Q*S) tables (see its docstring);
+:func:`solve_synts_poly_batch` stacks problems into it,
+:func:`solve_synts_poly` is a one-interval call, and the online
+controller hands it its estimated tables.  The original scalar triple
+loop lives on in ``tests/core/poly_reference.py`` as the semantic
+reference: its ``< best - 1e-15`` first-wins fold defines the
+tie-breaking contract, and ``tests/core/test_poly_vectorized.py``
+holds every output bit-identical to it, tie cases included.
 """
 
 from __future__ import annotations
@@ -35,14 +28,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Assignment, Evaluation
+from .model import Assignment, Evaluation, OperatingPoint
 from .problem import SynTSProblem, check_theta
 
 __all__ = [
     "SynTSSolution",
     "solve_synts_poly",
-    "solve_synts_poly_reference",
     "solve_synts_poly_batch",
+    "solve_synts_stack",
     "prune_dominated_tables",
     "stacked_shape_groups",
 ]
@@ -80,6 +73,28 @@ class SynTSSolution:
     theta: float
     critical_thread: int
 
+    @classmethod
+    def at(
+        cls,
+        problem: SynTSProblem,
+        indices: Sequence[Tuple[int, int]],
+        theta: float,
+        critical_thread: Optional[int] = None,
+    ) -> "SynTSSolution":
+        """``problem`` run at ``indices``, costed at ``theta``; the
+        critical thread defaults to the slowest (the first on ties)."""
+        evaluation = problem.evaluate_indices(indices)
+        if critical_thread is None:
+            critical_thread = int(np.argmax(evaluation.times))
+        return cls(
+            indices=tuple(indices),
+            assignment=problem.assignment_from_indices(indices),
+            evaluation=evaluation,
+            cost=float(evaluation.cost(theta)),
+            theta=theta,
+            critical_thread=critical_thread,
+        )
+
 
 def _sorted_improvement_tables(t: np.ndarray, e: np.ndarray):
     """Stable time-sort with prefix-min energy and improvement mask.
@@ -99,27 +114,6 @@ def _sorted_improvement_tables(t: np.ndarray, e: np.ndarray):
     improved[:, 0] = True
     improved[:, 1:] = e_sorted[:, 1:] < prefix_min[:, :-1]
     return order, t_sorted, e_sorted, prefix_min, improved
-
-
-def _sorted_prefix_tables(problem: SynTSProblem):
-    """Per-thread configurations sorted by time with prefix-min energy.
-
-    Returns ``(times_sorted, prefix_min_energy, argmin_flat_index)``
-    arrays of shape (M, Q*S): ``argmin_flat_index[i, n]`` is the flat
-    (j*S + k) index of the cheapest configuration of thread i among
-    its n+1 fastest configurations -- the most recent strict
-    improvement, recovered as a ``np.maximum.accumulate`` over the
-    improvement positions (the scalar ``if e < best: best_idx = pos``
-    recurrence, vectorized).
-    """
-    t = problem.time_table.reshape(problem.n_threads, -1)
-    e = problem.energy_table.reshape(problem.n_threads, -1)
-    order, t_sorted, _, prefix_min, improved = _sorted_improvement_tables(t, e)
-    n = t.shape[1]
-    positions = np.where(improved, np.arange(n)[None, :], 0)
-    argmin_sorted = np.maximum.accumulate(positions, axis=1)
-    argmin_flat = np.take_along_axis(order, argmin_sorted, axis=1)
-    return t_sorted, prefix_min, argmin_flat
 
 
 def prune_dominated_tables(
@@ -207,30 +201,36 @@ def _fold_winner(flat_costs: np.ndarray) -> int:
 
 
 def _assemble(
-    problem: SynTSProblem,
+    times: np.ndarray,
+    energies: np.ndarray,
+    grid: Sequence[Sequence[OperatingPoint]],
     theta: float,
     crit: int,
     flat: int,
     stairs: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> SynTSSolution:
-    """Build the winning assignment exactly as the reference does."""
-    m = problem.n_threads
-    s = problem.config.n_tsr
-    times = problem.time_table.reshape(m, -1)
+    """Build the winning assignment exactly as the reference does,
+    from one problem's (M, Q*S) tables and its ``config.point_grid``."""
+    m = times.shape[0]
+    s = len(grid[0])
     texec = times[crit, flat]
-    flat_assignment = np.full(m, -1, dtype=np.int64)
+    flat_assignment = [0] * m
     flat_assignment[crit] = flat
     for l in range(m):
         if l == crit:
             continue
         t_star, _, idx_star = stairs[l]
         pos = int(np.searchsorted(t_star, texec, side="right")) - 1
-        flat_assignment[l] = idx_star[pos]
-    indices = tuple((int(f) // s, int(f) % s) for f in flat_assignment)
-    evaluation = problem.evaluate_indices(indices)
+        flat_assignment[l] = int(idx_star[pos])
+    indices = tuple(divmod(f, s) for f in flat_assignment)
+    rows = range(m)
+    evaluation = Evaluation(
+        energies=tuple(energies[rows, flat_assignment].tolist()),
+        times=tuple(times[rows, flat_assignment].tolist()),
+    )
     return SynTSSolution(
         indices=indices,
-        assignment=problem.assignment_from_indices(indices),
+        assignment=Assignment(points=tuple(grid[j][k] for j, k in indices)),
         evaluation=evaluation,
         cost=float(evaluation.cost(theta)),
         theta=theta,
@@ -317,101 +317,69 @@ def stacked_shape_groups(problems: Sequence[SynTSProblem]):
         yield members, np.asarray(rows), times, energies
 
 
-@np.errstate(over="ignore")  # an overflowing theta term is an inf cost
 def solve_synts_poly_batch(
     problems: Sequence[SynTSProblem], thetas: Sequence[float]
 ) -> List[SynTSSolution]:
-    """Solve many intervals; ``problems[b]`` at ``thetas[b]``.
-
-    The returned list is aligned with the inputs; mixed table shapes
-    are grouped internally, so heterogeneous batches are legal.  Theta
-    enters Eq. 4.4 only as ``+ theta * texec``: each distinct problem
-    is pruned and costed once by :func:`_theta_free_costs`, each
-    member adds its own theta term and folds, and a winner a problem
-    repeats is assembled once and re-costed per theta.
-    """
+    """Solve many intervals; ``problems[b]`` at ``thetas[b]``.  Mixed
+    table shapes are legal: each shape is one :func:`solve_synts_stack`
+    call."""
     problems, thetas = _batch_inputs(problems, thetas)
     out: List[Optional[SynTSSolution]] = [None] * len(problems)
     for members, rows, times, energies in stacked_shape_groups(problems):
-        row_stairs = [
-            prune_dominated_tables(times[r], energies[r])
-            for r in range(len(times))
-        ]
-        totals, feasible = _theta_free_costs(times, energies, row_stairs)
-        member_thetas = np.asarray([thetas[b] for b in members])
-        costs = totals[rows] + member_thetas[:, None, None] * times[rows]
-        costs[~feasible[rows]] = np.inf
-        n = times.shape[2]
-        assembled: dict = {}
-        for k, (b, row) in enumerate(zip(members, rows)):
-            theta = thetas[b]
-            winner = _fold_winner(costs[k].ravel())
-            if winner < 0:
-                raise _cost_overflow(theta)
-            crit, flat, stairs = winner // n, winner % n, row_stairs[row]
-            out[b] = _assemble_once(
-                assembled,
-                (row, winner),
-                theta,
-                lambda: _assemble(problems[b], theta, crit, flat, stairs),
-            )
+        solutions = solve_synts_stack(
+            times,
+            energies,
+            rows,
+            [thetas[b] for b in members],
+            [problems[b].config.point_grid for b in members],
+        )
+        for b, solution in zip(members, solutions):
+            out[b] = solution
     return out  # type: ignore[return-value]
 
 
-def solve_synts_poly_reference(
-    problem: SynTSProblem, theta: float
-) -> SynTSSolution:
-    """The original scalar enumeration (Algorithm 1), kept verbatim.
+@np.errstate(over="ignore")  # an overflowing theta term is an inf cost
+def solve_synts_stack(
+    times: np.ndarray,
+    energies: np.ndarray,
+    rows: Sequence[int],
+    thetas: Sequence[float],
+    grids: Sequence[Sequence[Sequence[OperatingPoint]]],
+) -> List[SynTSSolution]:
+    """SynTS-Poly on the (R, M, Q*S) tables of R distinct problems.
 
-    This is the semantic reference the vectorized solver is
-    property-tested against: same candidate order, same
-    ``< best - 1e-15`` first-wins acceptance, same output structure.
+    Member k solves row ``rows[k]`` at the checked ``thetas[k]`` on
+    ``grids[k]`` (its ``config.point_grid``).  Every row's minEnergy
+    tables are pruned to their dominated-configuration-free
+    staircase and costed once by :func:`_theta_free_costs`; each
+    member adds its Eq. 4.4 ``theta * texec`` term and replays the
+    reference fold over the (few) running-minimum improvements; a
+    winner a row repeats is assembled once and re-costed per theta.
     """
-    check_theta(theta)
-    cfg = problem.config
-    m = problem.n_threads
-    q, s = cfg.n_voltages, cfg.n_tsr
-    times = problem.time_table.reshape(m, -1)
-    energies = problem.energy_table.reshape(m, -1)
-    t_sorted, prefix_min_e, argmin_flat = _sorted_prefix_tables(problem)
-
-    best_cost = np.inf
-    best: Optional[Tuple[int, int, np.ndarray]] = None  # (i, flat cfg, others)
-
-    for i in range(m):
-        for flat in range(q * s):
-            texec = times[i, flat]
-            total_e = energies[i, flat]
-            others = np.full(m, -1, dtype=np.int64)
-            others[i] = flat
-            feasible = True
-            for l in range(m):
-                if l == i:
-                    continue
-                # how many of l's sorted configs finish within texec
-                pos = int(np.searchsorted(t_sorted[l], texec, side="right")) - 1
-                if pos < 0:
-                    feasible = False
-                    break
-                total_e += prefix_min_e[l, pos]
-                others[l] = argmin_flat[l, pos]
-            if not feasible:
-                continue
-            cost = total_e + theta * texec
-            if cost < best_cost - _TIE_EPS:
-                best_cost = cost
-                best = (i, flat, others)
-
-    if best is None:
-        raise RuntimeError("SynTS-Poly found no feasible candidate (impossible)")
-    crit, _, flat_assignment = best
-    indices = tuple((int(f) // s, int(f) % s) for f in flat_assignment)
-    evaluation = problem.evaluate_indices(indices)
-    return SynTSSolution(
-        indices=indices,
-        assignment=problem.assignment_from_indices(indices),
-        evaluation=evaluation,
-        cost=float(evaluation.cost(theta)),
-        theta=theta,
-        critical_thread=crit,
-    )
+    row_stairs = [
+        prune_dominated_tables(times[r], energies[r])
+        for r in range(len(times))
+    ]
+    totals, feasible = _theta_free_costs(times, energies, row_stairs)
+    costs = totals[rows] + np.asarray(thetas)[:, None, None] * times[rows]
+    costs[~feasible[rows]] = np.inf
+    n = times.shape[2]
+    assembled: dict = {}
+    out = []
+    for k, (row, theta, grid) in enumerate(zip(rows, thetas, grids)):
+        winner = _fold_winner(costs[k].ravel())
+        if winner < 0:
+            raise _cost_overflow(theta)
+        crit, flat = divmod(winner, n)
+        out.append(
+            _assemble_once(
+                assembled,
+                (row, winner),
+                theta,
+                lambda: _assemble(
+                    times[row], energies[row], grid, theta, crit, flat,
+                    row_stairs[row],
+                ),
+            )
+        )
+    return out

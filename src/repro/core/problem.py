@@ -24,10 +24,14 @@ from .model import (
     OperatingPoint,
     PlatformConfig,
     ThreadParams,
-    effective_cpi,
 )
 
-__all__ = ["SynTSProblem", "check_theta", "problem_from_interval"]
+__all__ = [
+    "SynTSProblem",
+    "check_theta",
+    "cost_tables",
+    "problem_from_interval",
+]
 
 
 def check_theta(theta: float) -> None:
@@ -38,6 +42,36 @@ def check_theta(theta: float) -> None:
     """
     if not (math.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be finite and non-negative, got {theta!r}")
+
+
+def cost_tables(
+    config: PlatformConfig,
+    n_instructions: np.ndarray,
+    cpi_base: np.ndarray,
+    error_rates: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``T/E[..., i, j, k]``: thread i at voltage j and TSR level k.
+
+    Threads have (..., M) instruction counts and base CPIs and
+    (..., M, S) error rates at ``config.tsr_levels``; leading axes
+    stack problems sharing ``config``.  The broadcasting reproduces
+    the scalar recurrence term for term (bit-identical values).
+    """
+    tsr = np.asarray(config.tsr_levels)  # (s,)
+    volts = np.asarray(config.voltages)[:, None]  # (q, 1)
+    tnoms = np.asarray([config.tnom(v) for v in config.voltages])  # (q,)
+    cycles = n_instructions[..., None] * (
+        error_rates * config.c_penalty + cpi_base[..., None]
+    )  # (..., m, s)
+    tclk = tsr[None, :] * tnoms[:, None]  # (q, s)
+    times = cycles[..., None, :] * tclk  # (..., m, q, s)
+    energies = config.alpha * volts**2 * cycles[..., None, :]
+    if config.leakage:
+        # static power integrated over the thread's time
+        energies = energies + (
+            config.leakage * config.alpha * volts * cycles[..., None, :] * tclk
+        )
+    return times, energies
 
 
 @dataclass(frozen=True)
@@ -59,36 +93,22 @@ class SynTSProblem:
     # precomputed tables
     # ------------------------------------------------------------------
     @cached_property
-    def _tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        # fully batched over (thread, voltage, tsr); per-thread error
-        # curves are the only per-object evaluation.  The broadcasting
-        # reproduces the scalar recurrence term-for-term, so values
-        # are bit-identical to the original per-(i, j) loops.
-        cfg = self.config
-        tsr = np.asarray(cfg.tsr_levels)  # (s,)
-        volts = np.asarray(cfg.voltages)  # (q,)
-        tnoms = np.asarray([cfg.tnom(v) for v in cfg.voltages])  # (q,)
-        perr = np.stack(
+    def error_rates(self) -> np.ndarray:
+        """(M, S) true error probability of each thread at each TSR
+        level, clipped to [0, 1]."""
+        tsr = np.asarray(self.config.tsr_levels)
+        return np.stack(
             [np.clip(th.err.curve(tsr), 0.0, 1.0) for th in self.threads]
-        )  # (m, s)
-        n_instr = np.asarray([th.n_instructions for th in self.threads])
-        cpi_base = np.asarray([th.cpi_base for th in self.threads])
-        cycles = n_instr[:, None] * (
-            perr * cfg.c_penalty + cpi_base[:, None]
-        )  # (m, s)
-        tclk = tsr[None, :] * tnoms[:, None]  # (q, s)
-        times = cycles[:, None, :] * tclk[None, :, :]  # (m, q, s)
-        energies = cfg.alpha * volts[None, :, None] ** 2 * cycles[:, None, :]
-        if cfg.leakage:
-            # static power integrated over the thread's time
-            energies = energies + (
-                cfg.leakage
-                * cfg.alpha
-                * volts[None, :, None]
-                * cycles[:, None, :]
-                * tclk[None, :, :]
-            )
-        return times, energies
+        )
+
+    @cached_property
+    def _tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        return cost_tables(
+            self.config,
+            np.asarray([th.n_instructions for th in self.threads]),
+            np.asarray([th.cpi_base for th in self.threads]),
+            self.error_rates,
+        )
 
     @property
     def time_table(self) -> np.ndarray:

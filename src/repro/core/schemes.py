@@ -10,14 +10,16 @@ scheme meant editing the engine.  A :class:`Scheme` entry instead
   registry lookup never imports solver code).  Offline solvers take
   ``(problem, theta) -> SynTSSolution``; RNG-driven solvers take
   ``(problem, theta, rng, knobs) -> IntervalOutcome`` (the online
-  controller's signature).
+  controller's signature).  An optional ``batch_solver`` takes the
+  same arguments as aligned lists, one entry per cell.
 * ``uses_theta`` -- whether the Eq. 4.4 weight influences decisions
   (``nominal`` ignores it: every core runs at the top voltage).
 * ``needs_rng`` -- whether the scheme draws random samples.  The
-  engine derives the stream from the cell spec's content hash
-  (:func:`repro.engine.cells.cell_seed`), so registered stochastic
-  schemes inherit the same scheduling-independence guarantee as
-  ``online``.
+  engine gives every cell its own stream, seeded from the spec's
+  content hash (:func:`repro.engine.cells.cell_seed`), so
+  registered stochastic schemes inherit ``online``'s
+  scheduling-independence guarantee; an RNG batch solver must draw
+  cell by cell, so a batch equals its one-element calls bit for bit.
 
 The default :data:`SCHEME_REGISTRY` is seeded with the paper's four
 offline schemes and the online controller -- ``online`` is just
@@ -79,12 +81,13 @@ def _resolve_solver(solver: SolverRef) -> Callable:
 
 
 def _online_knobs(spec):
-    """Online-controller knobs carried by a cell spec."""
+    """Online-controller knobs carried by a cell spec (which sets at
+    most one of ``n_samp`` and ``sampling_fraction``)."""
     from .online import OnlineKnobs
 
-    if getattr(spec, "n_samp", None) is not None:
+    if spec.n_samp is not None:
         return OnlineKnobs(n_samp=spec.n_samp)
-    if getattr(spec, "sampling_fraction", None) is not None:
+    if spec.sampling_fraction is not None:
         return OnlineKnobs(sampling_fraction=spec.sampling_fraction)
     return OnlineKnobs()
 
@@ -115,13 +118,12 @@ class Scheme:
     uses_theta: bool = True
     needs_rng: bool = False
     description: str = ""
-    #: Optional batch evaluator ``(problems, thetas) -> [SynTSSolution]``.
-    #: Must be *result-identical* to mapping ``solver`` over the
-    #: intervals (the same contract executor backends honour against
-    #: the serial reference); the engine's CellBatch dispatch uses it
-    #: to solve a whole (benchmark, stage) run in one pass.  Not part
-    #: of :meth:`digest`: a batch solver may never change results,
-    #: only wall time.  A callable or an import path, like ``solver``.
+    #: Optional batch evaluator: ``solver``'s arguments as aligned
+    #: lists, one result per cell, *result-identical* to mapping
+    #: ``solver`` over the cells; the engine's CellBatch dispatch uses
+    #: it to solve a whole (benchmark, stage) run in one pass.  Not
+    #: part of :meth:`digest`: it may change wall time, never results.
+    #: A callable or an import path, like ``solver``.
     batch_solver: Optional[SolverRef] = None
 
     def __post_init__(self):
@@ -168,24 +170,7 @@ class Scheme:
 
     def evaluate(self, problem, theta: float, spec) -> Tuple[float, float]:
         """Run the scheme on one interval; return (energy, time)."""
-        if self.needs_rng:
-            # lazy: repro.core must stay importable without the engine
-            # package (which itself builds on repro.core)
-            import numpy as np
-
-            from repro.engine.cells import cell_seed
-
-            rng = np.random.default_rng(cell_seed(spec))
-            outcome = self._solve(problem, theta, rng, _online_knobs(spec))
-            return float(outcome.total_energy), float(outcome.texec)
-        solution = self._solve(problem, theta)
-        evaluation = solution.evaluation
-        return float(evaluation.total_energy), float(evaluation.texec)
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether whole-run batch evaluation is available."""
-        return self.batch_solver is not None and not self.needs_rng
+        return self.evaluate_batch([problem], [theta], [spec])[0]
 
     def evaluate_batch(
         self,
@@ -195,22 +180,28 @@ class Scheme:
     ) -> List[Tuple[float, float]]:
         """Run the scheme on many intervals; one (energy, time) each.
 
-        Uses ``batch_solver`` when the scheme declares one (offline
-        schemes only -- RNG-driven schemes derive a stream per cell and
-        always evaluate per interval); otherwise falls back to the
-        per-interval path.  Either way the values are identical to
-        calling :meth:`evaluate` per cell.
+        An RNG scheme's solver also gets, per cell, a fresh
+        ``default_rng(cell_seed(spec))`` and the spec's online knobs.
+        Uses ``batch_solver`` when the scheme declares one, else maps
+        ``solver`` over the cells; the values are identical either way.
         """
-        if self.supports_batch:
-            solutions = self._solve_batch(problems, thetas)
-            return [
-                (float(s.evaluation.total_energy), float(s.evaluation.texec))
-                for s in solutions
-            ]
-        return [
-            self.evaluate(problem, theta, spec)
-            for problem, theta, spec in zip(problems, thetas, specs)
-        ]
+        args = [problems, thetas]
+        if self.needs_rng:
+            # lazy: repro.core must stay importable without the engine
+            # package (which itself builds on repro.core)
+            import numpy as np
+
+            from repro.engine.cells import cell_seed
+
+            args.append([np.random.default_rng(cell_seed(s)) for s in specs])
+            args.append([_online_knobs(s) for s in specs])
+        if self.batch_solver is not None:
+            outcomes = self._solve_batch(*args)
+        else:
+            outcomes = [self._solve(*cell) for cell in zip(*args)]
+        if not self.needs_rng:
+            outcomes = [solution.evaluation for solution in outcomes]
+        return [(float(o.total_energy), float(o.texec)) for o in outcomes]
 
 
 #: The process-wide default registry, seeded with the paper's schemes.
@@ -265,6 +256,7 @@ register_scheme(
     Scheme(
         name="online",
         solver="repro.core.online:run_online_interval",
+        batch_solver="repro.core.online:run_online_batch",
         needs_rng=True,
         description="online SynTS: sampling phase + optimised phase "
         "(Section 4.3)",

@@ -62,9 +62,9 @@ class CellSpec:
         equal-weight theta (the Fig. 6.18 convention), resolved from
         interval 0 under the cell's platform overrides.
     seed / n_samp / sampling_fraction:
-        Online-controller knobs (ignored by offline schemes).  The
-        actual RNG stream is :func:`cell_seed`, derived from the whole
-        spec, so two cells never share a stream.
+        Online-controller knobs (refused by offline schemes; set one
+        budget).  The actual RNG stream is :func:`cell_seed`, derived
+        from the whole spec, so two cells never share a stream.
     c_penalty / leakage / n_voltages:
         Platform overrides for ablation cells; ``None`` keeps the
         paper's defaults.
@@ -87,6 +87,14 @@ class CellSpec:
             raise ValueError(SCHEME_REGISTRY.unknown_message(self.scheme))
         if self.interval < 0:
             raise ValueError("interval must be non-negative")
+        # a knob the computation ignores would still move the key
+        if self.n_samp is not None and self.sampling_fraction is not None:
+            raise ValueError("n_samp overrides sampling_fraction: set one")
+        for name in ("seed", "n_samp", "sampling_fraction"):
+            if getattr(self, name) is not None and not (
+                SCHEME_REGISTRY.get(self.scheme).needs_rng
+            ):
+                raise ValueError(f"scheme {self.scheme!r} ignores {name}")
 
     def to_payload(self) -> Dict[str, object]:
         """Plain-dict image of the spec (cache/wire codec)."""

@@ -31,7 +31,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union,
 )
 
-from repro.serialization import content_key, sanitize
+from repro.serialization import content_key
 
 from .backends import ExecutorBackend, SerialBackend
 from .store import MemoryStore, ResultStore, StoreStats
@@ -161,9 +161,10 @@ class ExperimentEngine:
         self._chained_on_corrupt = _chained
         self.store.on_corrupt = _chained
         self._subscribers: List[EventCallback] = []
-        # session-only cell memo: recomputing a cell costs less than
-        # creating its disk entry, so the store holds experiments only
-        self._cells: Dict[str, Dict[str, Any]] = {}
+        # session-only cell memo of the frozen results themselves:
+        # recomputing a cell costs less than creating its disk entry,
+        # so the store holds experiments only
+        self._cells: Dict[str, CellResult] = {}
         self.cells_computed = 0
         self.experiments_computed = 0
 
@@ -236,7 +237,7 @@ class ExperimentEngine:
         Scheduling cannot affect values -- cells are pure -- so every
         backend agrees with the serial reference bit-for-bit.
         """
-        from .cells import CellResult, group_cells
+        from .cells import group_cells
 
         keys = [spec.key() for spec in specs]
         results: Dict[str, CellResult] = {}
@@ -246,9 +247,9 @@ class ExperimentEngine:
         for spec, key in zip(specs, keys):
             if key in results:
                 continue
-            payload = self._cells.get(key)
-            if payload is not None:
-                results[key] = CellResult.from_payload(payload)
+            cell = self._cells.get(key)
+            if cell is not None:
+                results[key] = cell
                 cached.append(spec)
             else:
                 results[key] = None  # type: ignore[assignment]
@@ -292,8 +293,7 @@ class ExperimentEngine:
                 )
             for batch, cells in zip(batches, returned):
                 for key, cell in zip(batch.keys, cells):
-                    self._cells[key] = sanitize(cell.to_payload())
-                    results[key] = cell
+                    self._cells[key] = results[key] = cell
             self.cells_computed += len(pending)
             self._emit(
                 "batch_finished",

@@ -9,13 +9,14 @@ workload profiles use.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "isotonic_nonincreasing",
     "isotonic_nondecreasing",
+    "pava",
     "fit_beta_tail",
 ]
 
@@ -25,9 +26,7 @@ def isotonic_nondecreasing(
 ) -> np.ndarray:
     """Weighted L2 projection onto non-decreasing sequences (PAVA).
 
-    Classic pool-adjacent-violators: merge adjacent blocks whose means
-    violate the ordering, replacing them with their weighted mean.
-    O(n).
+    Validates the inputs and runs :func:`pava` on them.
     """
     y = np.asarray(values, dtype=float)
     w = (
@@ -39,14 +38,24 @@ def isotonic_nondecreasing(
         raise ValueError("values and weights must be matching 1-D arrays")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
+    return np.asarray(pava(y.tolist(), w.tolist()), dtype=float)
 
+
+def pava(values: List[float], weights: List[float]) -> List[float]:
+    """Pool-adjacent-violators on plain floats (positive weights).
+
+    Classic PAVA: merge adjacent blocks whose means violate the
+    non-decreasing order, replacing them with their weighted mean.
+    O(n).  Plain lists keep the online controller's per-thread
+    projection of six sampled rates free of numpy call overhead.
+    """
     # blocks as (mean, weight, count) stacks
-    means: list[float] = []
-    wts: list[float] = []
-    counts: list[int] = []
-    for yi, wi in zip(y, w):
-        means.append(float(yi))
-        wts.append(float(wi))
+    means: List[float] = []
+    wts: List[float] = []
+    counts: List[int] = []
+    for yi, wi in zip(values, weights):
+        means.append(yi)
+        wts.append(wi)
         counts.append(1)
         while len(means) > 1 and means[-2] > means[-1] + 1e-15:
             m2, w2, c2 = means.pop(), wts.pop(), counts.pop()
@@ -55,11 +64,9 @@ def isotonic_nondecreasing(
             means.append((m1 * w1 + m2 * w2) / wt)
             wts.append(wt)
             counts.append(c1 + c2)
-    out = np.empty_like(y)
-    pos = 0
+    out: List[float] = []
     for m, c in zip(means, counts):
-        out[pos : pos + c] = m
-        pos += c
+        out.extend([m] * c)
     return out
 
 

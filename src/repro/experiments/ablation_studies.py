@@ -28,7 +28,7 @@ def sampling_budget(
     """Online EDP overhead and estimate error vs N_samp."""
     import numpy as np
 
-    from repro.core.online import OnlineKnobs, run_online_interval
+    from repro.core.online import OnlineKnobs, run_online_batch
     from repro.engine.cells import (
         benchmark_specs,
         cached_interval_problems,
@@ -45,11 +45,13 @@ def sampling_budget(
     grid = np.asarray(problem.config.tsr_levels)
     actual = np.clip(problem.threads[0].err.curve(grid), 0, 1)
     rows = []
+    n = len(problems)
     for n_samp in (2_000, 10_000, 50_000, 150_000):
         # one stream across the intervals, drawn in interval order
         rng = np.random.default_rng(seed)
-        knobs = OnlineKnobs(n_samp=n_samp)
-        outcomes = [run_online_interval(p, theta, rng, knobs) for p in problems]
+        outcomes = run_online_batch(
+            problems, [theta] * n, [rng] * n, [OnlineKnobs(n_samp=n_samp)] * n
+        )
         # totalize's accounting: per-interval sums, EDP on the totals
         energy = time = 0.0
         for outcome in outcomes:

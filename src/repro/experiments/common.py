@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.plots import ascii_bars, ascii_scatter
+from repro.analysis.plots import ascii_scatter
 from repro.analysis.report import Series, format_kv, format_table
 from repro.serialization import JsonFragment, canonical_json, sanitize
 

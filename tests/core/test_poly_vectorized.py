@@ -27,15 +27,14 @@ from repro.core.baselines import (
 import repro.core.poly as poly
 from repro.core.poly import (
     SynTSSolution,
-    _sorted_prefix_tables,
     prune_dominated_tables,
     solve_synts_poly,
     solve_synts_poly_batch,
-    solve_synts_poly_reference,
 )
 from repro.errors.probability import ZeroErrorFunction
 
 from .conftest import random_problem, small_config
+from .poly_reference import _sorted_prefix_tables, solve_synts_poly_reference
 
 
 def assert_solutions_identical(a, b):

@@ -24,12 +24,12 @@ from repro.core import (
     solve_synts_brute,
     solve_synts_milp,
     solve_synts_poly,
-    solve_synts_poly_reference,
     solve_synts_sync,
 )
 from repro.errors.probability import ZeroErrorFunction
 
 from .conftest import random_problem
+from .poly_reference import solve_synts_poly_reference
 
 #: Every solver entry point, as ``(problem, theta) -> anything``.  The
 #: per-interval SynTS, No TS and Per-core TS solvers are one-element
@@ -142,7 +142,7 @@ class TestExactnessChain:
         for name in (
             "solve_synts_poly",
             "solve_synts_poly_batch",
-            "solve_synts_poly_reference",
+            "solve_synts_stack",
         ):
             monkeypatch.setattr(repro.core.poly, name, forbidden)
         milp = solve_synts_milp(tiny_problem, theta)

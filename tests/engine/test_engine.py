@@ -87,6 +87,25 @@ class TestCells:
         with pytest.raises(ValueError):
             CellSpec("radix", "decode", "bogus")
 
+    def test_both_sampling_budgets_rejected(self):
+        """n_samp overrides sampling_fraction, so setting both would
+        key (and seed) a cell by a knob the controller ignores."""
+        with pytest.raises(ValueError, match="sampling_fraction"):
+            CellSpec(
+                "radix", "decode", "online", n_samp=5_000,
+                sampling_fraction=0.2,
+            )
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("seed", 3), ("n_samp", 5_000), ("sampling_fraction", 0.2)],
+    )
+    def test_online_knob_on_offline_scheme_rejected(self, knob, value):
+        """An offline scheme draws no samples: the knob would only
+        give the same computation a second key."""
+        with pytest.raises(ValueError, match=knob):
+            CellSpec("radix", "decode", "synts", **{knob: value})
+
     def test_totalize_rejects_mixed_groups(self):
         cells = [
             _cell(CellSpec("radix", "decode", "synts")),
@@ -142,6 +161,15 @@ class TestRunCells:
         assert len(log.of_kind("cell_cached")) == len(specs)
         # the session memo serves cells; the result store never sees one
         assert eng.stats.lookups == 0 and eng.stats.puts == 0
+
+    def test_memo_hit_is_the_computed_result(self):
+        """The session memo keeps the frozen results themselves: a hit
+        is the very object the backend returned, not a rebuilt copy."""
+        eng = ExperimentEngine()
+        specs = _specs()
+        first = eng.run_cells(specs)
+        second = eng.run_cells(specs)
+        assert all(a is b for a, b in zip(first, second))
 
     def test_duplicates_computed_once(self):
         eng = ExperimentEngine()
