@@ -26,7 +26,7 @@ __version__ = "1.0.0"
 
 from ._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".core": (
@@ -43,28 +43,4 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "Scheme",
-    "SCHEME_REGISTRY",
-    "register_scheme",
-    "WORKLOAD_REGISTRY",
-    "register_workload",
-    "register_synthetic",
-    "reported_benchmarks",
-    "PlatformConfig",
-    "ThreadParams",
-    "SynTSProblem",
-    "SynTSSolution",
-    "solve_synts_poly",
-    "solve_synts_milp",
-    "solve_nominal",
-    "solve_no_ts",
-    "solve_per_core_ts",
-    "OnlineKnobs",
-    "run_online_interval",
-    "build_benchmark",
-    "SPLASH2_PROFILES",
-    "HETEROGENEOUS_BENCHMARKS",
-    "__version__",
-]
+__all__ += ["__version__"]

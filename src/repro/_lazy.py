@@ -6,7 +6,9 @@ caller needs them.  :func:`lazy_exports` builds the package's module
 ``__getattr__`` and ``__dir__`` instead: a re-exported name is imported
 from its submodule on first access and then cached in the package
 globals, so later lookups are plain attribute reads.  Every
-``from package import Name`` keeps working unchanged.
+``from package import Name`` keeps working unchanged.  The map is the
+package's only list of its lazy public names: ``__all__`` comes from
+it too.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ __all__ = ["lazy_exports"]
 
 def lazy_exports(
     package: str, exports: Mapping[str, Sequence[str]]
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """Module ``__getattr__`` and ``__dir__`` for ``package``.
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """Module ``__getattr__``, ``__dir__`` and ``__all__`` for ``package``.
 
     ``exports`` maps a module name -- relative to ``package`` when it
     starts with a dot, absolute otherwise -- to the names that module
     provides.  Call it from the package ``__init__`` while the package
-    is being imported::
+    is being imported, then append any names the package defines or
+    imports eagerly to ``__all__``::
 
-        __getattr__, __dir__ = lazy_exports(__name__, {
+        __getattr__, __dir__, __all__ = lazy_exports(__name__, {
             ".model": ("PlatformConfig", "ThreadParams"),
         })
     """
@@ -51,4 +54,4 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(owners))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(owners)

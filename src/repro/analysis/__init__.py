@@ -2,12 +2,10 @@
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".plots": ("ascii_bars", "ascii_scatter"),
+        ".plots": ("ascii_scatter",),
         ".report": ("Series", "format_kv", "format_table"),
     },
 )
-
-__all__ = ["format_table", "format_kv", "Series", "ascii_scatter", "ascii_bars"]

@@ -1,17 +1,17 @@
 """ASCII plotting for terminal-rendered figures.
 
 The repository has no GUI dependency; figures regenerate as ASCII
-scatter/bar charts that show the same qualitative shapes as the
+scatter charts that show the same qualitative shapes as the
 paper's plots (who is above whom, where curves cross).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from .report import Series
 
-__all__ = ["ascii_scatter", "ascii_bars"]
+__all__ = ["ascii_scatter"]
 
 _MARKERS = "ox+*#@%&"
 
@@ -53,25 +53,3 @@ def ascii_scatter(
     lines.append(f" legend: {legend}")
     return "\n".join(lines)
 
-
-def ascii_bars(
-    labels: Sequence[str],
-    groups: Dict[str, Sequence[float]],
-    width: int = 40,
-) -> str:
-    """Grouped horizontal bars: one block per label, one bar per group."""
-    if not groups:
-        raise ValueError("need at least one group")
-    for name, vals in groups.items():
-        if len(vals) != len(labels):
-            raise ValueError(f"group {name!r} has {len(vals)} values for "
-                             f"{len(labels)} labels")
-    peak = max(max(v) for v in groups.values()) or 1.0
-    name_w = max(len(n) for n in groups)
-    lines: List[str] = []
-    for i, label in enumerate(labels):
-        lines.append(f"{label}:")
-        for name, vals in groups.items():
-            bar = "#" * max(1, int(vals[i] / peak * width))
-            lines.append(f"  {name.ljust(name_w)} |{bar} {vals[i]:.3f}")
-    return "\n".join(lines)

@@ -4,7 +4,7 @@ online controller (the repo's gem5 stand-in)."""
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".multicore": ("BarrierIntervalStats", "MultiCoreSim"),
@@ -17,19 +17,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "RazorStage",
-    "RazorStats",
-    "InstructionTrace",
-    "MEMORY_LATENCY",
-    "sample_delays_from_error_function",
-    "trace_for_thread",
-    "CoreResult",
-    "execute_trace",
-    "SteppedPipeline",
-    "MultiCoreSim",
-    "BarrierIntervalStats",
-    "SimulatedOnlineOutcome",
-    "simulate_online_interval",
-]

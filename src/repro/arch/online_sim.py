@@ -23,6 +23,7 @@ from repro.core.model import PlatformConfig, ThreadParams
 from repro.core.online import OnlineKnobs
 from repro.core.poly import SynTSSolution, solve_synts_poly
 from repro.core.problem import SynTSProblem
+from repro.errors.estimation import SamplingPlan
 from repro.errors.fitting import isotonic_nonincreasing
 from repro.errors.probability import TabulatedErrorFunction
 
@@ -61,9 +62,9 @@ def _sample_phase(
     instructions at each TSR level, at ``v_samp`` (paper Fig. 4.7).
     """
     ratios = np.asarray(config.tsr_levels, dtype=float)
-    s = len(ratios)
-    base, extra = divmod(n_samp, s)
-    counts = np.array([base + (1 if i < extra else 0) for i in range(s)])
+    counts = SamplingPlan(
+        tuple(config.tsr_levels), n_samp, v_samp
+    ).instructions_per_level()
     tnom_s = config.tnom(v_samp)
     penalty = int(round(config.c_penalty))
 

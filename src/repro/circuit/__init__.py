@@ -7,7 +7,7 @@ toolchain.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".gates": ("GATE_LIBRARY", "GateType", "gate_type"),
@@ -35,40 +35,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "GATE_LIBRARY",
-    "GateType",
-    "gate_type",
-    "Gate",
-    "Netlist",
-    "NetlistError",
-    "TimingReport",
-    "analyze",
-    "arrival_times",
-    "critical_path",
-    "TraceResult",
-    "evaluate",
-    "simulate_trace",
-    "PipeStage",
-    "STAGE_NAMES",
-    "int_to_bits",
-    "build_decode_stage",
-    "build_simple_alu_stage",
-    "build_complex_alu_stage",
-    "get_stage",
-    "SensitizationProfile",
-    "characterize_stage",
-    "empirical_error_curve",
-    "TABLE_5_1",
-    "VOLTAGE_LEVELS",
-    "Table51Model",
-    "AlphaPowerModel",
-    "fit_alpha_power_model",
-    "InverterParams",
-    "TransientResult",
-    "simulate_inverter_ring",
-    "RING_CALIBRATION",
-    "RingOscillatorSweep",
-    "sweep_ring_oscillator",
-]

@@ -8,7 +8,7 @@ sampling controller (Section 4.3) and Pareto-front tooling.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".baselines": (
@@ -42,44 +42,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "DEFAULT_TSR_LEVELS",
-    "OperatingPoint",
-    "PlatformConfig",
-    "ThreadParams",
-    "Assignment",
-    "Evaluation",
-    "effective_cpi",
-    "thread_time",
-    "thread_energy",
-    "evaluate_assignment",
-    "SynTSProblem",
-    "problem_from_interval",
-    "SynTSSolution",
-    "solve_synts_poly",
-    "solve_synts_poly_batch",
-    "solve_synts_brute",
-    "build_synts_milp",
-    "solve_synts_milp",
-    "solve_nominal",
-    "solve_no_ts",
-    "solve_per_core_ts",
-    "Scheme",
-    "SCHEME_REGISTRY",
-    "register_scheme",
-    "OnlineKnobs",
-    "IntervalOutcome",
-    "run_online_batch",
-    "run_online_interval",
-    "interval_problems",
-    "TradeoffPoint",
-    "theta_grid",
-    "pareto_front",
-    "SyncTopology",
-    "SyncSolution",
-    "barrier_topology",
-    "serial_topology",
-    "phased_topology",
-    "solve_synts_sync",
-]

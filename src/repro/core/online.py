@@ -40,6 +40,7 @@ __all__ = [
     "IntervalOutcome",
     "run_online_batch",
     "run_online_interval",
+    "sample_interval",
 ]
 
 
@@ -133,7 +134,7 @@ def run_online_interval(
     return run_online_batch([problem], [theta], [rng], [knobs])[0]
 
 
-def _sample(
+def sample_interval(
     problem: SynTSProblem, rng: np.random.Generator, knobs: OnlineKnobs
 ) -> Tuple[Tuple[SamplingRecord, ...], np.ndarray, np.ndarray]:
     """One interval's sampling phase: records, (M, S) instruction
@@ -189,7 +190,7 @@ def run_online_batch(
             f"and {len(knobs)} knobs"
         )
     sampled = [
-        _sample(problem, rng, k or OnlineKnobs())
+        sample_interval(problem, rng, k or OnlineKnobs())
         for problem, rng, k in zip(problems, rngs, knobs)
     ]
     groups: Dict[Tuple[int, int], List[int]] = {}

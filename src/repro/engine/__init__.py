@@ -28,7 +28,7 @@ Guarantees:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".backends": ("ExecutorBackend", "RemoteBackend", "SerialBackend"),
@@ -51,37 +51,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "BenchmarkTotals",
-    "CellBatch",
-    "CellResult",
-    "CellSpec",
-    "EngineEvent",
-    "EventLog",
-    "ExecutorBackend",
-    "ExperimentEngine",
-    "JsonDirStore",
-    "JsonLinesPrinter",
-    "MemoryStore",
-    "ProgressPrinter",
-    "RemoteBackend",
-    "ResultCache",
-    "ResultStore",
-    "SerialBackend",
-    "StoreStats",
-    "TieredStore",
-    "benchmark_specs",
-    "cached_interval_problems",
-    "canonical_json",
-    "cell_seed",
-    "compute_batch",
-    "content_key",
-    "engine_session",
-    "get_engine",
-    "group_cells",
-    "run_bootstrap",
-    "sanitize",
-    "set_engine",
-    "totalize",
-]

@@ -23,16 +23,8 @@ from .serial import SerialBackend
 
 # the remote backend loads only when the engine is given workers (it
 # pulls in socket, hmac and threading)
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {".remote": ("RemoteBackend", "parse_worker_addresses")},
 )
-
-__all__ = [
-    "EmitFn",
-    "ExecutorBackend",
-    "RemoteBackend",
-    "SerialBackend",
-    "null_emit",
-    "parse_worker_addresses",
-]
+__all__ += ["EmitFn", "ExecutorBackend", "SerialBackend", "null_emit"]

@@ -87,6 +87,8 @@ class CellSpec:
             raise ValueError(SCHEME_REGISTRY.unknown_message(self.scheme))
         if self.interval < 0:
             raise ValueError("interval must be non-negative")
+        if self.n_voltages is not None and self.n_voltages < 1:
+            raise ValueError(f"n_voltages must be at least 1, got {self.n_voltages}")
         # a knob the computation ignores would still move the key
         if self.n_samp is not None and self.sampling_fraction is not None:
             raise ValueError("n_samp overrides sampling_fraction: set one")
@@ -278,6 +280,11 @@ def _interval_problems(
 
     config = PlatformConfig()
     if n_voltages is not None:
+        if n_voltages > len(config.voltages):
+            raise ValueError(
+                f"n_voltages={n_voltages}, but the platform has "
+                f"{len(config.voltages)} voltage levels"
+            )
         volts = config.voltages[:n_voltages]
         config = dc_replace(
             config,

@@ -28,10 +28,17 @@ def get_engine() -> ExperimentEngine:
     return _default_engine
 
 
-def set_engine(engine: Optional[ExperimentEngine]) -> None:
-    """Replace the session engine (``None`` resets to lazy default)."""
+def set_engine(
+    engine: Optional[ExperimentEngine],
+) -> Optional[ExperimentEngine]:
+    """Replace the session engine (``None`` resets to lazy default).
+
+    Returns the engine it replaced (``None`` if none was created yet),
+    so a caller can put it back.
+    """
     global _default_engine
-    _default_engine = engine
+    previous, _default_engine = _default_engine, engine
+    return previous
 
 
 @contextmanager
@@ -45,8 +52,7 @@ def engine_session(
     """
     if engine is None:
         engine = ExperimentEngine()
-    previous = _default_engine
-    set_engine(engine)
+    previous = set_engine(engine)
     try:
         yield engine
     finally:

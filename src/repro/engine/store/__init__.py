@@ -19,16 +19,7 @@ from repro._lazy import lazy_exports
 from .base import CorruptCallback, ResultStore, StoreEntry, StoreStats
 from .memory import MemoryStore
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__, {".jsondir": ("JsonDirStore",), ".tiered": ("TieredStore",)}
 )
-
-__all__ = [
-    "CorruptCallback",
-    "JsonDirStore",
-    "MemoryStore",
-    "ResultStore",
-    "StoreEntry",
-    "StoreStats",
-    "TieredStore",
-]
+__all__ += ["CorruptCallback", "MemoryStore", "ResultStore", "StoreEntry", "StoreStats"]

@@ -3,12 +3,10 @@ the online sampling estimator (paper Sections 4.1 and 4.3)."""
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".estimation": (
-            "SamplingPlan", "SamplingRecord", "estimate_error_function",
-        ),
+        ".estimation": ("SamplingPlan", "SamplingRecord"),
         ".fitting": (
             "fit_beta_tail", "isotonic_nondecreasing",
             "isotonic_nonincreasing",
@@ -23,21 +21,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ScaledErrorFunction",
-    "VariationModel",
-    "apply_variation",
-    "ErrorFunction",
-    "BetaTailErrorFunction",
-    "TabulatedErrorFunction",
-    "EmpiricalErrorFunction",
-    "ZeroErrorFunction",
-    "check_monotone_nonincreasing",
-    "SamplingPlan",
-    "SamplingRecord",
-    "estimate_error_function",
-    "isotonic_nonincreasing",
-    "isotonic_nondecreasing",
-    "fit_beta_tail",
-]

@@ -8,25 +8,19 @@ each level, giving a Binomial estimate of ``err(r)`` per level; the
 estimates are isotonically projected onto the required non-increasing
 shape and linearly interpolated.
 
-The estimator here mirrors that procedure exactly: it consumes the
-*true* error function (from the workload model or circuit
-characterisation), draws Binomial error counts per level, and returns
-the estimated :class:`~repro.errors.probability.TabulatedErrorFunction`
-together with the bookkeeping the controller needs to charge the
-sampling phase's energy/time overheads.
+This module holds the phase's schedule and its per-thread record;
+:func:`repro.core.online.sample_interval` runs the phase for every
+thread of an interval at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .fitting import isotonic_nonincreasing
-from .probability import ErrorFunction, TabulatedErrorFunction
-
-__all__ = ["SamplingPlan", "SamplingRecord", "estimate_error_function"]
+__all__ = ["SamplingPlan", "SamplingRecord"]
 
 
 @dataclass(frozen=True)
@@ -84,29 +78,3 @@ class SamplingRecord:
     def total_errors(self) -> int:
         return int(self.errors.sum())
 
-
-def estimate_error_function(
-    true_err: ErrorFunction,
-    plan: SamplingPlan,
-    rng: np.random.Generator,
-) -> Tuple[TabulatedErrorFunction, SamplingRecord]:
-    """Simulate one sampling phase and return the estimate.
-
-    Error events are Bernoulli per instruction with the true
-    per-instruction error probability at each visited level, exactly
-    what the Razor error counters would tally.  The per-level rates
-    are isotonically projected (non-increasing in ``r``) before
-    interpolation, so the returned function is always a valid error
-    model even at small ``n_samp``.
-    """
-    counts = plan.instructions_per_level()
-    ratios = np.asarray(plan.ratios, dtype=float)
-    true_p = np.clip(true_err.curve(ratios), 0.0, 1.0)
-    errors = rng.binomial(counts, true_p)
-    raw = errors / np.maximum(counts, 1)
-
-    order = np.argsort(ratios)
-    projected = isotonic_nonincreasing(raw[order], weights=counts[order])
-    estimate = TabulatedErrorFunction(ratios[order], projected)
-    record = SamplingRecord(plan=plan, instructions=counts, errors=errors)
-    return estimate, record

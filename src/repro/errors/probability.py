@@ -41,7 +41,6 @@ __all__ = [
     "EmpiricalErrorFunction",
     "ZeroErrorFunction",
     "check_monotone_nonincreasing",
-    "clear_curve_cache",
 ]
 
 
@@ -116,11 +115,6 @@ def _beta_curve_cached(
     import numpy as np
 
     return np.asarray(err(np.asarray(ratios, dtype=float)), dtype=float)
-
-
-def clear_curve_cache() -> None:
-    """Drop memoised Beta-tail curves (cold-timing harnesses)."""
-    _beta_curve_cached.cache_clear()
 
 
 class ErrorFunction:

@@ -15,7 +15,6 @@ PARETO_FIGURE = Experiment(
     "pareto_figure",
     "pareto_figs",
     "run_figure",
-    takes_engine=True,
     figure_id=REQUIRED,
     n_thetas=21,
     decades=2.0,
@@ -60,11 +59,9 @@ EXPERIMENTS = {
         )
     },
     "fig_6_17": Experiment("fig_6_17", "fig_6_17", "run", seed=2016),
-    "fig_6_18": Experiment(
-        "fig_6_18", "fig_6_18", "run", takes_engine=True, seed=7
-    ),
+    "fig_6_18": Experiment("fig_6_18", "fig_6_18", "run", seed=7),
     "sec_6_3": Experiment("sec_6_3", "overhead_study", "run"),
-    "headline": Experiment("headline", "headline", "run", takes_engine=True),
+    "headline": Experiment("headline", "headline", "run"),
 }
 
 __all__ = [

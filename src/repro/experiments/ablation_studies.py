@@ -22,9 +22,7 @@ if TYPE_CHECKING:
 
 
 @ablations.sampling_budget.define
-def sampling_budget(
-    benchmark: str, stage: str, seed: int, engine
-) -> ExperimentResult:
+def sampling_budget(benchmark: str, stage: str, seed: int) -> ExperimentResult:
     """Online EDP overhead and estimate error vs N_samp."""
     import numpy as np
 
@@ -36,7 +34,7 @@ def sampling_budget(
     )
 
     offline = totalize(
-        engine.run_cells(list(benchmark_specs(benchmark, stage, "synts")))
+        get_engine().run_cells(list(benchmark_specs(benchmark, stage, "synts")))
     )
     problems = cached_interval_problems(benchmark, stage)
     theta = problems[0].equal_weight_theta()
@@ -140,7 +138,7 @@ def heterogeneity() -> ExperimentResult:
     )
 
 
-def _first_interval_cells(benchmark, stage, schemes, engine=None, **overrides):
+def _first_interval_cells(benchmark, stage, schemes, **overrides):
     """One engine fan-out over schemes x override values.
 
     Returns ``{(scheme, value): CellResult}`` for the benchmark's
@@ -162,19 +160,18 @@ def _first_interval_cells(benchmark, stage, schemes, engine=None, **overrides):
         for scheme in schemes
     }
     flat = list(specs.values())
-    results = (engine or get_engine()).run_cells(flat)
+    results = get_engine().run_cells(flat)
     return dict(zip(specs.keys(), results))
 
 
 @ablations.replay_penalty.define
-def replay_penalty(benchmark: str, stage: str, engine) -> ExperimentResult:
+def replay_penalty(benchmark: str, stage: str) -> ExperimentResult:
     """Sensitivity of the SynTS gain to the Razor replay penalty."""
     penalties = (2.0, 5.0, 10.0, 20.0)
     cells = _first_interval_cells(
         benchmark,
         stage,
         ("synts", "per_core_ts", "nominal"),
-        engine,
         c_penalty=penalties,
     )
     rows = []
@@ -200,11 +197,11 @@ def replay_penalty(benchmark: str, stage: str, engine) -> ExperimentResult:
 
 
 @ablations.voltage_levels.define
-def voltage_levels(benchmark: str, stage: str, engine) -> ExperimentResult:
+def voltage_levels(benchmark: str, stage: str) -> ExperimentResult:
     """How many DVFS levels the synergy needs."""
     qs = (1, 2, 4, 7)
     cells = _first_interval_cells(
-        benchmark, stage, ("synts", "per_core_ts"), engine, n_voltages=qs
+        benchmark, stage, ("synts", "per_core_ts"), n_voltages=qs
     )
     rows = [
         (
@@ -229,14 +226,13 @@ def voltage_levels(benchmark: str, stage: str, engine) -> ExperimentResult:
 
 
 @ablations.leakage.define
-def leakage(benchmark: str, stage: str, engine) -> ExperimentResult:
+def leakage(benchmark: str, stage: str) -> ExperimentResult:
     """The paper's leakage extension: gains as static power grows."""
     leaks = (0.0, 0.1, 0.2, 0.4)
     cells = _first_interval_cells(
         benchmark,
         stage,
         ("synts", "per_core_ts", "nominal"),
-        engine,
         leakage=leaks,
     )
     rows = []

@@ -43,17 +43,11 @@ def _study(name: str, **defaults) -> Experiment:
     return Experiment(f"ablation_{name}", "ablation_studies", name, **defaults)
 
 
-sampling_budget = _study(
-    "sampling_budget", takes_engine=True, benchmark="radix", stage="decode", seed=3
-)
+sampling_budget = _study("sampling_budget", benchmark="radix", stage="decode", seed=3)
 heterogeneity = _study("heterogeneity")
-replay_penalty = _study(
-    "replay_penalty", takes_engine=True, benchmark="radix", stage="decode"
-)
-voltage_levels = _study(
-    "voltage_levels", takes_engine=True, benchmark="cholesky", stage="decode"
-)
-leakage = _study("leakage", takes_engine=True, benchmark="cholesky", stage="decode")
+replay_penalty = _study("replay_penalty", benchmark="radix", stage="decode")
+voltage_levels = _study("voltage_levels", benchmark="cholesky", stage="decode")
+leakage = _study("leakage", benchmark="cholesky", stage="decode")
 sync_topology = _study("sync_topology", benchmark="cholesky", stage="decode")
 process_variation = _study(
     "process_variation", benchmark="ocean", stage="complex_alu", seed=4

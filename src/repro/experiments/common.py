@@ -84,10 +84,10 @@ class Experiment:
     imports that module, so a warm hit loads no driver code.  The body
     declares no defaults of its own: every default lives here, once.
 
-    Any call may pass ``engine=``, which never enters the key.  With
-    ``takes_engine``, the body receives the resolved engine as its
-    ``engine`` argument, and callers may instead pass it positionally
-    after the declared parameters (both at once raise ``TypeError``).
+    Any call may pass ``engine=``, which never enters the key: the call
+    then runs with that engine installed as the session engine, and
+    the previous one comes back afterwards.  A body reaches the engine
+    only through :func:`repro.engine.get_engine`.
     """
 
     def __init__(
@@ -96,14 +96,11 @@ class Experiment:
         module: str,
         function: str,
         /,
-        *,
-        takes_engine: bool = False,
         **defaults: object,
     ) -> None:
         self.exp_id = exp_id
         self.module = module
         self.function = function
-        self.takes_engine = takes_engine
         self.defaults = defaults
         self._body: Optional[Callable] = None
 
@@ -116,7 +113,6 @@ class Experiment:
             self.exp_id,
             self.module,
             self.function,
-            takes_engine=self.takes_engine,
             **{**self.defaults, **defaults},
         )
 
@@ -143,12 +139,8 @@ class Experiment:
         return self._body
 
     def _bind(self, args: tuple, kwargs: dict) -> Dict[str, object]:
-        """``defaults`` overridden by ``args`` and ``kwargs``.
-
-        An ``engine``, passed positionally or by keyword, stays in the
-        result.
-        """
-        names = [*self.defaults, *(("engine",) if self.takes_engine else ())]
+        """``defaults`` overridden by ``args`` and ``kwargs``."""
+        names = list(self.defaults)
         if len(args) > len(names):
             raise TypeError(
                 f"{self.function}() takes {len(names)} positional "
@@ -156,7 +148,7 @@ class Experiment:
             )
         positional = dict(zip(names, args))
         for name in kwargs:
-            if name not in self.defaults and name != "engine":
+            if name not in self.defaults:
                 raise TypeError(
                     f"{self.function}() got an unexpected keyword argument {name!r}"
                 )
@@ -172,11 +164,10 @@ class Experiment:
             )
         return arguments
 
-    def __call__(self, *args, **kwargs):
-        from repro.engine import get_engine
+    def __call__(self, *args, engine=None, **kwargs):
+        from repro.engine import get_engine, set_engine
 
         arguments = self._bind(args, kwargs)
-        eng = arguments.pop("engine", None) or get_engine()
         # the registered scheme/workload content participates too
         key = (
             self.exp_id,
@@ -184,9 +175,12 @@ class Experiment:
             sorted(arguments.items()),
             registries_fragment(),
         )
-        if self.takes_engine:
-            arguments["engine"] = eng
-        return eng.experiment(key, lambda: self.body(**arguments))
+        engine = engine or get_engine()
+        previous = set_engine(engine)
+        try:
+            return engine.experiment(key, lambda: self.body(**arguments))
+        finally:
+            set_engine(previous)
 
 
 #: The three analysed pipe stages.

@@ -34,43 +34,34 @@ def run_benchmark(
 ) -> ExperimentResult:
     import numpy as np
 
-    from repro.core.online import OnlineKnobs
+    from repro.core.online import OnlineKnobs, sample_interval
     from repro.engine.cells import cached_interval_problems
-    from repro.errors.estimation import SamplingPlan, estimate_error_function
 
     problem = cached_interval_problems(benchmark, stage)[0]
-    cfg = problem.config
-    knobs = OnlineKnobs(sampling_fraction=sampling_fraction)
-    rng = np.random.default_rng(seed)
-    ratios = np.asarray(cfg.tsr_levels)
+    ratios = tuple(problem.config.tsr_levels)
+    # the online controller's own sampling phase
+    records, _, estimated = sample_interval(
+        problem,
+        np.random.default_rng(seed),
+        OnlineKnobs(sampling_fraction=sampling_fraction),
+    )
+    actual = problem.error_rates
 
     series = []
     rows = []
-    true_at_min, est_at_min = [], []
-    max_abs_dev = 0.0
-    for i, thread in enumerate(problem.threads):
-        n_samp = knobs.budget_for(thread.n_instructions, cfg.n_tsr)
-        plan = SamplingPlan(
-            ratios=tuple(cfg.tsr_levels), n_samp=n_samp, v_samp=cfg.voltages[0]
-        )
-        estimate, _ = estimate_error_function(thread.err, plan, rng)
-        actual = np.clip(thread.err.curve(ratios), 0, 1)
-        estimated = estimate.curve(ratios)
-        max_abs_dev = max(max_abs_dev, float(np.max(np.abs(actual - estimated))))
-        series.append(Series(f"T{i}", tuple(ratios), tuple(actual)))
-        series.append(Series(f"T{i} (est.)", tuple(ratios), tuple(estimated)))
+    for i, record in enumerate(records):
+        series.append(Series(f"T{i}", ratios, tuple(actual[i])))
+        series.append(Series(f"T{i} (est.)", ratios, tuple(estimated[i])))
         rows.append(
             (
                 f"T{i}",
-                round(float(actual[0]), 4),
-                round(float(estimated[0]), 4),
-                n_samp,
+                round(float(actual[i, 0]), 4),
+                round(float(estimated[i, 0]), 4),
+                record.plan.n_samp,
             )
         )
-        true_at_min.append(float(actual[0]))
-        est_at_min.append(float(estimated[0]))
-
-    critical_ok = int(np.argmax(true_at_min)) == int(np.argmax(est_at_min))
+    max_abs_dev = float(np.max(np.abs(actual - estimated)))
+    critical_ok = int(np.argmax(actual[:, 0])) == int(np.argmax(estimated[:, 0]))
     return ExperimentResult(
         experiment_id="fig_6_17",
         title=f"Actual vs. estimated error probability ({benchmark}, {stage})",

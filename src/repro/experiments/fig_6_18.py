@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.engine import ExperimentEngine, get_engine
+from repro.engine import get_engine
 from repro.workloads.registry import reported_benchmarks
 
 from . import EXPERIMENTS
@@ -85,15 +85,12 @@ def _stage_specs(
     return groups
 
 
-def run_stage(
-    stage: str, seed: int, engine: ExperimentEngine | None = None
-) -> StagePanel:
+def run_stage(stage: str, seed: int) -> StagePanel:
     from repro.engine.cells import totalize
 
-    eng = engine or get_engine()
     groups = _stage_specs(stage, seed)
     flat = [spec for specs in groups.values() for spec in specs]
-    by_spec = dict(zip(flat, eng.run_cells(flat)))
+    by_spec = dict(zip(flat, get_engine().run_cells(flat)))
     totals = {
         key: totalize([by_spec[s] for s in specs])
         for key, specs in groups.items()
@@ -118,10 +115,10 @@ def run_stage(
 
 
 @EXPERIMENTS["fig_6_18"].define
-def run(seed: int, engine: ExperimentEngine) -> ExperimentResult:
+def run(seed: int) -> ExperimentResult:
     import numpy as np
 
-    panels = [run_stage(stage, seed, engine) for stage in STAGES]
+    panels = [run_stage(stage, seed) for stage in STAGES]
     rows: List[Tuple] = []
     for panel in panels:
         for i, name in enumerate(panel.benchmarks):

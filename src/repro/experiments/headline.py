@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.engine import ExperimentEngine, get_engine
+from repro.engine import get_engine
 from repro.workloads.registry import reported_benchmarks
 
 from . import EXPERIMENTS
@@ -31,9 +31,7 @@ PAPER_HEADLINE = {"decode": 26.0, "simple_alu": 25.0, "complex_alu": 7.5}
 _SCHEMES = ("synts", "per_core_ts", "no_ts")
 
 
-def stage_gains(
-    stage: str, engine: ExperimentEngine | None = None
-) -> Dict[str, Tuple[float, float]]:
+def stage_gains(stage: str) -> Dict[str, Tuple[float, float]]:
     """Per-benchmark (EDP gain vs per-core %, vs no-TS %) for a stage.
 
     Enumerates the workload registry's *reported* set, so registered
@@ -41,7 +39,6 @@ def stage_gains(
     """
     from repro.engine.cells import benchmark_specs, totalize
 
-    eng = engine or get_engine()
     benchmarks = reported_benchmarks()
     groups = {
         (name, scheme): benchmark_specs(name, stage, scheme)
@@ -49,7 +46,7 @@ def stage_gains(
         for scheme in _SCHEMES
     }
     flat = [spec for specs in groups.values() for spec in specs]
-    by_spec = dict(zip(flat, eng.run_cells(flat)))
+    by_spec = dict(zip(flat, get_engine().run_cells(flat)))
     edp = {
         key: totalize([by_spec[s] for s in specs]).edp
         for key, specs in groups.items()
@@ -64,11 +61,11 @@ def stage_gains(
 
 
 @EXPERIMENTS["headline"].define
-def run(engine: ExperimentEngine) -> ExperimentResult:
+def run() -> ExperimentResult:
     rows = []
     notes: Dict[str, object] = {}
     for stage in STAGES:
-        gains = stage_gains(stage, engine)
+        gains = stage_gains(stage)
         best_pc = max(v[0] for v in gains.values())
         best_nts = max(v[1] for v in gains.values())
         champion = max(gains, key=lambda k: gains[k][0])

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Series
-from repro.engine import ExperimentEngine, get_engine
+from repro.engine import get_engine
 
 from . import PARETO_FIGURE
 from .common import ExperimentResult
@@ -93,7 +93,6 @@ def _sweep_cells(
     benchmark: str,
     stage: str,
     thetas: Sequence[float],
-    eng: ExperimentEngine,
 ) -> Dict[str, List[TradeoffPoint]]:
     """Theta sweeps for the three schemes, as one engine fan-out.
 
@@ -121,7 +120,7 @@ def _sweep_cells(
     # to the ones fig_6_18 submits, so they are shared via the cache
     nominal_specs = benchmark_specs(benchmark, stage, "nominal")
     flat = [s for specs in groups.values() for s in specs] + list(nominal_specs)
-    by_spec = dict(zip(flat, eng.run_cells(flat)))
+    by_spec = dict(zip(flat, get_engine().run_cells(flat)))
 
     nominal = totalize([by_spec[s] for s in nominal_specs])
     sweeps: Dict[str, List[TradeoffPoint]] = {}
@@ -141,9 +140,7 @@ def _sweep_cells(
 
 
 @PARETO_FIGURE.define
-def run_figure(
-    figure_id: str, n_thetas: int, decades: float, engine: ExperimentEngine
-) -> ExperimentResult:
+def run_figure(figure_id: str, n_thetas: int, decades: float) -> ExperimentResult:
     """Regenerate one of Figs. 6.11-6.16."""
     from repro.core.pareto import pareto_front, theta_grid
     from repro.engine.cells import cached_interval_problems
@@ -158,7 +155,7 @@ def run_figure(
     thetas = theta_grid(
         cached_interval_problems(benchmark, stage), n_thetas, decades
     )
-    sweeps = _sweep_cells(benchmark, stage, thetas, engine)
+    sweeps = _sweep_cells(benchmark, stage, thetas)
     series = [
         Series(name, tuple(p.time for p in pts), tuple(p.energy for p in pts))
         for name, pts in sweeps.items()
@@ -196,15 +193,11 @@ def run_figure(
     )
 
 
-def run(
-    engine: ExperimentEngine | None = None, **params: object
-) -> Dict[str, ExperimentResult]:
+def run(**params: object) -> Dict[str, ExperimentResult]:
     """Regenerate all six Pareto figures; ``params`` override
-    :func:`run_figure`'s defaults (``n_thetas``, ``decades``)."""
-    eng = engine or get_engine()
-    return {
-        fig: run_figure(fig, engine=eng, **params) for fig in PARETO_FIGURES
-    }
+    :func:`run_figure`'s defaults (``n_thetas``, ``decades``) and may
+    pass ``engine=``."""
+    return {fig: run_figure(fig, **params) for fig in PARETO_FIGURES}
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ the Hamming-distance homogeneity analysis (paper Sections 3.2/5.5)."""
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".characterize": ("LaneErrorCurves", "characterize_lane_errors"),
@@ -15,20 +15,3 @@ __getattr__, __dir__ = lazy_exports(
         ".radeon": ("HD7970", "GPUConfig", "SIMDUnit", "VALUTrace"),
     },
 )
-
-__all__ = [
-    "GPUConfig",
-    "HD7970",
-    "SIMDUnit",
-    "VALUTrace",
-    "Kernel",
-    "GPGPU_KERNELS",
-    "get_kernel",
-    "successive_hamming",
-    "hamming_histogram",
-    "total_variation",
-    "VALUAnalysis",
-    "analyze_valus",
-    "LaneErrorCurves",
-    "characterize_lane_errors",
-]

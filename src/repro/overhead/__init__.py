@@ -2,7 +2,7 @@
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".estimate": (
@@ -15,17 +15,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "SequentialCosts",
-    "StageInventory",
-    "SynTSAdditions",
-    "stage_inventory",
-    "synts_additions_for",
-    "ACTIVITY_FACTOR",
-    "CLOCK_GATING_FACTOR",
-    "MIN_TSR",
-    "STAGE_CORE_FRACTION",
-    "OverheadReport",
-    "estimate_overhead",
-]

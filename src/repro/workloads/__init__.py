@@ -5,7 +5,7 @@ trace generation and cross-layer characterisation (paper Sections
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".characterization": (
@@ -26,29 +26,3 @@ __getattr__, __dir__ = lazy_exports(
         ".traces": ("OperandProfile", "TraceGenerator"),
     },
 )
-
-__all__ = [
-    "ThreadWorkload",
-    "BarrierInterval",
-    "Benchmark",
-    "BenchmarkProfile",
-    "StageErrorShape",
-    "STAGE_SHAPES",
-    "SPLASH2_PROFILES",
-    "HETEROGENEOUS_BENCHMARKS",
-    "EXCLUDED_BENCHMARKS",
-    "build_benchmark",
-    "thread_error_function",
-    "WorkloadEntry",
-    "WORKLOAD_REGISTRY",
-    "register_workload",
-    "register_synthetic",
-    "unregister_workload",
-    "reported_benchmarks",
-    "synthetic_profile",
-    "OperandProfile",
-    "TraceGenerator",
-    "ThreadCharacterization",
-    "characterize_threads",
-    "RADIX_LIKE_PROFILES",
-]

@@ -333,6 +333,9 @@ def build_benchmark(
     profile = entry.profile
     shapes = entry.shapes()
     stage_list = list(stages) if stages is not None else list(shapes)
+    unknown = set(stage_list) - set(shapes)
+    if unknown:
+        raise KeyError(f"unknown stages {sorted(unknown)}; have {sorted(shapes)}")
 
     intervals = []
     for k in range(profile.n_intervals):

@@ -25,7 +25,9 @@ from repro.engine.cells import (
     cached_interval_problems,
     cell_seed,
 )
-from repro.errors.estimation import SamplingPlan, estimate_error_function
+from repro.errors.estimation import SamplingPlan, SamplingRecord
+from repro.errors.fitting import isotonic_nonincreasing
+from repro.errors.probability import TabulatedErrorFunction
 from repro.experiments import fig_6_18
 from repro.experiments.common import STAGES
 
@@ -36,6 +38,22 @@ from .poly_reference import solve_synts_poly_reference
 # ----------------------------------------------------------------------
 # the oracle: the per-interval controller as it was written originally
 # ----------------------------------------------------------------------
+def estimate_error_function(true_err, plan, rng):
+    """One thread's sampling phase: Binomial Razor counts at the true
+    rates, projected non-increasing in ``r`` and interpolated."""
+    counts = plan.instructions_per_level()
+    ratios = np.asarray(plan.ratios, dtype=float)
+    true_p = np.clip(true_err.curve(ratios), 0.0, 1.0)
+    errors = rng.binomial(counts, true_p)
+    raw = errors / np.maximum(counts, 1)
+
+    order = np.argsort(ratios)
+    projected = isotonic_nonincreasing(raw[order], weights=counts[order])
+    estimate = TabulatedErrorFunction(ratios[order], projected)
+    record = SamplingRecord(plan=plan, instructions=counts, errors=errors)
+    return estimate, record
+
+
 def _sampling_overheads(thread, plan, config):
     counts = plan.instructions_per_level()
     ratios = np.asarray(plan.ratios, dtype=float)

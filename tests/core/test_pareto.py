@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TradeoffPoint, pareto_front, theta_grid
-from repro.engine import ExperimentEngine, cached_interval_problems
+from repro.engine import cached_interval_problems
 from repro.experiments.pareto_figs import _sweep_cells
 
 
@@ -12,7 +12,7 @@ def _sweeps(benchmark, thetas=None):
     """Normalised sweeps of SynTS, Per-core TS and No TS, by label."""
     if thetas is None:
         thetas = theta_grid(cached_interval_problems(benchmark, "simple_alu"))
-    return _sweep_cells(benchmark, "simple_alu", thetas, ExperimentEngine())
+    return _sweep_cells(benchmark, "simple_alu", thetas)
 
 
 class TestTradeoffPoint:

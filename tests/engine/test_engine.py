@@ -19,7 +19,7 @@ from repro.engine import (
     set_engine,
     totalize,
 )
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import Experiment, ExperimentResult
 
 from .conftest import cells_experiment, store_entries
 
@@ -40,6 +40,18 @@ def _solved_totals(benchmark):
         energy += evaluation.total_energy
         time += evaluation.texec
     return energy, time
+
+
+@Experiment("engine_probe", "engine_probe", "_engine_probe").define
+def _engine_probe():
+    """Submits cells the way a driver does: through the session."""
+    get_engine().run_cells(list(benchmark_specs("radix", "decode", "synts")))
+    return ExperimentResult(experiment_id="engine_probe", title="probe")
+
+
+@Experiment("raising_probe", "raising_probe", "_raising_probe").define
+def _raising_probe():
+    raise RuntimeError("probe failed")
 
 
 def _specs():
@@ -94,6 +106,15 @@ class TestCells:
             CellSpec(
                 "radix", "decode", "online", n_samp=5_000,
                 sampling_fraction=0.2,
+            )
+
+    @pytest.mark.parametrize("n_voltages", [-1, 0, 8])
+    def test_n_voltages_outside_the_platform_rejected(self, n_voltages):
+        """Slicing the platform's 7 levels would run -1 as 6 and 8 as
+        7, each under its own key."""
+        with pytest.raises(ValueError, match="n_voltages"):
+            ExperimentEngine().run_cells(
+                [CellSpec("cholesky", "decode", "synts", n_voltages=n_voltages)]
             )
 
     @pytest.mark.parametrize(
@@ -274,7 +295,7 @@ class TestSession:
     def test_set_engine_reset(self):
         current = get_engine()
         try:
-            set_engine(None)
+            assert set_engine(None) is current
             fresh = get_engine()
             assert fresh is not current
         finally:
@@ -282,16 +303,6 @@ class TestSession:
 
 
 class TestCachedExperimentDecorator:
-    def test_positional_engine_accepted(self):
-        """engine passed positionally must not raise (it binds to the
-        driver's own engine parameter)."""
-        from repro.experiments import pareto_figs
-
-        eng = ExperimentEngine()
-        result = pareto_figs.run_figure("fig_6_11", 3, 2.0, eng)
-        assert result.experiment_id == "fig_6_11"
-        assert eng.experiments_computed == 1
-
     def test_defaults_bound_into_key(self):
         """run(x) and run(value=x) share one cache entry."""
         from repro.experiments import pareto_figs
@@ -308,6 +319,28 @@ class TestCachedExperimentDecorator:
         eng = ExperimentEngine()
         replay_penalty(engine=eng)
         assert eng.cells_computed > 0
+
+    def test_engine_keyword_is_the_session_engine_for_the_body(self):
+        eng = ExperimentEngine()
+        with engine_session() as ambient:
+            _engine_probe(engine=eng)
+            assert get_engine() is ambient
+            assert ambient.cells_computed == 0
+        assert eng.cells_computed == len(benchmark_specs("radix", "decode", "synts"))
+
+    def test_session_engine_restored_after_a_store_hit(self):
+        eng = ExperimentEngine()
+        with engine_session() as ambient:
+            _engine_probe(engine=eng)
+            _engine_probe(engine=eng)
+            assert eng.experiments_computed == 1
+            assert get_engine() is ambient
+
+    def test_session_engine_restored_after_the_body_raises(self):
+        with engine_session() as ambient:
+            with pytest.raises(RuntimeError, match="probe failed"):
+                _raising_probe(engine=ExperimentEngine())
+            assert get_engine() is ambient
 
     def test_main_restores_ambient_engine(self, capsys):
         from repro.__main__ import main

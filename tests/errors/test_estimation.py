@@ -1,13 +1,20 @@
-"""Tests for the online sampling estimator (paper Section 4.3)."""
+"""Tests for the online sampling estimator (paper Section 4.3).
+
+The estimates come from the online controller's own sampling phase,
+:func:`repro.core.online.sample_interval`.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors.estimation import SamplingPlan, estimate_error_function
+from repro.core import OnlineKnobs, PlatformConfig, SynTSProblem, ThreadParams
+from repro.core.online import sample_interval
+from repro.errors.estimation import SamplingPlan
 from repro.errors.probability import (
     BetaTailErrorFunction,
+    TabulatedErrorFunction,
     check_monotone_nonincreasing,
 )
 
@@ -16,6 +23,20 @@ LEVELS = tuple(float(r) for r in np.linspace(0.64, 1.0, 6))
 
 def true_fn(scale=0.12):
     return BetaTailErrorFunction(a=5.5, b=4.0, lo=0.4, hi=0.99, scale_p=scale)
+
+
+def sample(truths, n_samp, rng):
+    """One sampling phase, a thread per true error function, ``n_samp``
+    instructions each: (records, estimated error functions)."""
+    problem = SynTSProblem(
+        config=PlatformConfig(tsr_levels=LEVELS),
+        threads=tuple(
+            ThreadParams(n_instructions=2 * n_samp, cpi_base=1.0, err=truth)
+            for truth in truths
+        ),
+    )
+    records, _, rates = sample_interval(problem, rng, OnlineKnobs(n_samp=n_samp))
+    return records, [TabulatedErrorFunction(LEVELS, r) for r in rates]
 
 
 class TestSamplingPlan:
@@ -41,8 +62,7 @@ class TestSamplingPlan:
 class TestEstimation:
     def test_estimate_is_monotone(self):
         rng = np.random.default_rng(0)
-        plan = SamplingPlan(ratios=LEVELS, n_samp=600)
-        est, _ = estimate_error_function(true_fn(), plan, rng)
+        _, (est,) = sample([true_fn()], 600, rng)
         assert check_monotone_nonincreasing(est, np.linspace(0.64, 1.0, 30))
 
     def test_estimate_converges_with_samples(self):
@@ -53,13 +73,11 @@ class TestEstimation:
 
         def mean_abs_err(n_samp, seed):
             rng = np.random.default_rng(seed)
-            errs = []
-            for rep in range(10):
-                est, _ = estimate_error_function(
-                    truth, SamplingPlan(ratios=LEVELS, n_samp=n_samp), rng
-                )
-                errs.append(np.mean(np.abs(est.curve(grid) - truth.curve(grid))))
-            return np.mean(errs)
+            _, estimates = sample([truth] * 10, n_samp, rng)
+            return np.mean(
+                [np.mean(np.abs(est.curve(grid) - truth.curve(grid)))
+                 for est in estimates]
+            )
 
         small = mean_abs_err(120, 1)
         large = mean_abs_err(50_000, 2)
@@ -68,8 +86,7 @@ class TestEstimation:
 
     def test_record_bookkeeping(self):
         rng = np.random.default_rng(5)
-        plan = SamplingPlan(ratios=LEVELS, n_samp=600)
-        _, record = estimate_error_function(true_fn(), plan, rng)
+        (record,), _ = sample([true_fn()], 600, rng)
         assert record.total_instructions() == 600
         assert 0 <= record.total_errors() <= 600
         assert record.raw_estimates.shape == (6,)
@@ -77,8 +94,7 @@ class TestEstimation:
     def test_zero_error_function_estimated_as_zero(self):
         rng = np.random.default_rng(6)
         truth = BetaTailErrorFunction(a=2, b=2, lo=0.1, hi=0.2, scale_p=0.5)
-        plan = SamplingPlan(ratios=LEVELS, n_samp=600)
-        est, record = estimate_error_function(truth, plan, rng)
+        (record,), (est,) = sample([truth], 600, rng)
         assert record.total_errors() == 0
         assert np.all(est.curve(np.asarray(LEVELS)) == 0.0)
 
@@ -86,11 +102,8 @@ class TestEstimation:
         """The paper's key fidelity claim (Fig. 6.17): the thread with
         the highest error curve is identified from samples."""
         rng = np.random.default_rng(7)
-        plan = SamplingPlan(ratios=LEVELS, n_samp=8000)
         scales = [0.48, 0.24, 0.16, 0.12]
-        estimates = [
-            estimate_error_function(true_fn(s), plan, rng)[0] for s in scales
-        ]
+        _, estimates = sample([true_fn(s) for s in scales], 8000, rng)
         at_min_r = [est(0.64) for est in estimates]
         assert int(np.argmax(at_min_r)) == 0
 
@@ -98,8 +111,7 @@ class TestEstimation:
     @settings(max_examples=25, deadline=None)
     def test_property_estimates_always_valid(self, seed):
         rng = np.random.default_rng(seed)
-        plan = SamplingPlan(ratios=LEVELS, n_samp=120)
-        est, _ = estimate_error_function(true_fn(0.4), plan, rng)
+        _, (est,) = sample([true_fn(0.4)], 120, rng)
         curve = est.curve(np.linspace(0.6, 1.0, 15))
         assert np.all((curve >= 0) & (curve <= 1))
         assert check_monotone_nonincreasing(est, np.linspace(0.6, 1.0, 15))

@@ -72,10 +72,7 @@ class TestRegistry:
         """The body takes the declared parameters, in order, with no
         default of its own: the declaration holds the only copy."""
         parameters = inspect.signature(declaration.body).parameters
-        expected = [*declaration.defaults]
-        if declaration.takes_engine:
-            expected.append("engine")
-        assert list(parameters) == expected
+        assert list(parameters) == list(declaration.defaults)
         assert [
             name
             for name, parameter in parameters.items()

@@ -68,9 +68,8 @@ def test_spliced_key_equals_the_plain_key(run):
         (("fig_6_11",), {"nope": 1}),
         (("fig_6_11", 21, 2.0, None, "extra"), {}),
         (("fig_6_11",), {"figure_id": "fig_6_12"}),
-        (("fig_6_11", 21, 2.0, KeyPartsEngine()), {}),  # and engine=
     ],
-    ids=["missing", "unknown", "too-many", "twice", "engine-twice"],
+    ids=["missing", "unknown", "too-many", "twice"],
 )
 def test_binding_rejects_what_a_signature_rejects(args, kwargs):
     with pytest.raises(TypeError):

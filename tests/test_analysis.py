@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import Series, ascii_bars, ascii_scatter, format_kv, format_table
+from repro.analysis import Series, ascii_scatter, format_kv, format_table
 from repro.overhead import (
     SequentialCosts,
     estimate_overhead,
@@ -40,14 +40,6 @@ class TestPlots:
     def test_scatter_empty_rejected(self):
         with pytest.raises(ValueError):
             ascii_scatter([])
-
-    def test_bars(self):
-        text = ascii_bars(["a", "b"], {"s1": [1.0, 0.5], "s2": [0.2, 0.9]})
-        assert "a:" in text and "#" in text
-
-    def test_bars_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ascii_bars(["a"], {"s1": [1.0, 2.0]})
 
 
 class TestOverheadRollup:

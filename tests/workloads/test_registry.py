@@ -221,6 +221,15 @@ class TestSyntheticGenerator:
         with pytest.raises(KeyError, match="unknown stages"):
             register_synthetic("synth_bad", stage_scale={"fetch": 2.0})
 
+    def test_unknown_stage_named_on_build(self):
+        from repro.engine import CellSpec, ExperimentEngine
+
+        message = r"unknown stages \['nope'\]; have \['complex_alu', 'decode'"
+        with pytest.raises(KeyError, match=message):
+            build_benchmark("radix", stages=["nope"])
+        with pytest.raises(KeyError, match=message):
+            ExperimentEngine().run_cells([CellSpec("radix", "nope", "synts")])
+
 
 class TestEndToEnd:
     def test_synthetic_runs_through_engine_cells(self, fresh_names):
